@@ -12,15 +12,16 @@ A command that takes value arguments also works as a line filter: leave
 the arguments off and feed lines on stdin to get one tab-separated record
 per line, with failures marked ERR inline instead of stopping the run.
 
-Exit codes: 0 success, 1 syntax or arity, 2 domain (NaN bits, zero
-denominators, literals off the format grid, disordered bounds), 3 a
---check revalidation failed.
+Exit codes: 0 success, 1 syntax or arity (or stdout closed before the
+output was written), 2 domain (NaN bits, zero denominators, literals off
+the format grid, disordered bounds), 3 a --check revalidation failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Callable, TextIO
 
@@ -48,6 +49,7 @@ from .parse import (
 )
 from .render import (
     DecimalInfinity,
+    _trailing_hex,
     bracket_notation,
     float_to_exact_decimal,
     hex_significand_bracket,
@@ -72,27 +74,24 @@ def _bound_hex(f: FloatValue, fmt: FloatFormat) -> str:
     if f.kind == KIND_NORMAL:
         return hex_significand_rendering(f, fmt)
     sign = "" if f.sign > 0 else "-"
-    if fmt.significand_bits == 24:
-        body = f"{f.significand >> 20:o}{f.significand & 0xFFFFF:05x}"
-    else:
-        body = f"{f.significand:013x}"
-    return f"{sign}2^({fmt.emin}) * 0.{body}"
+    return f"{sign}2^({fmt.emin}) * 0.{_trailing_hex(f.significand, fmt)}"
 
 
-def _bound_decimal(f: FloatValue, fmt: FloatFormat) -> str:
+def _exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific | DecimalInfinity:
     if f.kind == KIND_INFINITE:
-        return "inf" if f.sign > 0 else "-inf"
-    return plain_decimal(float_to_exact_decimal(f, fmt))
+        return DecimalInfinity(f.sign)
+    return float_to_exact_decimal(f, fmt)
 
 
-def _interval_bracket(interval: FloatInterval, fmt: FloatFormat) -> str:
-    if interval.lb.kind == KIND_INFINITE or interval.ub.kind == KIND_INFINITE:
-        lo = _bound_decimal(interval.lb, fmt)
-        hi = _bound_decimal(interval.ub, fmt)
-        return f"[{lo},{hi}]"
-    lo = float_to_exact_decimal(interval.lb, fmt)
-    hi = float_to_exact_decimal(interval.ub, fmt)
-    return bracket_notation(lo, hi).text()
+def _decimal_fields(
+    lo: DecimalScientific | DecimalInfinity, hi: DecimalScientific | DecimalInfinity
+) -> tuple[str, str, str]:
+    """Plain text of each decimal bound, then the bracket of the pair."""
+    lo_text = plain_decimal(lo)
+    hi_text = plain_decimal(hi)
+    if isinstance(lo, DecimalInfinity) or isinstance(hi, DecimalInfinity):
+        return lo_text, hi_text, f"[{lo_text},{hi_text}]"
+    return lo_text, hi_text, bracket_notation(lo, hi).text()
 
 
 def _check_enclosure(interval: FloatInterval, value, fmt: FloatFormat) -> None:
@@ -101,21 +100,18 @@ def _check_enclosure(interval: FloatInterval, value, fmt: FloatFormat) -> None:
         raise CheckFailure(f"interval disagrees with the reference enclosure for {value}")
 
 
+def _interval_fields(interval: FloatInterval, fmt: FloatFormat) -> list[str]:
+    """Hex and exact decimal of the lower bound, the same of the upper
+    bound, then the bracket."""
+    lo, hi, bracket = _decimal_fields(
+        _exact_decimal(interval.lb, fmt), _exact_decimal(interval.ub, fmt)
+    )
+    return [_bound_hex(interval.lb, fmt), lo, _bound_hex(interval.ub, fmt), hi, bracket]
+
+
 def _write_interval(out: TextIO, interval: FloatInterval, fmt: FloatFormat) -> None:
-    out.write(f"lb = {_bound_hex(interval.lb, fmt)} = {_bound_decimal(interval.lb, fmt)}\n")
-    out.write(f"ub = {_bound_hex(interval.ub, fmt)} = {_bound_decimal(interval.ub, fmt)}\n")
-    out.write(f"bracket = {_interval_bracket(interval, fmt)}\n")
-
-
-def _interval_record(line: str, interval: FloatInterval, fmt: FloatFormat) -> list[str]:
-    return [
-        line,
-        _bound_hex(interval.lb, fmt),
-        _bound_decimal(interval.lb, fmt),
-        _bound_hex(interval.ub, fmt),
-        _bound_decimal(interval.ub, fmt),
-        _interval_bracket(interval, fmt),
-    ]
+    lb_hex, lo, ub_hex, hi, bracket = _interval_fields(interval, fmt)
+    out.write(f"lb = {lb_hex} = {lo}\nub = {ub_hex} = {hi}\nbracket = {bracket}\n")
 
 
 def _run_lines(stdin: TextIO, stdout: TextIO, handler: Callable[[str], list[str]]) -> int:
@@ -163,7 +159,7 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
         return interval
 
     if args.numeral is None:
-        return _run_lines(stdin, stdout, lambda line: _interval_record(line, convert(line), fmt))
+        return _run_lines(stdin, stdout, lambda line: [line, *_interval_fields(convert(line), fmt)])
     _write_interval(stdout, convert(args.numeral), fmt)
     return 0
 
@@ -179,7 +175,7 @@ def _cmd_parse_rational(args: argparse.Namespace, stdin: TextIO, stdout: TextIO)
         return interval
 
     if args.ratio is None:
-        return _run_lines(stdin, stdout, lambda line: _interval_record(line, convert(line), fmt))
+        return _run_lines(stdin, stdout, lambda line: [line, *_interval_fields(convert(line), fmt)])
     _write_interval(stdout, convert(args.ratio), fmt)
     return 0
 
@@ -223,27 +219,20 @@ def _cmd_print_interval(args: argparse.Namespace, stdin: TextIO, stdout: TextIO)
         lo, hi = interval_to_decimal(interval, digits, fmt)
         if args.check:
             check_containment(lo, hi, interval)
-        if isinstance(lo, DecimalScientific) and isinstance(hi, DecimalScientific):
-            bracket = bracket_notation(lo, hi).text()
-        else:
-            bracket = f"[{plain_decimal(lo)},{plain_decimal(hi)}]"
-        return lo, hi, bracket
+        return _decimal_fields(lo, hi)
 
     if args.low is None:
         def handle(line: str) -> list[str]:
             parts = line.split()
             if len(parts) != 2:
                 raise NumeralSyntaxError(line, 0, "expected two values")
-            lo, hi, bracket = convert(parts[0], parts[1])
-            return [line, plain_decimal(lo), plain_decimal(hi), bracket]
+            return [line, *convert(parts[0], parts[1])]
 
         return _run_lines(stdin, stdout, handle)
     if args.high is None:
         raise NumeralSyntaxError(args.low, 0, "expected two values or none")
     lo, hi, bracket = convert(args.low, args.high)
-    stdout.write(f"lo = {plain_decimal(lo)}\n")
-    stdout.write(f"hi = {plain_decimal(hi)}\n")
-    stdout.write(f"bracket = {bracket}\n")
+    stdout.write(f"lo = {lo}\nhi = {hi}\nbracket = {bracket}\n")
     return 0
 
 
@@ -295,6 +284,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _digit_budget(text: str) -> int:
+    """Type of --digits: an integer of at least 1."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError("need at least one digit")
+    return budget
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radival",
@@ -317,7 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("print-interval", help="outward-rounded decimal interval of a float pair")
     p.add_argument("low", nargs="?", help="lower bound (literal or bits:HEX)")
     p.add_argument("high", nargs="?", help="upper bound (literal or bits:HEX)")
-    p.add_argument("--digits", type=int, default=6, help="digit budget per bound (default 6)")
+    p.add_argument(
+        "--digits", type=_digit_budget, default=6, help="digit budget per bound (default 6)"
+    )
     _add_common(p)
 
     p = sub.add_parser("table", help="print the unit-fraction demonstration table")
@@ -368,7 +370,17 @@ def run(
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        # flush inside the try so a closed pipe surfaces here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -140,37 +140,26 @@ def double_integer(m: DigitString) -> DigitString:
 # on this view; the digit-at-a-time operations above stay the reference
 # behaviour and the tests replay one against the other.
 
-_POW10 = [1]
-_POW5 = [1]
 
+def _int_from_digits(text: str) -> int:
+    """Read a nonempty text of ASCII digits of any length as an integer.
 
-def _pow10(k: int) -> int:
-    while len(_POW10) <= k:
-        _POW10.append(_POW10[-1] * 10)
-    return _POW10[k]
-
-
-def _pow5(k: int) -> int:
-    while len(_POW5) <= k:
-        _POW5.append(_POW5[-1] * 5)
-    return _POW5[k]
+    CPython's int() refuses texts past 4300 digits by default, so longer
+    texts split in half and recombine until every piece is under it."""
+    if len(text) <= 4000:
+        return int(text)
+    half = len(text) // 2
+    low = text[half:]
+    return _int_from_digits(text[:half]) * 10 ** len(low) + _int_from_digits(low)
 
 
 def _fraction_int(m: DigitString) -> tuple[int, int]:
     text = m.as_text()
-    return (int(text, 10) if text else 0, len(text))
+    return (_int_from_digits(text) if text else 0, len(text))
 
 
 def _fraction_digits(N: int, n: int) -> DigitString:
+    """The fraction N / 10^n with N < 10^n; trailing zeros drop."""
     if N == 0:
         return DigitString((), FRACTION)
     return DigitString.fraction(str(N).rjust(n, "0"))
-
-
-def _strip_tens(N: int, n: int) -> tuple[int, int]:
-    while N and N % 10 == 0:
-        N //= 10
-        n -= 1
-    if N == 0:
-        n = 0
-    return N, n

@@ -30,7 +30,12 @@ def exact_value(d: DecimalScientific) -> Fraction:
     if not text:
         return Fraction(0)
     scale = d.exponent - len(text)
-    N = d.sign * int(text, 10)
+    # int() refuses texts past 4300 digits by default; read in chunks
+    N = 0
+    for i in range(0, len(text), 4000):
+        chunk = text[i : i + 4000]
+        N = N * 10 ** len(chunk) + int(chunk)
+    N *= d.sign
     if scale >= 0:
         return Fraction(N * 10**scale)
     return Fraction(N, 10**-scale)
@@ -51,7 +56,8 @@ def float_exact_value(f: FloatValue) -> Fraction:
 
 
 def _shifted_ge(x: int, k: int, y: int) -> bool:
-    # x * 2^k >= y with k of either sign
+    # x * 2^k >= y with k of either sign; a copy of the converter's helper,
+    # kept on purpose so the oracle shares no code with what it checks
     if k >= 0:
         return (x << k) >= y
     return x >= (y << -k)

@@ -1,21 +1,20 @@
 """Decimal numerals and rationals to narrowest enclosing float intervals.
 
-The route for a numeral sign * 10^e * 0.m runs in three legs. First the
-power of ten is exchanged for a power of two: doublings pay off a negative
-decimal exponent (each carry past the point cancels one power of ten),
-halvings pay off a positive one. Then the remaining fraction is doubled
-into [1/2, 1) so its leading bit is set. Finally significand bits stream
-out of the fraction, one per doubling, until the format is full; whatever
-is left decides whether the enclosure is a point or one ulp wide.
+Every enclosure is one floor division. A numeral N * 10^k or a ratio p/q
+becomes num/den, its binary exponent comes off the bit lengths, and num/den
+divided onto the format's grid gives the lower bound; a nonzero remainder
+means the value lies strictly inside the next ulp, so the upper bound is
+one step up. Exponents that force overflow or underflow are settled before
+any power of ten is built.
 
-Rationals p/q skip the decimal legs: scaling by powers of two puts p/q in
-[1/2, 1) and the same bit streaming applies to the numerator directly.
-
-The doubling and halving loops touch every digit once per step, so this
-module runs them in bulk on the integer view of the digit string: k
-doublings are one shift, k halvings one multiply by 5^k, and the loop
-counts come straight from bit lengths. The tests replay the
-digit-at-a-time loops against these bulk forms on random inputs.
+The paper's staged route for a numeral 10^e * 0.m stays as the staged
+API, off that path: binarize_exponent trades the power of ten for a power
+of two, normalize_mantissa doubles the fraction into [1/2, 1), and
+mantissa_bits streams out its significand bits. Each stage runs in bulk
+on the integer view of the digit string: k doublings are one shift, k
+halvings one multiply by 5^k, and the loop counts come straight from bit
+lengths. The tests replay the digit-at-a-time loops against these bulk
+forms on random inputs.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from .digitstring import (
     DigitString,
     _fraction_digits,
     _fraction_int,
-    _pow5,
-    _pow10,
-    _strip_tens,
+    _int_from_digits,
 )
 from .floatkit import (
     KIND_NORMAL,
@@ -116,8 +113,8 @@ class Rational:
         if slash:
             if not den.isascii() or not den.isdigit():
                 raise NumeralSyntaxError(text, len(text) - len(den), "expected digits")
-            return cls(sign, int(num), int(den))
-        return cls(sign, int(num), 1)
+            return cls(sign, _int_from_digits(num), _int_from_digits(den))
+        return cls(sign, _int_from_digits(num), 1)
 
 
 def parse_numeral(text: str) -> DecimalScientific:
@@ -158,7 +155,7 @@ def parse_numeral(text: str) -> DecimalScientific:
             i += 1
         if start == i:
             raise NumeralSyntaxError(text, i, "expected an exponent digit")
-        marker_exp = esign * int(text[start:i])
+        marker_exp = esign * _int_from_digits(text[start:i])
     if i != n:
         raise NumeralSyntaxError(text, i, "unexpected character")
     digits = int_digits + frac_digits
@@ -173,14 +170,6 @@ def parse_numeral(text: str) -> DecimalScientific:
     return DecimalScientific(sign, DigitString.fraction(digits), exponent)
 
 
-def _doublings_to_reach(N: int, T: int) -> int:
-    """Smallest k >= 0 with N * 2^k >= T, both positive."""
-    k = max(0, T.bit_length() - N.bit_length())
-    if (N << k) < T:
-        k += 1
-    return k
-
-
 def _shifted_ge(x: int, k: int, y: int) -> bool:
     # x * 2^k >= y with k of either sign
     if k >= 0:
@@ -188,45 +177,27 @@ def _shifted_ge(x: int, k: int, y: int) -> bool:
     return x >= (y << -k)
 
 
-def _binarize_int(N: int, n: int, dec_exp: int) -> tuple[int, int, int]:
-    """Exchange the power of ten for a power of two on the integer view.
+def _log2_floor(p: int, q: int) -> int:
+    """floor(log2(p/q)) for positive p and q.
 
-    Returns (N', n', bin_exp) with 10^dec_exp * N/10^n == 2^bin_exp * N'/10^n'.
+    The bit lengths put p/q in (2^(d-1), 2^(d+1)) for their difference d,
+    so one comparison settles which binade it is."""
+    E = p.bit_length() - q.bit_length()
+    if not _shifted_ge(p, -E, q):
+        E -= 1
+    return E
+
+
+def binarize_exponent(m: DigitString, dec_exp: int) -> tuple[DigitString, int]:
+    """Trade 10^dec_exp for a binary exponent: returns (m', bin_exp) with
+    10^dec_exp * 0.m == 2^bin_exp * 0.m' exactly.
+
     A negative decimal exponent is paid off by doublings; each carry folds
     back in front of the digits and cancels one power of ten, so the job
     is done after K doublings where K first pushes N * 2^K to n + |e|
     digits. A positive exponent dualizes with halvings: each appends a
     factor 5 and drops one power of ten, finishing when the fraction falls
     under 1, which the halving count reads off directly.
-    """
-    if N == 0 or dec_exp == 0:
-        return N, n, 0
-    if dec_exp < 0:
-        K = _doublings_to_reach(N, _pow10(n - dec_exp - 1))
-        N2, n2 = _strip_tens(N << K, n - dec_exp)
-        return N2, n2, -K
-    # need the smallest K with N * 10^dec_exp < 10^n * 2^K
-    A = N * _pow10(dec_exp)
-    T = _pow10(n)
-    K = max(1, A.bit_length() - T.bit_length())
-    if _shifted_ge(A, -K, T):
-        K += 1
-    N2, n2 = _strip_tens(N * _pow5(K), n + K - dec_exp)
-    return N2, n2, K
-
-
-def _normalize_int(N: int, n: int, bin_exp: int) -> tuple[int, int, int]:
-    """Double the fraction into [1/2, 1), charging the binary exponent.
-
-    No carries can appear: the last doubling starts below 1/2."""
-    K = _doublings_to_reach(N << 1, _pow10(n))
-    N2, n2 = _strip_tens(N << K, n)
-    return N2, n2, bin_exp - K
-
-
-def binarize_exponent(m: DigitString, dec_exp: int) -> tuple[DigitString, int]:
-    """Trade 10^dec_exp for a binary exponent: returns (m', bin_exp) with
-    10^dec_exp * 0.m == 2^bin_exp * 0.m' exactly.
 
     A positive decimal exponent requires a mantissa with no leading zeros
     (or an empty one); negative exponents take any fraction string.
@@ -236,89 +207,60 @@ def binarize_exponent(m: DigitString, dec_exp: int) -> tuple[DigitString, int]:
     if dec_exp > 0 and m.digits and m.digits[0] == 0:
         raise ValueError("positive exponents need a mantissa without leading zeros")
     N, n = _fraction_int(m)
-    N2, n2, bexp = _binarize_int(N, n, dec_exp)
-    return _fraction_digits(N2, n2), bexp
+    if N == 0 or dec_exp == 0:
+        return m, 0
+    if dec_exp < 0:
+        # the smallest K with N * 2^K >= 10^(n + |e| - 1); N < 10^n makes it positive
+        K = -_log2_floor(N, 10 ** (n - dec_exp - 1))
+        return _fraction_digits(N << K, n - dec_exp), -K
+    # the smallest K with N * 10^dec_exp < 10^n * 2^K
+    K = _log2_floor(N * 10**dec_exp, 10**n) + 1
+    return _fraction_digits(N * 5**K, n + K - dec_exp), K
 
 
 def normalize_mantissa(m: DigitString, bin_exp: int) -> tuple[DigitString, int]:
     """Double the nonempty fraction 0.m into [1/2, 1), charging each
-    doubling to the binary exponent."""
+    doubling to the binary exponent.
+
+    No carries can appear: the last doubling starts below 1/2."""
     if m.role != FRACTION:
         raise ValueError("expected a fraction digit string")
     if not m.digits:
         raise ValueError("cannot normalize an empty mantissa")
     N, n = _fraction_int(m)
-    N2, n2, bexp = _normalize_int(N, n, bin_exp)
-    return _fraction_digits(N2, n2), bexp
+    K = -1 - _log2_floor(N, 10**n)
+    return _fraction_digits(N << K, n), bin_exp - K
 
 
 def scale_to_unit_interval(r: Rational) -> tuple[Rational, int]:
     """Halve or double r onto [1/2, 1): returns (r', k) with r == r' * 2^k.
 
     Doubles whichever of p and q is behind, so no reduction happens; the
-    count comes from the bit lengths with at most one step of correction.
+    count is one past the binary exponent of r.
     """
     if r.p == 0:
         raise DomainError("cannot scale zero onto [1/2, 1)")
     p, q = r.p, r.q
-    a = q.bit_length() - p.bit_length()
-    # p/q * 2^a lands within a factor of two of [1/2, 1); nudge once if off
-    if not _shifted_ge(p, a + 1, q):
-        a += 1
-    elif _shifted_ge(p, a, q):
-        a -= 1
-    assert _shifted_ge(p, a + 1, q) and not _shifted_ge(p, a, q)
-    if a >= 0:
-        scaled = Rational(r.sign, p << a, q)
+    k = _log2_floor(p, q) + 1
+    assert _shifted_ge(p, 1 - k, q) and not _shifted_ge(p, -k, q)
+    if k <= 0:
+        scaled = Rational(r.sign, p << -k, q)
     else:
-        scaled = Rational(r.sign, p, q << -a)
-    return scaled, -a
+        scaled = Rational(r.sign, p, q << k)
+    return scaled, k
 
 
-class _FractionBits:
-    """Significand bit supply for a ratio num/den in [0, 1).
-
-    Doubling the numerator yields one bit per step: the bit is 1 exactly
-    when the doubled ratio reaches 1, and the excess keeps going. A spent
-    numerator means every remaining bit is 0.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int):
-        self.num = num
-        self.den = den
-
-    def next_bit(self) -> int:
-        self.num <<= 1
-        if self.num >= self.den:
-            self.num -= self.den
-            return 1
-        return 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.num == 0
-
-    def take(self, count: int) -> tuple[int, bool]:
-        """First `count` bits packed into an integer, plus whether any 1
-        bits remain behind them.
-
-        One division stands in for `count` doubling steps: the quotient of
-        num * 2^count by den collects exactly the bits the steps would have
-        peeled off, and the remainder is the numerator they would have left
-        behind."""
-        acc, rem = divmod(self.num << count, self.den)
-        self.num = rem
-        return acc, rem != 0
+def _leading_bits(num: int, den: int, count: int) -> list[int]:
+    # the quotient of num * 2^count by den holds the first count bits
+    acc = (num << count) // den
+    return [(acc >> i) & 1 for i in range(count - 1, -1, -1)]
 
 
 def fraction_bits(p: int, q: int, count: int) -> list[int]:
     """First `count` binary fraction digits of p/q, which must lie in (0, 1)."""
     if not 0 < p < q:
         raise DomainError(f"{p}/{q} is not inside (0, 1)")
-    bits = _FractionBits(p, q)
-    return [bits.next_bit() for _ in range(count)]
+    return _leading_bits(p, q, count)
 
 
 def mantissa_bits(m: DigitString, count: int) -> list[int]:
@@ -326,32 +268,37 @@ def mantissa_bits(m: DigitString, count: int) -> list[int]:
     if m.role != FRACTION:
         raise ValueError("expected a fraction digit string")
     N, n = _fraction_int(m)
-    bits = _FractionBits(N, _pow10(n))
-    return [bits.next_bit() for _ in range(count)]
+    return _leading_bits(N, 10**n, count)
 
 
-def _enclose_magnitude(
-    scale_exp: int, bits: _FractionBits, fmt: FloatFormat
-) -> tuple[FloatValue, bool]:
-    """Lower bound and inexactness flag for a magnitude 2^scale_exp * v
-    with v in [1/2, 1) supplied bitwise.
+def _enclose_magnitude(num: int, den: int, fmt: FloatFormat) -> tuple[FloatValue, bool]:
+    """Lower bound and inexactness flag for the magnitude num/den > 0.
 
-    Cutting the bit supply at the format's grid is exactly the floor onto
-    it. Magnitudes beyond the finite range clamp to the top value and
-    magnitudes under the subnormal grid clamp to zero; both keep the flag
-    on so the caller widens outward.
+    One division floors the magnitude onto the format's grid at its binade
+    (the subnormal grid below the normal range), and the remainder says
+    whether the floor was exact. Magnitudes beyond the finite range clamp
+    to the top value and magnitudes under the subnormal grid floor to
+    zero; both keep the flag on so the caller widens outward.
     """
     p = fmt.significand_bits
-    least = fmt.least_exponent
-    if scale_exp - 1 > fmt.emax:
+    E = _log2_floor(num, den)
+    if E > fmt.emax:
         return fmt.max_finite, True
-    if scale_exp <= least:
+    e = max(E - (p - 1), fmt.least_exponent)
+    if e >= 0:
+        m, rem = divmod(num, den << e)
+    else:
+        m, rem = divmod(num << -e, den)
+    if m == 0:
         return ZERO, True
-    nbits = min(p, scale_exp - least)
-    m, sticky = bits.take(nbits)
-    # v >= 1/2 puts a 1 in front, so m > 0 and full width means normal
-    kind = KIND_NORMAL if nbits == p else KIND_SUBNORMAL
-    return FloatValue(kind, 1, m, scale_exp - nbits), sticky
+    kind = KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL
+    return FloatValue(kind, 1, m, e), rem != 0
+
+
+def _widen(sign: int, lb: FloatValue, sticky: bool, fmt: FloatFormat) -> FloatInterval:
+    ub = next_up(lb, fmt) if sticky else lb
+    interval = FloatInterval(lb, ub)
+    return -interval if sign < 0 else interval
 
 
 def _exponent_hint(dec_exp: int, fmt: FloatFormat) -> tuple[FloatValue, bool] | None:
@@ -381,23 +328,16 @@ def decimal_to_interval(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval
         return FloatInterval(ZERO, ZERO)
     hint = _exponent_hint(d.exponent, fmt)
     if hint is not None:
-        lb, sticky = hint
-    else:
-        N, n = _fraction_int(d.mantissa)
-        N, n, bexp = _binarize_int(N, n, d.exponent)
-        N, n, bexp = _normalize_int(N, n, bexp)
-        lb, sticky = _enclose_magnitude(bexp, _FractionBits(N, _pow10(n)), fmt)
-    ub = next_up(lb, fmt) if sticky else lb
-    interval = FloatInterval(lb, ub)
-    return -interval if d.sign < 0 else interval
+        return _widen(d.sign, *hint, fmt)
+    # past the hint, |k| is at most the digit count plus the format's
+    # decimal exponent range, so no power of ten outgrows the input
+    N, n = _fraction_int(d.mantissa)
+    k = d.exponent - n
+    return rational_to_interval(Rational(d.sign, N * 10 ** max(k, 0), 10 ** max(-k, 0)), fmt)
 
 
 def rational_to_interval(r: Rational, fmt: FloatFormat) -> FloatInterval:
     """Narrowest enclosing interval for p/q, never forming a decimal."""
     if r.p == 0:
         return FloatInterval(ZERO, ZERO)
-    scaled, k = scale_to_unit_interval(r)
-    lb, sticky = _enclose_magnitude(k, _FractionBits(scaled.p, scaled.q), fmt)
-    ub = next_up(lb, fmt) if sticky else lb
-    interval = FloatInterval(lb, ub)
-    return -interval if r.sign < 0 else interval
+    return _widen(r.sign, *_enclose_magnitude(r.p, r.q, fmt), fmt)

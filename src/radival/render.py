@@ -11,17 +11,9 @@ usable prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from os.path import commonprefix
 
-from .digitstring import (
-    FRACTION,
-    INTEGER,
-    DigitString,
-    _fraction_digits,
-    _fraction_int,
-    _pow5,
-    _pow10,
-    _strip_tens,
-)
+from .digitstring import FRACTION, INTEGER, DigitString, _fraction_int
 from .floatkit import (
     BINARY32,
     KIND_INFINITE,
@@ -99,15 +91,12 @@ def decimalize_exponent(m: DigitString, bin_exp: int, dec_exp: int) -> tuple[Dig
     if N == 0 or bin_exp == 0:
         return m, dec_exp
     if bin_exp > 0:
-        W = N << bin_exp
-        width = len(str(W))
-        dec_exp += width - n
+        text = str(N << bin_exp)
+        dec_exp += len(text) - n
     else:
-        W = N * _pow5(-bin_exp)
-        width = len(str(W))
-        dec_exp -= (n - bin_exp) - width
-    N2, n2 = _strip_tens(W, width)
-    return _fraction_digits(N2, n2), dec_exp
+        text = str(N * 5**-bin_exp)
+        dec_exp -= (n - bin_exp) - len(text)
+    return DigitString.fraction(text), dec_exp
 
 
 def float_to_exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific:
@@ -151,7 +140,7 @@ def truncate_directed(d: DecimalScientific, n: int, direction: str) -> DecimalSc
         # nonzero and plain truncation is strictly below the value
         return DecimalScientific(d.sign, DigitString.fraction(head), d.exponent)
     grown = int(bytes(x + 48 for x in head)) + 1
-    if grown == _pow10(n):
+    if grown == 10**n:
         return DecimalScientific(d.sign, DigitString.fraction("1"), d.exponent + 1)
     return DecimalScientific(d.sign, DigitString.fraction(str(grown)), d.exponent)
 
@@ -229,10 +218,7 @@ def bracket_notation(lo: DecimalScientific, hi: DecimalScientific) -> BracketRen
     )
     if not sharable:
         return BracketRendering("", "", "", f"[{lo_text},{hi_text}]")
-    k = 0
-    limit = min(len(lo_text), len(hi_text))
-    while k < limit and lo_text[k] == hi_text[k]:
-        k += 1
+    k = len(commonprefix([lo_text, hi_text]))
     return BracketRendering(lo_text[:k], lo_text[k:], hi_text[k:])
 
 
@@ -274,8 +260,5 @@ def hex_significand_bracket(interval: FloatInterval, fmt: FloatFormat = BINARY32
     hi = hex_significand_rendering(interval.ub, fmt)
     if lo.rsplit(".", 1)[0] != hi.rsplit(".", 1)[0]:
         return f"[{lo},{hi}]"
-    k = 0
-    limit = min(len(lo), len(hi))
-    while k < limit and lo[k] == hi[k]:
-        k += 1
+    k = len(commonprefix([lo, hi]))
     return f"{lo[:k]}[{lo[k:]},{hi[k:]}]"

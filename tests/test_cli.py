@@ -1,14 +1,32 @@
 """End-to-end command line behaviour through cli.run with captured streams."""
 
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import radival
 from radival import cli, oracle
 from radival.floatkit import ZERO, FloatInterval
 
-GOLDEN_TABLE = pathlib.Path(__file__).parent / "data" / "reference_table.txt"
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN_TABLE = DATA / "reference_table.txt"
+
+# parse filter records for subnormal, zero and infinite bounds, one per
+# line behind the format name: numeral, lb hex, lb decimal, ub hex, ub
+# decimal, bracket
+EDGE_RECORDS = {
+    fields[1]: (fields[0], fields[1:])
+    for fields in (
+        line.split("\t") for line in (DATA / "edge_records.txt").read_text().splitlines()
+    )
+}
+
+# digit counts past CPython's default 4300-digit int/str conversion limit
+LONG = 5000
 
 
 def run_cli(argv, stdin_text=""):
@@ -85,6 +103,21 @@ class TestParse:
         assert parts[0] == "bogus"
         assert parts[1] == "ERR"
 
+    def test_numeral_past_int_text_limit(self):
+        # --check exits 3 unless the interval is the oracle's
+        numeral = "0." + "1234567890" * (LONG // 10)
+        status, out, err = run_cli(["parse", "--format", "binary64", "--check", numeral])
+        assert (status, err) == (0, "")
+        assert out.startswith(
+            "lb = 2^(-4) * 1.f9add3746f65f"
+            " = 0.12345678901234567736988623209981597028672695159912109375\n"
+        )
+
+    def test_exponent_past_int_text_limit(self):
+        status, out, err = run_cli(["parse", "1e" + "9" * LONG])
+        assert (status, err) == (0, "")
+        assert out == run_cli(["parse", "1e39"])[1]
+
     def test_check_failure_exit(self, monkeypatch):
         bogus = FloatInterval(ZERO, ZERO)
         monkeypatch.setattr(oracle, "narrowest_interval_reference", lambda v, fmt: bogus)
@@ -117,6 +150,15 @@ class TestParseRational:
         assert status == 0
         assert out.splitlines()[0] == (
             "lb = 2^(-4) * 1.3a2e8b = 0.090909086167812347412109375"
+        )
+
+    def test_ratio_past_int_text_limit(self):
+        ratio = "7" * LONG + "/" + "3" * (LONG + 1)
+        status, out, err = run_cli(["parse-rational", "--format", "binary64", "--check", ratio])
+        assert (status, err) == (0, "")
+        assert out.startswith(
+            "lb = 2^(-3) * 1.ddddddddddddd"
+            " = 0.2333333333333333092785011331216082908213138580322265625\n"
         )
 
     def test_zero_denominator(self):
@@ -221,6 +263,13 @@ class TestPrintInterval:
         assert lines[1] == "hi = inf"
         assert lines[2].endswith(",inf]")
 
+    @pytest.mark.parametrize("digits", ["0", "-2"])
+    def test_digit_budget_below_one(self, digits):
+        status, out, err = run_cli(["print-interval", "0.25", "0.5", "--digits", digits])
+        assert status == 1
+        assert out == ""
+        assert "need at least one digit" in err
+
     def test_disordered_bounds(self):
         status, _, err = run_cli(["print-interval", "0.5", "0.25"])
         assert status == 2
@@ -240,6 +289,35 @@ class TestPrintInterval:
         lines = out.splitlines()
         assert lines[0] == "0.25 0.5\t0.25\t0.5\t[0.25,0.5]"
         assert lines[1].split("\t")[1] == "ERR"
+
+
+class TestEdgeBounds:
+    """Subnormal, zero and infinite bounds, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "numeral, lb_hex, ub_hex",
+        [
+            ("1e-40", "2^(-126) * 0.0116c2", "2^(-126) * 0.0116c3"),
+            ("-1e-40", "-2^(-126) * 0.0116c3", "-2^(-126) * 0.0116c2"),
+            ("1e-46", "0", "2^(-126) * 0.000001"),
+            ("1e39", "2^(127) * 1.7fffff", "inf"),
+            ("4e-320", "2^(-1022) * 0.0000000001fa0", "2^(-1022) * 0.0000000001fa1"),
+        ],
+    )
+    def test_single_shot(self, numeral, lb_hex, ub_hex):
+        fmt, (_, lb_field, lo, ub_field, hi, bracket) = EDGE_RECORDS[numeral]
+        assert (lb_field, ub_field) == (lb_hex, ub_hex)
+        status, out, err = run_cli(["parse", "--format", fmt, "--", numeral])
+        assert (status, err) == (0, "")
+        assert out == f"lb = {lb_hex} = {lo}\nub = {ub_hex} = {hi}\nbracket = {bracket}\n"
+
+    @pytest.mark.parametrize("fmt", ["binary32", "binary64"])
+    def test_filter_records(self, fmt):
+        records = [fields for f, fields in EDGE_RECORDS.values() if f == fmt]
+        stdin_text = "".join(fields[0] + "\n" for fields in records)
+        status, out, _ = run_cli(["parse", "--format", fmt], stdin_text=stdin_text)
+        assert status == 0
+        assert out == "".join("\t".join(fields) + "\n" for fields in records)
 
 
 class TestTable:
@@ -304,3 +382,28 @@ def test_clean_stderr_on_success(argv):
     status, _, err = run_cli(argv)
     assert status == 0
     assert err == ""
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    """A reader that stops early, as with `| head -1`, gets no traceback."""
+    feed = tmp_path / "numerals.txt"
+    feed.write_text("".join(f"{i}\n" for i in range(1, 200001)))
+    src = pathlib.Path(radival.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    with feed.open() as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "radival.cli", "parse", "--format", "binary64"],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        proc.wait(timeout=60)
+        err = proc.stderr.read()
+        proc.stderr.close()
+    assert first.startswith(b"1\t2^(0) * 1.0000000000000\t1\t")
+    assert err == b""
+    assert proc.returncode == 1

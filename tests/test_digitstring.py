@@ -10,6 +10,7 @@ from radival.digitstring import (
     FRACTION,
     INTEGER,
     DigitString,
+    _int_from_digits,
     div2,
     double_integer,
     mul2,
@@ -150,3 +151,14 @@ class TestDoubleInteger:
     @given(integer_digits)
     def test_doubles_the_value(self, m):
         assert value_of(double_integer(m)) == 2 * value_of(m)
+
+
+class TestIntFromDigits:
+    # 5000 and 9001 digits are past CPython's default int/str limit of 4300
+    @pytest.mark.parametrize("k", [1, 4000, 5000, 9001])
+    def test_powers_of_ten_and_nines(self, k):
+        assert _int_from_digits("1" + "0" * k) == 10**k
+        assert _int_from_digits("9" * k) == 10**k - 1
+
+    def test_leading_zeros(self):
+        assert _int_from_digits("0" * 5000 + "7") == 7
