@@ -32,10 +32,8 @@ from .floatkit import (
     NotRepresentable,
     as_py_float,
     decompose,
-    exact_float,
     from_bits,
     infinity,
-    machine_epsilon,
     next_up,
     to_bits,
 )
@@ -46,23 +44,18 @@ from .parse import (
     Rational,
     binarize_exponent,
     decimal_to_interval,
-    fraction_bits,
     mantissa_bits,
     normalize_mantissa,
     parse_numeral,
     rational_to_interval,
-    scale_to_unit_interval,
 )
 from .render import (
     BracketRendering,
     DecimalInfinity,
     bracket_notation,
-    decimalize_exponent,
-    decimalize_integer,
     float_to_exact_decimal,
     hex_significand_bracket,
     hex_significand_rendering,
-    integer_to_fraction_exponent,
     interval_to_decimal,
     plain_decimal,
     truncate_directed,
@@ -96,21 +89,15 @@ __all__ = [
     "binarize_exponent",
     "bracket_notation",
     "decimal_to_interval",
-    "decimalize_exponent",
-    "decimalize_integer",
     "decompose",
     "div2",
     "double_integer",
-    "exact_float",
-    "fraction_bits",
     "float_to_exact_decimal",
     "from_bits",
     "hex_significand_bracket",
     "hex_significand_rendering",
     "infinity",
-    "integer_to_fraction_exponent",
     "interval_to_decimal",
-    "machine_epsilon",
     "mantissa_bits",
     "mul2",
     "next_up",
@@ -118,7 +105,6 @@ __all__ = [
     "parse_numeral",
     "plain_decimal",
     "rational_to_interval",
-    "scale_to_unit_interval",
     "to_bits",
     "truncate_directed",
 ]

@@ -11,6 +11,8 @@ Subcommands:
 A command that takes value arguments also works as a line filter: leave
 the arguments off and feed lines on stdin to get one tab-separated record
 per line, with failures marked ERR inline instead of stopping the run.
+Each record starts with the input line, every tab in it written as one
+space, so a record's field count never depends on its input.
 
 Exit codes: 0 success, 1 syntax or arity (or stdout closed before the
 output was written), 2 domain (NaN bits, zero denominators, literals off
@@ -23,7 +25,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Callable, TextIO
+from typing import Callable, Sequence, TextIO
 
 from . import oracle
 from .floatkit import (
@@ -94,10 +96,12 @@ def _decimal_fields(
     return lo_text, hi_text, bracket_notation(lo, hi).text()
 
 
-def _check_enclosure(interval: FloatInterval, value, fmt: FloatFormat) -> None:
+def _check_enclosure(interval: FloatInterval, value, fmt: FloatFormat, text: str) -> None:
+    # the message names the input text: str() of an exact value past
+    # 4300 digits would raise instead
     reference = oracle.narrowest_interval_reference(value, fmt)
     if interval.lb != reference.lb or interval.ub != reference.ub:
-        raise CheckFailure(f"interval disagrees with the reference enclosure for {value}")
+        raise CheckFailure(f"interval disagrees with the reference enclosure for {text!r}")
 
 
 def _interval_fields(interval: FloatInterval, fmt: FloatFormat) -> list[str]:
@@ -114,7 +118,7 @@ def _write_interval(out: TextIO, interval: FloatInterval, fmt: FloatFormat) -> N
     out.write(f"lb = {lb_hex} = {lo}\nub = {ub_hex} = {hi}\nbracket = {bracket}\n")
 
 
-def _run_lines(stdin: TextIO, stdout: TextIO, handler: Callable[[str], list[str]]) -> int:
+def _run_lines(stdin: TextIO, stdout: TextIO, handler: Callable[[str], Sequence[str]]) -> int:
     status = 0
     for raw in stdin:
         line = raw.strip()
@@ -123,11 +127,11 @@ def _run_lines(stdin: TextIO, stdout: TextIO, handler: Callable[[str], list[str]
         try:
             fields = handler(line)
         except CheckFailure as err:
-            fields = [line, "ERR", str(err)]
+            fields = ["ERR", str(err)]
             status = 3
         except (NumeralSyntaxError, DomainError, ValueError) as err:
-            fields = [line, "ERR", str(err)]
-        stdout.write("\t".join(fields) + "\n")
+            fields = ["ERR", str(err)]
+        stdout.write("\t".join([line.replace("\t", " "), *fields]) + "\n")
     return status
 
 
@@ -155,11 +159,11 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
         d = parse_numeral(text)
         interval = decimal_to_interval(d, fmt)
         if args.check:
-            _check_enclosure(interval, oracle.exact_value(d), fmt)
+            _check_enclosure(interval, oracle.exact_value(d), fmt, text)
         return interval
 
     if args.numeral is None:
-        return _run_lines(stdin, stdout, lambda line: [line, *_interval_fields(convert(line), fmt)])
+        return _run_lines(stdin, stdout, lambda line: _interval_fields(convert(line), fmt))
     _write_interval(stdout, convert(args.numeral), fmt)
     return 0
 
@@ -171,11 +175,11 @@ def _cmd_parse_rational(args: argparse.Namespace, stdin: TextIO, stdout: TextIO)
         r = Rational.from_text(text)
         interval = rational_to_interval(r, fmt)
         if args.check:
-            _check_enclosure(interval, oracle.rational_value(r), fmt)
+            _check_enclosure(interval, oracle.rational_value(r), fmt, text)
         return interval
 
     if args.ratio is None:
-        return _run_lines(stdin, stdout, lambda line: [line, *_interval_fields(convert(line), fmt)])
+        return _run_lines(stdin, stdout, lambda line: _interval_fields(convert(line), fmt))
     _write_interval(stdout, convert(args.ratio), fmt)
     return 0
 
@@ -195,7 +199,7 @@ def _cmd_print(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
         return plain_decimal(d)
 
     if args.value is None:
-        return _run_lines(stdin, stdout, lambda line: [line, render_one(line)])
+        return _run_lines(stdin, stdout, lambda line: [render_one(line)])
     stdout.write(render_one(args.value) + "\n")
     return 0
 
@@ -222,11 +226,11 @@ def _cmd_print_interval(args: argparse.Namespace, stdin: TextIO, stdout: TextIO)
         return _decimal_fields(lo, hi)
 
     if args.low is None:
-        def handle(line: str) -> list[str]:
+        def handle(line: str) -> tuple[str, str, str]:
             parts = line.split()
             if len(parts) != 2:
                 raise NumeralSyntaxError(line, 0, "expected two values")
-            return [line, *convert(parts[0], parts[1])]
+            return convert(parts[0], parts[1])
 
         return _run_lines(stdin, stdout, handle)
     if args.high is None:

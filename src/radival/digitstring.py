@@ -23,57 +23,61 @@ _ROLES = (FRACTION, INTEGER)
 
 @dataclass(frozen=True, slots=True)
 class DigitString:
-    """Digits of a pure decimal fraction or an unsigned decimal integer."""
+    """Digits of a pure decimal fraction or an unsigned decimal integer.
 
-    digits: tuple[int, ...]
+    The digits are kept as ASCII text; a tuple or list of ints is accepted
+    too and turned into text on construction."""
+
+    text: str
     role: str = FRACTION
 
     def __post_init__(self) -> None:
+        if not isinstance(self.text, str):
+            object.__setattr__(self, "text", _digit_text(self.text))
         if self.role not in _ROLES:
             raise ValueError(f"unknown role {self.role!r}")
-        if self.digits:
-            if min(self.digits) < 0 or max(self.digits) > 9:
-                raise ValueError(f"digits out of range in {self.digits!r}")
-            if self.role == FRACTION and self.digits[-1] == 0:
+        text = self.text
+        if text:
+            if not (text.isascii() and text.isdigit()):
+                raise ValueError(f"not a digit string: {text!r}")
+            if self.role == FRACTION and text[-1] == "0":
                 raise ValueError("fraction digit string may not end in 0")
-            if self.role == INTEGER and self.digits[0] == 0:
+            if self.role == INTEGER and text[0] == "0":
                 raise ValueError("integer digit string may not start with 0")
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        """The digits as a tuple of ints."""
+        return tuple(map(int, self.text))
 
     @classmethod
     def fraction(cls, digits: str | Iterable[int]) -> "DigitString":
         """Build a fraction string, dropping trailing zeros."""
-        seq = _as_digits(digits)
-        while seq and seq[-1] == 0:
-            seq.pop()
-        return cls(tuple(seq), FRACTION)
+        text = digits if isinstance(digits, str) else _digit_text(digits)
+        return cls(text.rstrip("0"), FRACTION)
 
     @classmethod
     def integer(cls, digits: str | Iterable[int]) -> "DigitString":
         """Build an integer string, dropping leading zeros."""
-        seq = _as_digits(digits)
-        head = 0
-        while head < len(seq) and seq[head] == 0:
-            head += 1
-        return cls(tuple(seq[head:]), INTEGER)
+        text = digits if isinstance(digits, str) else _digit_text(digits)
+        return cls(text.lstrip("0"), INTEGER)
 
     def as_text(self) -> str:
-        return bytes(d + 48 for d in self.digits).decode("ascii")
+        return self.text
 
     def __str__(self) -> str:
-        return self.as_text() or "(empty)"
+        return self.text or "(empty)"
 
     def __len__(self) -> int:
-        return len(self.digits)
+        return len(self.text)
 
 
-def _as_digits(digits: str | Iterable[int]) -> list[int]:
-    if isinstance(digits, str):
-        # any byte outside '0'..'9' lands outside 0..9 and fails validation
-        try:
-            return [b - 48 for b in digits.encode("ascii")]
-        except UnicodeEncodeError:
-            raise ValueError(f"not a digit string: {digits!r}") from None
-    return list(digits)
+def _digit_text(digits: Iterable[int]) -> str:
+    # any int outside 0..9 lands outside '0'..'9' and fails validation
+    try:
+        return bytes(d + 48 for d in digits).decode("ascii")
+    except ValueError:
+        raise ValueError(f"digits out of range in {digits!r}") from None
 
 
 def _require(m: DigitString, role: str) -> None:
@@ -154,12 +158,12 @@ def _int_from_digits(text: str) -> int:
 
 
 def _fraction_int(m: DigitString) -> tuple[int, int]:
-    text = m.as_text()
+    text = m.text
     return (_int_from_digits(text) if text else 0, len(text))
 
 
 def _fraction_digits(N: int, n: int) -> DigitString:
     """The fraction N / 10^n with N < 10^n; trailing zeros drop."""
     if N == 0:
-        return DigitString((), FRACTION)
+        return DigitString("", FRACTION)
     return DigitString.fraction(str(N).rjust(n, "0"))

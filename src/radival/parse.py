@@ -67,18 +67,18 @@ class DecimalScientific:
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
         if self.mantissa.role != FRACTION:
             raise ValueError("mantissa must be a fraction digit string")
-        if self.mantissa.digits:
-            if self.mantissa.digits[0] == 0:
+        if self.mantissa.text:
+            if self.mantissa.text[0] == "0":
                 raise ValueError("mantissa must open with a nonzero digit")
         elif (self.sign, self.exponent) != (1, 0):
             raise ValueError("zero is stored as sign +1, empty mantissa, exponent 0")
 
     @property
     def is_zero(self) -> bool:
-        return not self.mantissa.digits
+        return not self.mantissa.text
 
 
-DECIMAL_ZERO = DecimalScientific(1, DigitString((), FRACTION), 0)
+DECIMAL_ZERO = DecimalScientific(1, DigitString("", FRACTION), 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,15 +158,12 @@ def parse_numeral(text: str) -> DecimalScientific:
         marker_exp = esign * _int_from_digits(text[start:i])
     if i != n:
         raise NumeralSyntaxError(text, i, "unexpected character")
-    digits = int_digits + frac_digits
-    exponent = len(int_digits) + marker_exp
-    lead = 0
-    while lead < len(digits) and digits[lead] == "0":
-        lead += 1
-    digits = digits[lead:]
-    exponent -= lead
-    if not digits.rstrip("0"):
+    # the value is digits * 10^(marker_exp - len(frac_digits)), and the
+    # leading zeros that drop carry none of it
+    digits = (int_digits + frac_digits).lstrip("0")
+    if not digits:
         return DECIMAL_ZERO
+    exponent = marker_exp + len(digits) - len(frac_digits)
     return DecimalScientific(sign, DigitString.fraction(digits), exponent)
 
 
@@ -204,7 +201,7 @@ def binarize_exponent(m: DigitString, dec_exp: int) -> tuple[DigitString, int]:
     """
     if m.role != FRACTION:
         raise ValueError("expected a fraction digit string")
-    if dec_exp > 0 and m.digits and m.digits[0] == 0:
+    if dec_exp > 0 and m.text[:1] == "0":
         raise ValueError("positive exponents need a mantissa without leading zeros")
     N, n = _fraction_int(m)
     if N == 0 or dec_exp == 0:
@@ -225,7 +222,7 @@ def normalize_mantissa(m: DigitString, bin_exp: int) -> tuple[DigitString, int]:
     No carries can appear: the last doubling starts below 1/2."""
     if m.role != FRACTION:
         raise ValueError("expected a fraction digit string")
-    if not m.digits:
+    if not m.text:
         raise ValueError("cannot normalize an empty mantissa")
     N, n = _fraction_int(m)
     K = -1 - _log2_floor(N, 10**n)

@@ -71,7 +71,7 @@ def integer_to_fraction_exponent(m: DigitString) -> int:
     exponent is just k."""
     if m.role != INTEGER:
         raise ValueError("expected an integer digit string")
-    return len(m.digits)
+    return len(m)
 
 
 def decimalize_exponent(m: DigitString, bin_exp: int, dec_exp: int) -> tuple[DigitString, int]:
@@ -85,7 +85,7 @@ def decimalize_exponent(m: DigitString, bin_exp: int, dec_exp: int) -> tuple[Dig
     """
     if m.role != FRACTION:
         raise ValueError("expected a fraction digit string")
-    if m.digits and m.digits[0] == 0:
+    if m.text[:1] == "0":
         raise ValueError("mantissa must not start with 0")
     N, n = _fraction_int(m)
     if N == 0 or bin_exp == 0:
@@ -103,18 +103,18 @@ def float_to_exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific
     """The terminating decimal expansion of a finite float, normalized.
 
     No digit budget applies: the smallest binary64 subnormals take around
-    750 significant digits and all of them are produced.
+    750 significant digits and all of them are produced. One big-integer
+    product gives them all: m * 2^e is m * 5^-e / 10^-e when e < 0. This
+    is the staged route decimalize_integer, integer_to_fraction_exponent,
+    decimalize_exponent collapsed to a single str().
     """
     if f.kind == KIND_INFINITE:
         raise DomainError("no exact decimal for an infinity")
     m, e = decompose(f, fmt)
     if m == 0:
         return DECIMAL_ZERO
-    whole = decimalize_integer(m)
-    dec_exp = integer_to_fraction_exponent(whole)
-    mantissa = DigitString.fraction(whole.digits)
-    mantissa, dec_exp = decimalize_exponent(mantissa, e, dec_exp)
-    return DecimalScientific(f.sign, mantissa, dec_exp)
+    text = str(m << e) if e >= 0 else str(m * 5**-e)
+    return DecimalScientific(f.sign, DigitString.fraction(text), len(text) + min(e, 0))
 
 
 def truncate_directed(d: DecimalScientific, n: int, direction: str) -> DecimalScientific:
@@ -130,19 +130,22 @@ def truncate_directed(d: DecimalScientific, n: int, direction: str) -> DecimalSc
         raise ValueError(f"unknown direction {direction!r}")
     if n < 1:
         raise ValueError("need at least one digit")
-    digits = d.mantissa.digits
-    if len(digits) <= n:
+    text = d.mantissa.text
+    if len(text) <= n:
         return d
     away_from_zero = (direction == "up") == (d.sign > 0)
-    head = digits[:n]
+    head = text[:n]
     if not away_from_zero:
         # canonical strings have no trailing zeros, so the dropped tail is
         # nonzero and plain truncation is strictly below the value
         return DecimalScientific(d.sign, DigitString.fraction(head), d.exponent)
-    grown = int(bytes(x + 48 for x in head)) + 1
-    if grown == 10**n:
+    # adding one unit in the last place turns the trailing nines into
+    # zeros, which drop, and raises the digit before them
+    stem = head.rstrip("9")
+    if not stem:
         return DecimalScientific(d.sign, DigitString.fraction("1"), d.exponent + 1)
-    return DecimalScientific(d.sign, DigitString.fraction(str(grown)), d.exponent)
+    grown = stem[:-1] + str(int(stem[-1]) + 1)
+    return DecimalScientific(d.sign, DigitString.fraction(grown), d.exponent)
 
 
 def interval_to_decimal(
@@ -166,7 +169,7 @@ def plain_decimal(d: DecimalScientific | DecimalInfinity) -> str:
     """Positional text with no exponent marker: 0.05, 12.5, 12500, 0."""
     if isinstance(d, DecimalInfinity):
         return "inf" if d.sign > 0 else "-inf"
-    digits = d.mantissa.as_text()
+    digits = d.mantissa.text
     if not digits:
         return "0"
     sign = "" if d.sign > 0 else "-"
@@ -188,7 +191,7 @@ def _compare_decimals(a: DecimalScientific, b: DecimalScientific) -> int:
         return 0
     if a.exponent != b.exponent:
         return sa * (-1 if a.exponent < b.exponent else 1)
-    da, db = a.mantissa.as_text(), b.mantissa.as_text()
+    da, db = a.mantissa.text, b.mantissa.text
     if da == db:
         return 0
     pad = max(len(da), len(db))
@@ -209,12 +212,13 @@ def bracket_notation(lo: DecimalScientific, hi: DecimalScientific) -> BracketRen
     hi_text = plain_decimal(hi)
     if lo_text == hi_text:
         return BracketRendering(lo_text, "", "")
+    lo_digits, hi_digits = lo.mantissa.text, hi.mantissa.text
     sharable = (
-        lo.mantissa.digits
-        and hi.mantissa.digits
+        lo_digits
+        and hi_digits
         and lo.sign == hi.sign
         and lo.exponent == hi.exponent
-        and lo.mantissa.digits[0] == hi.mantissa.digits[0]
+        and lo_digits[0] == hi_digits[0]
     )
     if not sharable:
         return BracketRendering("", "", "", f"[{lo_text},{hi_text}]")

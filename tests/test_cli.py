@@ -132,6 +132,26 @@ class TestParse:
         assert status == 3
         assert "\tERR\t" in out
 
+    def test_check_failure_past_int_text_limit(self, monkeypatch):
+        # the failure message must not print the exact value, whose str()
+        # past 4300 digits raises and would turn exit 3 into exit 2
+        bogus = FloatInterval(ZERO, ZERO)
+        monkeypatch.setattr(oracle, "narrowest_interval_reference", lambda v, fmt: bogus)
+        numeral = "0." + "1234567890" * (LONG // 10)
+        status, out, err = run_cli(["parse", "--check", numeral])
+        assert (status, out) == (3, "")
+        assert err.startswith("check failed: ")
+        status, out, _ = run_cli(["parse", "--check"], stdin_text=numeral + "\n")
+        assert status == 3
+        assert out.split("\t")[:2] == [numeral, "ERR"]
+
+    def test_tab_in_input_echoes_as_space(self):
+        status, out, _ = run_cli(["parse"], stdin_text="1\t2\n")
+        assert status == 0
+        fields = out.rstrip("\n").split("\t")
+        assert fields[:2] == ["1 2", "ERR"]
+        assert len(fields) == 3
+
 
 class TestParseRational:
     def test_three_sevenths_checked(self):
@@ -289,6 +309,13 @@ class TestPrintInterval:
         lines = out.splitlines()
         assert lines[0] == "0.25 0.5\t0.25\t0.5\t[0.25,0.5]"
         assert lines[1].split("\t")[1] == "ERR"
+
+    def test_tab_between_values_echoes_as_space(self):
+        status, out, _ = run_cli(
+            ["print-interval", "--digits", "3"], stdin_text="0.25\t0.5\n"
+        )
+        assert status == 0
+        assert out == "0.25 0.5\t0.25\t0.5\t[0.25,0.5]\n"
 
 
 class TestEdgeBounds:

@@ -68,6 +68,24 @@ class TestConstruction:
         assert frac("").as_text() == ""
         assert len(frac("405")) == 3
 
+    @given(st.lists(st.integers(0, 9), max_size=30), st.sampled_from([FRACTION, INTEGER]))
+    def test_text_and_int_forms_agree(self, digits, role):
+        def build(arg):
+            try:
+                return DigitString(arg, role)
+            except ValueError:
+                return None
+
+        text = "".join(map(str, digits))
+        from_ints, from_text = build(tuple(digits)), build(text)
+        # canonical or not, the two forms accept and reject alike
+        assert (from_ints is None) == (from_text is None)
+        if from_text is not None:
+            assert from_ints == from_text
+            assert hash(from_ints) == hash(from_text)
+            assert from_text.digits == tuple(digits)
+            assert from_ints.as_text() == text
+
 
 class TestMul2:
     def test_plain_doubling(self):

@@ -1,5 +1,6 @@
 """Exact decimal output, outward truncation, and bracket renderings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from radival.floatkit import (
     ZERO,
     DomainError,
     FloatInterval,
+    decompose,
     exact_float,
     from_bits,
     infinity,
@@ -130,6 +132,30 @@ class TestFloatToExactDecimal:
         with pytest.raises(DomainError):
             float_to_exact_decimal(infinity(1), BINARY32)
 
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64])
+    def test_matches_staged_route(self, fmt):
+        # the one-product printer against the paper's three stages, on
+        # seeded bit patterns of which every third is subnormal or zero
+        rng = random.Random(fmt.bit_width)
+        subnormal_mask = (1 << (fmt.bit_width - 1)) | ((1 << (fmt.significand_bits - 1)) - 1)
+        for i in range(3000):
+            pattern = rng.getrandbits(fmt.bit_width)
+            if i % 3 == 0:
+                pattern &= subnormal_mask
+            try:
+                f = from_bits(pattern, fmt)
+            except DomainError:
+                continue
+            if f.kind == "infinity":
+                continue
+            m, e = decompose(f, fmt)
+            whole = decimalize_integer(m)
+            mantissa, dec_exp = decimalize_exponent(
+                DigitString.fraction(whole.text), e, integer_to_fraction_exponent(whole)
+            )
+            staged = DecimalScientific(f.sign, mantissa, dec_exp) if m else DECIMAL_ZERO
+            assert float_to_exact_decimal(f, fmt) == staged
+
     @given(st.integers(0, 2**64 - 1))
     def test_round_trips_through_parsing(self, pattern):
         try:
@@ -170,6 +196,13 @@ class TestTruncateDirected:
     def test_trailing_zeros_restrip(self):
         assert truncate_directed(decimal(1, "305", 0), 2, "down") == decimal(1, "3", 0)
         assert truncate_directed(decimal(1, "397", 0), 2, "up") == decimal(1, "4", 0)
+
+    def test_past_int_text_limit(self):
+        # heads longer than CPython's 4300-digit int/str limit
+        nines = decimal(1, "9" * 5000 + "1", 0)
+        assert truncate_directed(nines, 4500, "up") == decimal(1, "1", 1)
+        ones = decimal(-1, "1" * 5000 + "3", 2)
+        assert truncate_directed(ones, 4500, "down") == decimal(-1, "1" * 4499 + "2", 2)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
