@@ -8,11 +8,12 @@ Subcommands:
     print-interval  float pair -> outward-rounded decimal interval
     table           the ten-row unit-fraction demonstration table
 
-A command that takes value arguments also works as a line filter: leave
-the arguments off and feed lines on stdin to get one tab-separated record
-per line, with failures marked ERR inline instead of stopping the run.
-Each record starts with the input line, every tab in it written as one
-space, so a record's field count never depends on its input.
+Each value subcommand has one record function, value text -> fields.
+Left without value arguments it filters stdin: one tab-separated record
+per line, opening with the line (each tab written as one space, so the
+field count never depends on the input), failures marked ERR inline.
+Given values, it prints the same fields in a labelled layout, and a
+failure goes to stderr with the text an ERR field would carry.
 
 Exit codes: 0 success, 1 syntax or arity (or stdout closed before the
 output was written), 2 domain (NaN bits, zero denominators, literals off
@@ -25,7 +26,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Callable, Sequence, TextIO
+from typing import Callable, TextIO
 
 from . import oracle
 from .floatkit import (
@@ -34,7 +35,6 @@ from .floatkit import (
     KIND_INFINITE,
     KIND_NORMAL,
     KIND_ZERO,
-    DomainError,
     FloatFormat,
     FloatInterval,
     FloatValue,
@@ -97,39 +97,37 @@ def _decimal_fields(
 
 
 def _check_enclosure(interval: FloatInterval, value, fmt: FloatFormat, text: str) -> None:
+    """Raise CheckFailure unless interval is the oracle's enclosure of the
+    parsed value, a Rational or a DecimalScientific."""
+    if isinstance(value, Rational):
+        reference = oracle.narrowest_interval_reference(oracle.rational_value(value), fmt)
+    else:
+        reference = oracle.decimal_reference(value, fmt)
     # the message names the input text: str() of an exact value past
     # 4300 digits would raise instead
-    reference = oracle.narrowest_interval_reference(value, fmt)
-    if interval.lb != reference.lb or interval.ub != reference.ub:
+    if interval != reference:
         raise CheckFailure(f"interval disagrees with the reference enclosure for {text!r}")
 
 
-def _interval_fields(interval: FloatInterval, fmt: FloatFormat) -> list[str]:
-    """Hex and exact decimal of the lower bound, the same of the upper
-    bound, then the bracket."""
-    lo, hi, bracket = _decimal_fields(
-        _exact_decimal(interval.lb, fmt), _exact_decimal(interval.ub, fmt)
-    )
-    return [_bound_hex(interval.lb, fmt), lo, _bound_hex(interval.ub, fmt), hi, bracket]
-
-
-def _write_interval(out: TextIO, interval: FloatInterval, fmt: FloatFormat) -> None:
-    lb_hex, lo, ub_hex, hi, bracket = _interval_fields(interval, fmt)
-    out.write(f"lb = {lb_hex} = {lo}\nub = {ub_hex} = {hi}\nbracket = {bracket}\n")
-
-
-def _run_lines(stdin: TextIO, stdout: TextIO, handler: Callable[[str], Sequence[str]]) -> int:
+def _serve(
+    values: list[str | None], record: Callable, layout: str, stdin: TextIO, stdout: TextIO
+) -> int:
+    """Write the record of the given values in the single-shot layout or,
+    with no values given, filter stdin: one record per nonblank line."""
+    if values[0] is not None:
+        stdout.write(layout.format(*record(*values)))
+        return 0
     status = 0
     for raw in stdin:
         line = raw.strip()
         if not line:
             continue
         try:
-            fields = handler(line)
+            fields = record(line)
         except CheckFailure as err:
             fields = ["ERR", str(err)]
             status = 3
-        except (NumeralSyntaxError, DomainError, ValueError) as err:
+        except ValueError as err:
             fields = ["ERR", str(err)]
         stdout.write("\t".join([line.replace("\t", " "), *fields]) + "\n")
     return status
@@ -141,8 +139,7 @@ def _parse_float_token(text: str, fmt: FloatFormat) -> FloatValue:
     if text.startswith("bits:"):
         body = text[5:]
         width = fmt.bit_width // 4
-        ok = len(body) == width and all(c in "0123456789abcdefABCDEF" for c in body)
-        if not ok:
+        if len(body) != width or not all(c in "0123456789abcdefABCDEF" for c in body):
             raise NumeralSyntaxError(text, 5, f"need exactly {width} hex digits")
         return from_bits(int(body, 16), fmt)
     d = parse_numeral(text)
@@ -153,91 +150,66 @@ def _parse_float_token(text: str, fmt: FloatFormat) -> FloatValue:
 
 
 def _cmd_parse(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
+    """parse and parse-rational: hex and exact decimal of each bound of the
+    enclosure, then the bracket."""
     fmt = _FORMATS[args.format]
 
-    def convert(text: str) -> FloatInterval:
-        d = parse_numeral(text)
-        interval = decimal_to_interval(d, fmt)
+    def record(text: str) -> tuple[str, ...]:
+        if args.command == "parse":
+            value = parse_numeral(text)
+            interval = decimal_to_interval(value, fmt)
+        else:
+            value = Rational.from_text(text)
+            interval = rational_to_interval(value, fmt)
         if args.check:
-            _check_enclosure(interval, oracle.exact_value(d), fmt, text)
-        return interval
+            _check_enclosure(interval, value, fmt, text)
+        lo, hi, bracket = _decimal_fields(
+            _exact_decimal(interval.lb, fmt), _exact_decimal(interval.ub, fmt)
+        )
+        return _bound_hex(interval.lb, fmt), lo, _bound_hex(interval.ub, fmt), hi, bracket
 
-    if args.numeral is None:
-        return _run_lines(stdin, stdout, lambda line: _interval_fields(convert(line), fmt))
-    _write_interval(stdout, convert(args.numeral), fmt)
-    return 0
-
-
-def _cmd_parse_rational(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
-    fmt = _FORMATS[args.format]
-
-    def convert(text: str) -> FloatInterval:
-        r = Rational.from_text(text)
-        interval = rational_to_interval(r, fmt)
-        if args.check:
-            _check_enclosure(interval, oracle.rational_value(r), fmt, text)
-        return interval
-
-    if args.ratio is None:
-        return _run_lines(stdin, stdout, lambda line: _interval_fields(convert(line), fmt))
-    _write_interval(stdout, convert(args.ratio), fmt)
-    return 0
+    layout = "lb = {0} = {1}\nub = {2} = {3}\nbracket = {4}\n"
+    return _serve([args.value], record, layout, stdin, stdout)
 
 
 def _cmd_print(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
     fmt = _FORMATS[args.format]
 
-    def render_one(text: str) -> str:
+    def record(text: str) -> tuple[str]:
         f = _parse_float_token(text, fmt)
-        if f.kind == KIND_INFINITE:
-            return "inf" if f.sign > 0 else "-inf"
-        d = float_to_exact_decimal(f, fmt)
-        if args.check:
-            reference = oracle.narrowest_interval_reference(oracle.exact_value(d), fmt)
-            if not (reference.degenerate and reference.lb == f):
-                raise CheckFailure(f"exact decimal of {text!r} fails to round-trip")
-        return plain_decimal(d)
+        d = _exact_decimal(f, fmt)
+        if args.check and f.kind != KIND_INFINITE:
+            _check_enclosure(FloatInterval(f, f), d, fmt, text)
+        return (plain_decimal(d),)
 
-    if args.value is None:
-        return _run_lines(stdin, stdout, lambda line: [render_one(line)])
-    stdout.write(render_one(args.value) + "\n")
-    return 0
+    return _serve([args.value], record, "{0}\n", stdin, stdout)
 
 
 def _cmd_print_interval(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
     fmt = _FORMATS[args.format]
-    digits = args.digits
 
-    def check_containment(lo, hi, interval: FloatInterval) -> None:
-        if isinstance(lo, DecimalScientific) and interval.lb.kind != KIND_INFINITE:
+    def record(low: str, high: str | None = None) -> tuple[str, str, str]:
+        if high is None:
+            # a filter line: both values on it, separated by blanks
+            parts = low.split()
+            if len(parts) != 2:
+                raise NumeralSyntaxError(low, 0, "expected two values")
+            low, high = parts
+        interval = FloatInterval(_parse_float_token(low, fmt), _parse_float_token(high, fmt))
+        lo, hi = interval_to_decimal(interval, args.digits, fmt)
+        # an infinite bound comes back as an infinity marker, which contains anything
+        if args.check and isinstance(lo, DecimalScientific):
             if oracle.exact_value(lo) > oracle.float_exact_value(interval.lb):
                 raise CheckFailure("lower bound fails containment")
-        if isinstance(hi, DecimalScientific) and interval.ub.kind != KIND_INFINITE:
+        if args.check and isinstance(hi, DecimalScientific):
             if oracle.exact_value(hi) < oracle.float_exact_value(interval.ub):
                 raise CheckFailure("upper bound fails containment")
-
-    def convert(lo_text: str, hi_text: str):
-        interval = FloatInterval(
-            _parse_float_token(lo_text, fmt), _parse_float_token(hi_text, fmt)
-        )
-        lo, hi = interval_to_decimal(interval, digits, fmt)
-        if args.check:
-            check_containment(lo, hi, interval)
         return _decimal_fields(lo, hi)
 
-    if args.low is None:
-        def handle(line: str) -> tuple[str, str, str]:
-            parts = line.split()
-            if len(parts) != 2:
-                raise NumeralSyntaxError(line, 0, "expected two values")
-            return convert(parts[0], parts[1])
-
-        return _run_lines(stdin, stdout, handle)
-    if args.high is None:
+    if args.low is not None and args.high is None:
         raise NumeralSyntaxError(args.low, 0, "expected two values or none")
-    lo, hi, bracket = convert(args.low, args.high)
-    stdout.write(f"lo = {lo}\nhi = {hi}\nbracket = {bracket}\n")
-    return 0
+    layout = "lo = {0}\nhi = {1}\nbracket = {2}\n"
+    return _serve([args.low, args.high], record, layout, stdin, stdout)
 
 
 _TABLE_HEADER = (
@@ -256,17 +228,14 @@ _ROW_OVERRIDES = {11: "2^(-4) * 1.3a2e8[c,d]"}
 def _cmd_table(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
     fmt = BINARY32
     mismatches = []
-    for line in _TABLE_HEADER:
-        stdout.write(line + "\n")
+    stdout.write("\n".join(_TABLE_HEADER) + "\n")
     for i in range(2, 12):
         r = Rational(1, 1, i)
         value = oracle.rational_value(r)
         nearest = oracle.nearest_float(value, fmt)
         interval = rational_to_interval(r, fmt)
-        if args.check:
-            reference = oracle.narrowest_interval_reference(value, fmt)
-            if interval.lb != reference.lb or interval.ub != reference.ub:
-                mismatches.append(f"1/{i}")
+        if args.check and interval != oracle.narrowest_interval_reference(value, fmt):
+            mismatches.append(f"1/{i}")
         cell = _ROW_OVERRIDES.get(i) or hex_significand_bracket(interval, fmt)
         stdout.write(f"{f'1/{i}':<8}{hex_significand_rendering(nearest, fmt):<26}{cell}\n")
     if mismatches:
@@ -306,17 +275,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="narrowest interval enclosing a decimal numeral")
-    p.add_argument("numeral", nargs="?", help="decimal numeral; omit to filter stdin")
-    _add_common(p)
-
-    p = sub.add_parser("parse-rational", help="narrowest interval enclosing p/q")
-    p.add_argument("ratio", nargs="?", help="rational like 3/7; omit to filter stdin")
-    _add_common(p)
-
-    p = sub.add_parser("print", help="exact decimal numeral of a float")
-    p.add_argument("value", nargs="?", help="decimal literal or bits:HEX; omit to filter stdin")
-    _add_common(p)
+    for name, what, metavar, about in (
+        ("parse", "narrowest interval enclosing a decimal numeral", "numeral", "decimal numeral"),
+        ("parse-rational", "narrowest interval enclosing p/q", "ratio", "rational like 3/7"),
+        ("print", "exact decimal numeral of a float", "value", "decimal literal or bits:HEX"),
+    ):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("value", nargs="?", metavar=metavar, help=f"{about}; omit to filter stdin")
+        _add_common(p)
 
     p = sub.add_parser("print-interval", help="outward-rounded decimal interval of a float pair")
     p.add_argument("low", nargs="?", help="lower bound (literal or bits:HEX)")
@@ -338,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _DISPATCH = {
     "parse": _cmd_parse,
-    "parse-rational": _cmd_parse_rational,
+    "parse-rational": _cmd_parse,
     "print": _cmd_print,
     "print-interval": _cmd_print_interval,
     "table": _cmd_table,
@@ -368,7 +334,7 @@ def run(
     except CheckFailure as err:
         stderr.write(f"check failed: {err}\n")
         return 3
-    except (DomainError, ValueError) as err:
+    except ValueError as err:
         stderr.write(f"error: {err}\n")
         return 2
 

@@ -157,6 +157,18 @@ def _int_from_digits(text: str) -> int:
     return _int_from_digits(text[:half]) * 10 ** len(low) + _int_from_digits(low)
 
 
+def _text_from_int(N: int, width: int = 0) -> str:
+    """Decimal text of N >= 0, padded with leading zeros to width digits.
+
+    CPython's str() refuses integers past 4300 digits by default, so larger
+    ones split at a power of ten about halfway and render each half."""
+    if N.bit_length() <= 13000:
+        return str(N).rjust(width, "0")
+    low = N.bit_length() * 3 // 20
+    high, rest = divmod(N, 10**low)
+    return _text_from_int(high, width - low) + _text_from_int(rest, low)
+
+
 def _fraction_int(m: DigitString) -> tuple[int, int]:
     text = m.text
     return (_int_from_digits(text) if text else 0, len(text))
@@ -166,4 +178,4 @@ def _fraction_digits(N: int, n: int) -> DigitString:
     """The fraction N / 10^n with N < 10^n; trailing zeros drop."""
     if N == 0:
         return DigitString("", FRACTION)
-    return DigitString.fraction(str(N).rjust(n, "0"))
+    return DigitString.fraction(_text_from_int(N, n))

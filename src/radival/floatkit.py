@@ -108,10 +108,6 @@ class FloatValue:
             raise ValueError("finite nonzero value needs a positive significand")
 
     @property
-    def is_finite(self) -> bool:
-        return self.kind != KIND_INFINITE
-
-    @property
     def is_zero(self) -> bool:
         return self.kind == KIND_ZERO
 

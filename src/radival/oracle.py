@@ -101,6 +101,26 @@ def narrowest_interval_reference(x: Fraction, fmt: FloatFormat) -> FloatInterval
     return -interval if sign < 0 else interval
 
 
+def decimal_reference(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:
+    """narrowest_interval_reference of the decimal's exact value, with
+    exponents far outside the format settled before any power of ten is
+    built.
+
+    A nonzero 10^e * 0.m lies in [10^(e-1), 10^e), and 10^10 > 2^33 gives
+    10^k >= 2^(3.3k) for every k >= 0. So 3.3(e-1) >= emax + 1 puts the
+    magnitude past the top binade, and 3.3e <= least_exponent puts it under
+    the smallest subnormal.
+    """
+    if d.mantissa.text:
+        if 33 * (d.exponent - 1) >= 10 * (fmt.emax + 1):
+            top = FloatInterval(fmt.max_finite, infinity(1))
+            return -top if d.sign < 0 else top
+        if 33 * d.exponent <= 10 * fmt.least_exponent:
+            bottom = FloatInterval(ZERO, fmt.smallest_subnormal)
+            return -bottom if d.sign < 0 else bottom
+    return narrowest_interval_reference(exact_value(d), fmt)
+
+
 def nearest_float(x: Fraction, fmt: FloatFormat) -> FloatValue:
     """Round to nearest with ties to the even significand."""
     x = Fraction(x)

@@ -19,6 +19,7 @@ forms on random inputs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .digitstring import (
@@ -117,6 +118,9 @@ class Rational:
         return cls(sign, _int_from_digits(num), 1)
 
 
+_DIGIT_RUN = re.compile("[0-9]*")
+
+
 def parse_numeral(text: str) -> DecimalScientific:
     """Parse [sign] digits [. digits] [e [sign] digits] into normalized form.
 
@@ -131,15 +135,12 @@ def parse_numeral(text: str) -> DecimalScientific:
         sign = -1 if text[i] == "-" else 1
         i += 1
     start = i
-    while i < n and text[i].isascii() and text[i].isdigit():
-        i += 1
+    i = _DIGIT_RUN.match(text, i).end()
     int_digits = text[start:i]
     frac_digits = ""
     if i < n and text[i] == ".":
-        i += 1
-        start = i
-        while i < n and text[i].isascii() and text[i].isdigit():
-            i += 1
+        start = i + 1
+        i = _DIGIT_RUN.match(text, start).end()
         frac_digits = text[start:i]
     if not int_digits and not frac_digits:
         raise NumeralSyntaxError(text, i, "expected a digit")
@@ -151,8 +152,7 @@ def parse_numeral(text: str) -> DecimalScientific:
             esign = -1 if text[i] == "-" else 1
             i += 1
         start = i
-        while i < n and text[i].isascii() and text[i].isdigit():
-            i += 1
+        i = _DIGIT_RUN.match(text, i).end()
         if start == i:
             raise NumeralSyntaxError(text, i, "expected an exponent digit")
         marker_exp = esign * _int_from_digits(text[start:i])

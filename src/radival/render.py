@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from os.path import commonprefix
 
-from .digitstring import FRACTION, INTEGER, DigitString, _fraction_int
+from .digitstring import FRACTION, INTEGER, DigitString, _fraction_int, _text_from_int
 from .floatkit import (
     BINARY32,
     KIND_INFINITE,
@@ -91,10 +91,10 @@ def decimalize_exponent(m: DigitString, bin_exp: int, dec_exp: int) -> tuple[Dig
     if N == 0 or bin_exp == 0:
         return m, dec_exp
     if bin_exp > 0:
-        text = str(N << bin_exp)
+        text = _text_from_int(N << bin_exp)
         dec_exp += len(text) - n
     else:
-        text = str(N * 5**-bin_exp)
+        text = _text_from_int(N * 5**-bin_exp)
         dec_exp -= (n - bin_exp) - len(text)
     return DigitString.fraction(text), dec_exp
 

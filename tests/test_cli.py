@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -117,6 +118,21 @@ class TestParse:
         status, out, err = run_cli(["parse", "1e" + "9" * LONG])
         assert (status, err) == (0, "")
         assert out == run_cli(["parse", "1e39"])[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["1e999999999"],
+            ["--format", "binary64", "--", "-1e999999999"],
+            ["--format", "binary64", "1e-99999999"],
+        ],
+    )
+    def test_check_settles_extreme_exponents(self, argv):
+        start = time.perf_counter()
+        status, out, err = run_cli(["parse", "--check", *argv])
+        assert time.perf_counter() - start < 1
+        assert (status, err) == (0, "")
+        assert out == run_cli(["parse", *argv])[1]
 
     def test_check_failure_exit(self, monkeypatch):
         bogus = FloatInterval(ZERO, ZERO)

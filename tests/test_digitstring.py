@@ -1,5 +1,6 @@
 """Digit-string arithmetic against hand-worked cases and value identities."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from radival.digitstring import (
     INTEGER,
     DigitString,
     _int_from_digits,
+    _text_from_int,
     div2,
     double_integer,
     mul2,
@@ -180,3 +182,19 @@ class TestIntFromDigits:
 
     def test_leading_zeros(self):
         assert _int_from_digits("0" * 5000 + "7") == 7
+
+
+class TestTextFromInt:
+    def test_matches_str_under_the_limit(self):
+        assert _text_from_int(0) == "0"
+        assert _text_from_int(7, 3) == "007"
+        assert _text_from_int(10**4000 - 1) == "9" * 4000
+
+    def test_round_trips_through_int_from_digits(self):
+        # seeded digit texts with leading zeros, up to 30k digits; the
+        # default int/str limit is 4300
+        rng = random.Random(4300)
+        widths = [1, 3913, 3914, 4300, 4301, 9001, 30000]
+        for width in widths + [rng.randint(1, 30000) for _ in range(8)]:
+            text = "".join(rng.choice("0123456789") for _ in range(width))
+            assert _text_from_int(_int_from_digits(text), width) == text

@@ -1,5 +1,7 @@
 """The Fraction-based reference against frozen values and self-checks."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from radival.floatkit import (
     BINARY32,
     BINARY64,
     ZERO,
+    FloatInterval,
     exact_float,
     infinity,
     next_up,
@@ -106,6 +109,33 @@ class TestNarrowestReference:
         if not iv.degenerate and iv.lb.kind != "infinity" and iv.ub.kind != "infinity":
             assert iv.ub == next_up(iv.lb, fmt)
             assert oracle.float_exact_value(iv.lb) < x < oracle.float_exact_value(iv.ub)
+
+
+class TestDecimalReference:
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=["binary32", "binary64"])
+    def test_clamps_agree_with_the_unclamped_reference(self, fmt):
+        # every exponent within 60 of each edge of the format's decimal
+        # range, where both clamps switch on, in both signs
+        rng = random.Random(1990)
+        edges = (fmt.emax + 1) * math.log10(2), fmt.least_exponent * math.log10(2)
+        for edge in map(round, edges):
+            for e in range(edge - 60, edge + 61):
+                for sign in (1, -1):
+                    for digits in ("1", "9" * 25, str(rng.randint(1, 10**17)).rstrip("0")):
+                        d = decimal(sign, digits, e)
+                        expected = oracle.narrowest_interval_reference(oracle.exact_value(d), fmt)
+                        assert oracle.decimal_reference(d, fmt) == expected, (sign, digits, e)
+
+    def test_zero(self):
+        assert oracle.decimal_reference(DECIMAL_ZERO, BINARY32) == FloatInterval(ZERO, ZERO)
+
+    def test_extreme_exponents(self):
+        top = FloatInterval(BINARY64.max_finite, infinity(1))
+        assert oracle.decimal_reference(decimal(1, "1", 10**9), BINARY64) == top
+        assert oracle.decimal_reference(decimal(-1, "1", 10**9), BINARY64) == -top
+        bottom = FloatInterval(ZERO, BINARY32.smallest_subnormal)
+        assert oracle.decimal_reference(decimal(1, "9", -(10**8)), BINARY32) == bottom
+        assert oracle.decimal_reference(decimal(-1, "9", -(10**8)), BINARY32) == -bottom
 
 
 class TestNearest:

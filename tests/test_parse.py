@@ -48,6 +48,10 @@ from radival.parse import (
 )
 
 
+# a digit count past CPython's default 4300-digit int/str conversion limit
+LONG = 5000
+
+
 def frac(text: str) -> DigitString:
     return DigitString.fraction(text)
 
@@ -141,6 +145,11 @@ class TestBinarize:
     def test_leading_zero_fine_for_negative_exponent(self):
         assert binarize_exponent(frac("05"), -1) == (frac("16"), -5)
 
+    @pytest.mark.parametrize("e", [3, -3])
+    def test_past_int_text_limit(self, e):
+        m = frac("1" * LONG)
+        assert binarize_exponent(m, e) == stepwise.binarize_stepwise(m, e)
+
     @given(
         st.lists(st.integers(0, 9), min_size=1, max_size=18).map(DigitString.fraction),
         st.integers(-25, 0),
@@ -181,6 +190,10 @@ class TestNormalize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normalize_mantissa(frac(""), 0)
+
+    def test_past_int_text_limit(self):
+        m = frac("1" * LONG)
+        assert normalize_mantissa(m, 0) == stepwise.normalize_stepwise(m, 0)
 
     @given(
         st.lists(st.integers(0, 9), min_size=1, max_size=18)

@@ -84,6 +84,12 @@ class TestDecimalize:
         with pytest.raises(ValueError):
             decimalize_exponent(frac("05"), 1, 0)
 
+    @pytest.mark.parametrize("bexp", [3, -3])
+    def test_past_int_text_limit(self, bexp):
+        # 5000 digits are past CPython's default int/str limit of 4300
+        m = frac("1" * 5000)
+        assert decimalize_exponent(m, bexp, 0) == stepwise.decimalize_exponent_stepwise(m, bexp, 0)
+
     @given(
         st.from_regex(r"[1-9][0-9]{0,14}", fullmatch=True).map(frac),
         st.integers(-45, 45),
