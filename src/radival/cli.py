@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from typing import Callable, TextIO
 
@@ -62,6 +63,24 @@ from .render import (
 
 _FORMATS = {"binary32": BINARY32, "binary64": BINARY64}
 
+# int(body, 16) alone would also take "0x" and "_"
+_HEX_DIGITS = re.compile("[0-9a-fA-F]*")
+
+# A value that opens with a minus sign and then a digit or a point: argparse
+# reads only plain negative integers and decimals as values, and would take
+# -1e39 or -1/3 for an unknown option.
+_NEGATIVE_VALUE = re.compile(r"-\.?[0-9]")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative numeral or ratio as a
+    value, since no option of this program looks like one."""
+
+    def _parse_optional(self, arg_string: str):
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 class CheckFailure(Exception):
     """A --check revalidation disagreed with the emitted result."""
@@ -89,11 +108,12 @@ def _decimal_fields(
     lo: DecimalScientific | DecimalInfinity, hi: DecimalScientific | DecimalInfinity
 ) -> tuple[str, str, str]:
     """Plain text of each decimal bound, then the bracket of the pair."""
-    lo_text = plain_decimal(lo)
-    hi_text = plain_decimal(hi)
     if isinstance(lo, DecimalInfinity) or isinstance(hi, DecimalInfinity):
+        lo_text, hi_text = plain_decimal(lo), plain_decimal(hi)
         return lo_text, hi_text, f"[{lo_text},{hi_text}]"
-    return lo_text, hi_text, bracket_notation(lo, hi).text()
+    # the bracket already holds each bound's plain text as prefix + tail
+    r = bracket_notation(lo, hi)
+    return r.prefix + r.low_tail, r.prefix + r.high_tail, r.text()
 
 
 def _check_enclosure(interval: FloatInterval, value, fmt: FloatFormat, text: str) -> None:
@@ -139,7 +159,7 @@ def _parse_float_token(text: str, fmt: FloatFormat) -> FloatValue:
     if text.startswith("bits:"):
         body = text[5:]
         width = fmt.bit_width // 4
-        if len(body) != width or not all(c in "0123456789abcdefABCDEF" for c in body):
+        if len(body) != width or not _HEX_DIGITS.fullmatch(body):
             raise NumeralSyntaxError(text, 5, f"need exactly {width} hex digits")
         return from_bits(int(body, 16), fmt)
     d = parse_numeral(text)
@@ -269,7 +289,7 @@ def _digit_budget(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radival",
         description="exact decimal/binary conversion with narrowest enclosing intervals",
     )

@@ -286,8 +286,8 @@ def from_bits(pattern: int, fmt: FloatFormat) -> FloatValue:
     the negative zero pattern folds onto the unsigned zero."""
     w = fmt.exponent_field_bits
     t = fmt.significand_bits - 1
-    if not 0 <= pattern < 1 << fmt.bit_width:
-        raise ValueError(f"pattern out of range for a {fmt.bit_width}-bit format")
+    if not 0 <= pattern < 1 << (1 + w + t):
+        raise ValueError(f"pattern out of range for a {1 + w + t}-bit format")
     sign = -1 if pattern >> (w + t) else 1
     field = (pattern >> t) & ((1 << w) - 1)
     trailing = pattern & ((1 << t) - 1)

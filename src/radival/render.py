@@ -1,8 +1,11 @@
 """Floats back to decimal: exact numerals, outward truncation, brackets.
 
-Every finite binary float has a terminating decimal expansion, so output
-starts from the exact numeral and only then rounds, always outward, never
-losing containment. Interval text factors the digits both bounds share:
+Every finite binary float has a terminating decimal expansion, and
+float_to_exact_decimal writes all of it. Rounding to n digits never needs
+it: one division of the binary pair by a power of ten gives the first n
+digits and a remainder, and a bound that must move away from zero steps
+up one unit when that remainder is nonzero, so containment is never lost.
+Interval text factors the digits both bounds share:
 0.3333333[13465118408203125,432674407958984375] is an interval whose
 bounds agree to seven digits, and [0.9,1] is one whose bounds share no
 usable prefix.
@@ -10,8 +13,8 @@ usable prefix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from os.path import commonprefix
 
 from .digitstring import FRACTION, INTEGER, DigitString, _fraction_int, _text_from_int
 from .floatkit import (
@@ -25,6 +28,11 @@ from .floatkit import (
     decompose,
 )
 from .parse import DECIMAL_ZERO, DecimalScientific
+
+# b * log10(2) stays more than 1e-6 away from every integer for
+# 0 < |b| < 10^5, far beyond any format's binades, so the float product
+# lands on the same side of each integer as the exact one
+_LOG10_2 = math.log10(2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,9 +51,9 @@ class BracketRendering:
     """Interval text split into a shared prefix and per-bound tails.
 
     fallback is None when the prefix form applies; otherwise it holds the
-    complete plain rendering and the other fields are empty. Either way
-    text() gives the final string, and prefix + tail reproduces each
-    bound's numeral exactly.
+    complete plain rendering, the prefix is empty and each tail is a whole
+    bound. Either way text() gives the final string, and prefix + tail
+    reproduces each bound's numeral exactly.
     """
 
     prefix: str
@@ -148,20 +156,56 @@ def truncate_directed(d: DecimalScientific, n: int, direction: str) -> DecimalSc
     return DecimalScientific(d.sign, DigitString.fraction(grown), d.exponent)
 
 
+def _round_outward(f: FloatValue, n: int, direction: str, fmt: FloatFormat) -> DecimalScientific:
+    """The n-digit rounding of a finite float toward the named direction,
+    from its pair (m, e) alone: the digits past the n-th are never formed.
+
+    With x = m * 2^e in [2^(b-1), 2^b), b = bitlen(m) + e, the decimal
+    exponent E of x = 0.d1d2... * 10^E is ceil(b * log10 2) or one less,
+    so one divmod of x * 10^(n-E) by the estimate yields n digits or, when
+    the estimate was one too high, n - 1 of them and a remainder from
+    which one more digit follows. A nonzero final remainder means digits
+    were dropped, and only then does rounding away from zero add one.
+    """
+    if n < 1:
+        raise ValueError("need at least one digit")
+    m, e = decompose(f, fmt)
+    if m == 0:
+        return DECIMAL_ZERO
+    exponent = math.ceil((m.bit_length() + e) * _LOG10_2)
+    num, den = (m << e, 1) if e >= 0 else (m, 1 << -e)
+    shift = n - exponent
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    q, r = divmod(num, den)
+    if q < 10 ** (n - 1):
+        exponent -= 1
+        digit, r = divmod(10 * r, den)
+        q = 10 * q + digit
+    if r and (direction == "up") == (f.sign > 0):
+        q += 1
+        if q == 10**n:
+            return DecimalScientific(f.sign, DigitString.fraction("1"), exponent + 1)
+    return DecimalScientific(f.sign, DigitString.fraction(str(q).rstrip("0")), exponent)
+
+
 def interval_to_decimal(
     interval: FloatInterval, n: int, fmt: FloatFormat
 ) -> tuple[DecimalScientific | DecimalInfinity, DecimalScientific | DecimalInfinity]:
     """Decimal interval enclosing the float interval, at most n digits per
-    bound: the lower bound truncates downward, the upper upward. Infinite
-    endpoints pass through as infinity markers."""
+    bound: the lower bound rounds downward, the upper upward, each straight
+    from its binary pair. Infinite endpoints pass through as infinity
+    markers."""
     if interval.lb.kind == KIND_INFINITE:
         lo: DecimalScientific | DecimalInfinity = DecimalInfinity(interval.lb.sign)
     else:
-        lo = truncate_directed(float_to_exact_decimal(interval.lb, fmt), n, "down")
+        lo = _round_outward(interval.lb, n, "down", fmt)
     if interval.ub.kind == KIND_INFINITE:
         hi: DecimalScientific | DecimalInfinity = DecimalInfinity(interval.ub.sign)
     else:
-        hi = truncate_directed(float_to_exact_decimal(interval.ub, fmt), n, "up")
+        hi = _round_outward(interval.ub, n, "up", fmt)
     return lo, hi
 
 
@@ -221,9 +265,31 @@ def bracket_notation(lo: DecimalScientific, hi: DecimalScientific) -> BracketRen
         and lo_digits[0] == hi_digits[0]
     )
     if not sharable:
-        return BracketRendering("", "", "", f"[{lo_text},{hi_text}]")
-    k = len(commonprefix([lo_text, hi_text]))
+        return BracketRendering("", lo_text, hi_text, f"[{lo_text},{hi_text}]")
+    if lo.exponent <= 0:
+        # below 1 both texts are the same sign, "0." and zeros, then the digits
+        k = len(lo_text) - len(lo_digits) + _shared_prefix_length(lo_digits, hi_digits)
+    else:
+        k = _shared_prefix_length(lo_text, hi_text)
     return BracketRendering(lo_text[:k], lo_text[k:], hi_text[k:])
+
+
+def _shared_prefix_length(a: str, b: str) -> int:
+    """Length of the longest common prefix of a and b.
+
+    A binary search on slice equality, with a[:lo] == b[:lo] known at each
+    step so only the slices past lo are compared. Each probe runs at C
+    speed, so texts of a few hundred characters cost about ten probes
+    instead of a Python step per character.
+    """
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def hex_significand_rendering(f: FloatValue, fmt: FloatFormat = BINARY32) -> str:
@@ -264,5 +330,5 @@ def hex_significand_bracket(interval: FloatInterval, fmt: FloatFormat = BINARY32
     hi = hex_significand_rendering(interval.ub, fmt)
     if lo.rsplit(".", 1)[0] != hi.rsplit(".", 1)[0]:
         return f"[{lo},{hi}]"
-    k = len(commonprefix([lo, hi]))
+    k = _shared_prefix_length(lo, hi)
     return f"{lo[:k]}[{lo[k:]},{hi[k:]}]"

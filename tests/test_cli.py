@@ -258,6 +258,12 @@ class TestPrint:
         assert status == 1
         assert "need exactly 8 hex digits" in err
 
+    @pytest.mark.parametrize("token", ["bits:0x3f8000", "bits:3f80_000", "bits:3f80000g"])
+    def test_non_hex_digits(self, token):
+        status, _, err = run_cli(["print", token])
+        assert status == 1
+        assert err == f"error: need exactly 8 hex digits at position 5 in {token!r}\n"
+
     def test_check_round_trip(self):
         status, _, _ = run_cli(["print", "bits:00000001", "--check"])
         assert status == 0
@@ -404,6 +410,31 @@ class TestArgumentHandling:
     def test_bad_format_name(self):
         status, _, _ = run_cli(["parse", "0.1", "--format", "binary128"])
         assert status == 1
+
+    @pytest.mark.parametrize(
+        "command, values, options",
+        [
+            ("parse", ["-1e39"], []),
+            ("parse", ["-1e-40"], ["--check"]),
+            ("parse-rational", ["-1/3"], []),
+            ("parse-rational", ["-2/3"], ["--format", "binary64"]),
+            ("print", ["-1e10"], ["--check"]),
+            ("print", ["-5e-1"], ["--format", "binary64"]),
+            ("print-interval", ["-1e10", "-1e9"], ["--check"]),
+            ("print-interval", ["-1e22", "-1.5e0"], ["--format", "binary64", "--digits", "3"]),
+        ],
+    )
+    def test_negative_values_need_no_separator(self, command, values, options):
+        # a value with a minus sign is read as a value, not as an option,
+        # and means what it means after "--"
+        status, out, err = run_cli([command, *values, *options])
+        assert (status, err) == (0, "")
+        assert (status, out, err) == run_cli([command, *options, "--", *values])
+
+    def test_negative_values_off_the_grid(self):
+        status, out, err = run_cli(["print-interval", "-1e-40", "-1e-45", "--format", "binary32"])
+        assert (status, out) == (2, "")
+        assert err == "error: '-1e-40' does not land exactly on the format grid\n"
 
     def test_deterministic_output(self):
         first = run_cli(["table"])

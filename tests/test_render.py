@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from os.path import commonprefix
 
 import pytest
 from hypothesis import given, settings
@@ -276,6 +277,91 @@ class TestIntervalToDecimal:
         assert oracle.float_exact_value(b) <= oracle.exact_value(hi)
 
 
+def _decimal_exponent_estimate(b: int) -> int:
+    """ceil(b * log10 2) in exact integers: for b > 0 it is the digit count
+    of 2^b, for b <= 0 one less than that of 2^-b, negated."""
+    return len(str(2**b)) if b > 0 else 1 - len(str(2**-b))
+
+
+class TestOutwardRounding:
+    """interval_to_decimal against the full expansion cut by
+    truncate_directed, the route it replaced."""
+
+    @staticmethod
+    def assert_matches_expansion(f, fmt, digit_counts):
+        exact = float_to_exact_decimal(f, fmt)
+        for n in digit_counts:
+            # a degenerate interval rounds one value both ways
+            lo, hi = interval_to_decimal(FloatInterval(f, f), n, fmt)
+            assert lo == truncate_directed(exact, n, "down"), (f, n)
+            assert hi == truncate_directed(exact, n, "up"), (f, n)
+
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=["binary32", "binary64"])
+    def test_seeded_values_both_signs(self, fmt):
+        rng = random.Random(5 * fmt.bit_width)
+        subnormal_mask = (1 << (fmt.significand_bits - 1)) - 1
+        values = []
+        while len(values) < 200:
+            # positive patterns, every fourth subnormal; the loop below negates
+            pattern = rng.getrandbits(fmt.bit_width - 1)
+            if len(values) % 4 == 0:
+                pattern &= subnormal_mask
+            try:
+                f = from_bits(pattern, fmt)
+            except DomainError:
+                continue
+            if f.kind != "infinity":
+                values.append(f)
+        for f in values:
+            for g in (f, -f):
+                self.assert_matches_expansion(g, fmt, range(1, 41))
+
+    @pytest.mark.parametrize(
+        "fmt, largest_exact_power",
+        [(BINARY32, 10), (BINARY64, 22)],
+        ids=["binary32", "binary64"],
+    )
+    def test_edges(self, fmt, largest_exact_power):
+        powers = []
+        for k in range(largest_exact_power + 1):
+            interval = decimal_to_interval(parse_numeral(f"1e{k}"), fmt)
+            assert interval.degenerate
+            powers.append(interval.lb)
+        # the float just below each power of ten opens with nines, so an
+        # upward rounding to few digits carries into 10^n
+        below = [-next_up(-p, fmt) for p in powers]
+        largest_subnormal = -next_up(-from_bits(1 << (fmt.significand_bits - 1), fmt), fmt)
+        edges = [ZERO, fmt.smallest_subnormal, largest_subnormal, fmt.max_finite]
+        carries = 0
+        for f in edges + powers + below:
+            for g in {f, -f}:
+                self.assert_matches_expansion(g, fmt, range(1, 41))
+            exact = float_to_exact_decimal(f, fmt)
+            carries += interval_to_decimal(FloatInterval(f, f), 1, fmt)[1].exponent > exact.exponent
+        assert carries >= largest_exact_power
+
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=["binary32", "binary64"])
+    def test_every_binade_end(self, fmt):
+        # the lowest value of a binade can sit below the power of ten that
+        # the estimate from its bit length names: 8 = 0.8 * 10^1 has bit
+        # length 4 and estimate ceil(4 * log10 2) = 2
+        p = fmt.significand_bits
+        too_high = 0
+        for e in range(fmt.least_exponent, fmt.emax - p + 2):
+            low = exact_float(1, 1 << (p - 1), e, fmt)
+            high = exact_float(1, (1 << p) - 1, e, fmt)
+            for f in (low, high):
+                self.assert_matches_expansion(f, fmt, (1, 2, 17, 40))
+            estimate = _decimal_exponent_estimate(p + e)
+            too_high += float_to_exact_decimal(low, fmt).exponent == estimate - 1
+        assert too_high > 0
+
+    def test_budget_below_one(self):
+        iv = FloatInterval(BINARY32.one, BINARY32.one)
+        with pytest.raises(ValueError):
+            interval_to_decimal(iv, 0, BINARY32)
+
+
 class TestPlainDecimal:
     def test_exponent_placements(self):
         assert plain_decimal(decimal(1, "123", 0)) == "0.123"
@@ -353,6 +439,27 @@ class TestBracketNotation:
         if r.fallback is None:
             assert r.prefix + r.low_tail == plain_decimal(a)
             assert r.prefix + r.high_tail == plain_decimal(b)
+
+    @pytest.mark.parametrize(
+        "fmt, zeros", [(BINARY32, 38), (BINARY64, 300)], ids=["binary32", "binary64"]
+    )
+    def test_adjacent_subnormals_share_long_prefix(self, fmt, zeros):
+        rng = random.Random(17)
+        for _ in range(50):
+            m = rng.randrange(1, (1 << (fmt.significand_bits - 1)) - 1)
+            sign = rng.choice([1, -1])
+            a, b = (exact_float(sign, k, fmt.least_exponent, fmt) for k in (m, m + 1))
+            lo, hi = (float_to_exact_decimal(f, fmt) for f in sorted([a, b]))
+            lo_text, hi_text = plain_decimal(lo), plain_decimal(hi)
+            r = bracket_notation(lo, hi)
+            assert r.fallback is None
+            assert r.prefix == commonprefix([lo_text, hi_text])
+            assert len(r.prefix) > zeros
+            assert (r.prefix + r.low_tail, r.prefix + r.high_tail) == (lo_text, hi_text)
+
+    def test_fallback_tails_are_whole_bounds(self):
+        r = bracket_notation(decimal(1, "19", 0), decimal(1, "21", 0))
+        assert (r.prefix, r.low_tail, r.high_tail) == ("", "0.19", "0.21")
 
 
 class TestHexSignificand:
