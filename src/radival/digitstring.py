@@ -12,8 +12,9 @@ begin with zeros (0.05 is the two digits 0 and 5); those carry value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+from .value import Value, _new, slot_setters
 
 FRACTION = "fraction"
 INTEGER = "integer"
@@ -21,29 +22,27 @@ INTEGER = "integer"
 _ROLES = (FRACTION, INTEGER)
 
 
-@dataclass(frozen=True, slots=True)
-class DigitString:
+class DigitString(Value):
     """Digits of a pure decimal fraction or an unsigned decimal integer.
 
     The digits are kept as ASCII text; a tuple or list of ints is accepted
     too and turned into text on construction."""
 
-    text: str
-    role: str = FRACTION
+    __slots__ = _fields = ("text", "role")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.text, str):
-            object.__setattr__(self, "text", _digit_text(self.text))
-        if self.role not in _ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
-        text = self.text
+    def __new__(cls, text: str | Iterable[int], role: str = FRACTION) -> DigitString:
+        if not isinstance(text, str):
+            text = _digit_text(text)
+        if role not in _ROLES:
+            raise ValueError(f"unknown role {role!r}")
         if text:
             if not (text.isascii() and text.isdigit()):
                 raise ValueError(f"not a digit string: {text!r}")
-            if self.role == FRACTION and text[-1] == "0":
+            if role == FRACTION and text[-1] == "0":
                 raise ValueError("fraction digit string may not end in 0")
-            if self.role == INTEGER and text[0] == "0":
+            if role == INTEGER and text[0] == "0":
                 raise ValueError("integer digit string may not start with 0")
+        return _digit_string(text, role)
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -70,6 +69,18 @@ class DigitString:
 
     def __len__(self) -> int:
         return len(self.text)
+
+
+_set_text, _set_role = slot_setters(DigitString)
+
+
+def _digit_string(text: str, role: str) -> DigitString:
+    """DigitString's trusted constructor, for ASCII digits already
+    canonical for the role."""
+    self = _new(DigitString)
+    _set_text(self, text)
+    _set_role(self, role)
+    return self
 
 
 def _digit_text(digits: Iterable[int]) -> str:

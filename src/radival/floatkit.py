@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+
+from .value import Value, _new, slot_setters
 
 KIND_ZERO = "zero"
 KIND_SUBNORMAL = "subnormal"
@@ -29,56 +30,32 @@ class NotRepresentable(DomainError):
     """An exact value the requested format cannot hold."""
 
 
-@dataclass(frozen=True, slots=True)
-class FloatFormat:
-    """Binary format parameters: p significand bits, exponents in [emin, emax]."""
+class FloatFormat(Value):
+    """Binary format parameters: p significand bits, exponents in [emin, emax].
 
-    significand_bits: int
-    emin: int
-    emax: int
+    The derived constants are computed once, when the format is built."""
 
-    def __post_init__(self) -> None:
-        if self.significand_bits < 2:
+    _fields = ("significand_bits", "emin", "emax")
+    _derived = ("least_exponent", "exponent_field_bits", "bit_width")
+    __slots__ = _fields + _derived + ("max_finite", "smallest_subnormal", "one")
+
+    def __new__(cls, significand_bits: int, emin: int, emax: int) -> FloatFormat:
+        if significand_bits < 2:
             raise ValueError("need at least two significand bits")
-        if self.emin >= 0 or self.emax <= 0:
-            raise ValueError(f"unusable exponent range [{self.emin}, {self.emax}]")
-
-    @property
-    def least_exponent(self) -> int:
-        """Scaled exponent shared by all subnormals, emin - (p - 1)."""
-        return self.emin - self.significand_bits + 1
-
-    @property
-    def exponent_field_bits(self) -> int:
-        return (self.emax + 1).bit_length()
-
-    @property
-    def bit_width(self) -> int:
-        # sign + exponent field + trailing significand field
-        return 1 + self.exponent_field_bits + self.significand_bits - 1
-
-    @property
-    def smallest_subnormal(self) -> "FloatValue":
-        return FloatValue(KIND_SUBNORMAL, 1, 1, self.least_exponent)
-
-    @property
-    def max_finite(self) -> "FloatValue":
-        p = self.significand_bits
-        return FloatValue(KIND_NORMAL, 1, (1 << p) - 1, self.emax - p + 1)
-
-    @property
-    def one(self) -> "FloatValue":
-        p = self.significand_bits
-        return FloatValue(KIND_NORMAL, 1, 1 << (p - 1), 1 - p)
-
-
-BINARY32 = FloatFormat(24, -126, 127)
-BINARY64 = FloatFormat(53, -1022, 1023)
+        if emin >= 0 or emax <= 0:
+            raise ValueError(f"unusable exponent range [{emin}, {emax}]")
+        p = significand_bits
+        least = emin - p + 1  # the scaled exponent shared by all subnormals
+        field_bits = (emax + 1).bit_length()
+        width = 1 + field_bits + p - 1  # sign + exponent field + trailing significand field
+        top = FloatValue(KIND_NORMAL, 1, (1 << p) - 1, emax - p + 1)
+        bottom = FloatValue(KIND_SUBNORMAL, 1, 1, least)
+        one = FloatValue(KIND_NORMAL, 1, 1 << (p - 1), 1 - p)
+        return cls._of(p, emin, emax, least, field_bits, width, top, bottom, one)
 
 
 @functools.total_ordering
-@dataclass(frozen=True, eq=False, slots=True)
-class FloatValue:
+class FloatValue(Value):
     """One floating-point datum: kind, sign, and magnitude m * 2^e.
 
     Normal values keep 2^(p-1) <= m < 2^p, subnormals share the format's
@@ -88,24 +65,22 @@ class FloatValue:
     equal even though its canonical pair differs.
     """
 
-    kind: str
-    sign: int
-    significand: int
-    exponent: int
+    __slots__ = _fields = ("kind", "sign", "significand", "exponent")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.kind == KIND_ZERO:
-            if (self.sign, self.significand, self.exponent) != (1, 0, 0):
+    def __new__(cls, kind: str, sign: int, significand: int, exponent: int) -> FloatValue:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        if kind == KIND_ZERO:
+            if (sign, significand, exponent) != (1, 0, 0):
                 raise ValueError("zero is stored unsigned as m=0, e=0")
-        elif self.kind == KIND_INFINITE:
-            if (self.significand, self.exponent) != (0, 0):
+        elif kind == KIND_INFINITE:
+            if (significand, exponent) != (0, 0):
                 raise ValueError("infinity carries no significand")
-        elif self.significand <= 0:
+        elif significand <= 0:
             raise ValueError("finite nonzero value needs a positive significand")
+        return _float_value(kind, sign, significand, exponent)
 
     @property
     def is_zero(self) -> bool:
@@ -149,7 +124,7 @@ class FloatValue:
     def __neg__(self) -> "FloatValue":
         if self.kind == KIND_ZERO:
             return self
-        return FloatValue(self.kind, -self.sign, self.significand, self.exponent)
+        return _float_value(self.kind, -self.sign, self.significand, self.exponent)
 
     def __repr__(self) -> str:
         if self.kind == KIND_ZERO:
@@ -158,6 +133,19 @@ class FloatValue:
             return f"FloatValue({'+' if self.sign > 0 else '-'}inf)"
         body = f"{self.significand}*2^{self.exponent}"
         return f"FloatValue({self.kind} {'' if self.sign > 0 else '-'}{body})"
+
+
+_set_kind, _set_sign, _set_significand, _set_exponent = slot_setters(FloatValue)
+
+
+def _float_value(kind: str, sign: int, m: int, e: int) -> FloatValue:
+    """FloatValue's trusted constructor, for fields already canonical."""
+    self = _new(FloatValue)
+    _set_kind(self, kind)
+    _set_sign(self, sign)
+    _set_significand(self, m)
+    _set_exponent(self, e)
+    return self
 
 
 def _magnitude_lt(a: FloatValue, b: FloatValue) -> bool:
@@ -169,37 +157,12 @@ def _magnitude_lt(a: FloatValue, b: FloatValue) -> bool:
 
 
 ZERO = FloatValue(KIND_ZERO, 1, 0, 0)
+BINARY32 = FloatFormat(24, -126, 127)
+BINARY64 = FloatFormat(53, -1022, 1023)
 
 
 def infinity(sign: int) -> FloatValue:
     return FloatValue(KIND_INFINITE, sign, 0, 0)
-
-
-def exact_float(sign: int, m: int, e: int, fmt: FloatFormat) -> FloatValue:
-    """Canonical format value equal to sign * m * 2^e.
-
-    Raises NotRepresentable when the value does not land on the format's
-    grid, either through excess significand bits or an exponent outside
-    the finite range.
-    """
-    if m == 0:
-        return ZERO
-    if m < 0:
-        raise ValueError("significand must be nonnegative; use the sign")
-    p = fmt.significand_bits
-    least = fmt.least_exponent
-    while m >= (1 << p) or e < least:
-        if m & 1:
-            raise NotRepresentable(f"{sign * m}*2^{e} has no exact place in the format")
-        m >>= 1
-        e += 1
-    while m < (1 << (p - 1)) and e > least:
-        m <<= 1
-        e -= 1
-    if e > fmt.emax - p + 1:
-        raise NotRepresentable(f"{sign * m}*2^{e} exceeds the finite range")
-    kind = KIND_NORMAL if m >= (1 << (p - 1)) else KIND_SUBNORMAL
-    return FloatValue(kind, sign, m, e)
 
 
 def decompose(f: FloatValue, fmt: FloatFormat) -> tuple[int, int]:
@@ -244,7 +207,7 @@ def next_up(x: FloatValue, fmt: FloatFormat) -> FloatValue:
             if e > fmt.emax - p + 1:
                 return infinity(1)
         kind = KIND_NORMAL if m >= 1 << (p - 1) else KIND_SUBNORMAL
-        return FloatValue(kind, 1, m, e)
+        return _float_value(kind, 1, m, e)
     # negative: one step toward zero, borrowing a bit when m leaves the
     # normal range while the exponent still has room
     m -= 1
@@ -254,13 +217,7 @@ def next_up(x: FloatValue, fmt: FloatFormat) -> FloatValue:
         m = (m << 1) | 1
         e -= 1
     kind = KIND_NORMAL if m >= 1 << (p - 1) else KIND_SUBNORMAL
-    return FloatValue(kind, -1, m, e)
-
-
-def machine_epsilon(fmt: FloatFormat) -> FloatValue:
-    """Gap between 1 and its upward neighbour, 2^(1-p), as a format value."""
-    p = fmt.significand_bits
-    return FloatValue(KIND_NORMAL, 1, 1 << (p - 1), 2 - 2 * p)
+    return _float_value(kind, -1, m, e)
 
 
 def to_bits(x: FloatValue, fmt: FloatFormat) -> int:
@@ -298,10 +255,10 @@ def from_bits(pattern: int, fmt: FloatFormat) -> FloatValue:
     if field == 0:
         if trailing == 0:
             return ZERO
-        return FloatValue(KIND_SUBNORMAL, sign, trailing, fmt.least_exponent)
+        return _float_value(KIND_SUBNORMAL, sign, trailing, fmt.least_exponent)
     m = (1 << t) | trailing
     e = field - fmt.emax - (fmt.significand_bits - 1)
-    return FloatValue(KIND_NORMAL, sign, m, e)
+    return _float_value(KIND_NORMAL, sign, m, e)
 
 
 def as_py_float(x: FloatValue) -> float:
@@ -311,20 +268,30 @@ def as_py_float(x: FloatValue) -> float:
     return math.ldexp(x.sign * x.significand, x.exponent)
 
 
-@dataclass(frozen=True, slots=True)
-class FloatInterval:
+class FloatInterval(Value):
     """Closed interval between two format values, lower bound first."""
 
-    lb: FloatValue
-    ub: FloatValue
+    __slots__ = _fields = ("lb", "ub")
 
-    def __post_init__(self) -> None:
-        if self.ub < self.lb:
-            raise ValueError(f"bounds out of order: {self.lb!r} > {self.ub!r}")
+    def __new__(cls, lb: FloatValue, ub: FloatValue) -> FloatInterval:
+        if ub < lb:
+            raise ValueError(f"bounds out of order: {lb!r} > {ub!r}")
+        return _float_interval(lb, ub)
 
     @property
     def degenerate(self) -> bool:
         return self.lb == self.ub
 
     def __neg__(self) -> "FloatInterval":
-        return FloatInterval(-self.ub, -self.lb)
+        return _float_interval(-self.ub, -self.lb)
+
+
+_set_lb, _set_ub = slot_setters(FloatInterval)
+
+
+def _float_interval(lb: FloatValue, ub: FloatValue) -> FloatInterval:
+    """FloatInterval's trusted constructor, for bounds known to be in order."""
+    self = _new(FloatInterval)
+    _set_lb(self, lb)
+    _set_ub(self, ub)
+    return self

@@ -20,11 +20,11 @@ forms on random inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .digitstring import (
     FRACTION,
     DigitString,
+    _digit_string,
     _fraction_digits,
     _fraction_int,
     _int_from_digits,
@@ -37,8 +37,11 @@ from .floatkit import (
     FloatFormat,
     FloatInterval,
     FloatValue,
+    _float_interval,
+    _float_value,
     next_up,
 )
+from .value import Value, _new, slot_setters
 
 
 class NumeralSyntaxError(ValueError):
@@ -50,8 +53,7 @@ class NumeralSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
-class DecimalScientific:
+class DecimalScientific(Value):
     """Sign, fraction mantissa, and decimal exponent: sign * 10^e * 0.m.
 
     The mantissa opens with a nonzero digit, so every nonzero value has
@@ -59,46 +61,56 @@ class DecimalScientific:
     and positive sign.
     """
 
-    sign: int
-    mantissa: DigitString
-    exponent: int
+    __slots__ = _fields = ("sign", "mantissa", "exponent")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.mantissa.role != FRACTION:
+    def __new__(cls, sign: int, mantissa: DigitString, exponent: int) -> DecimalScientific:
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        if mantissa.role != FRACTION:
             raise ValueError("mantissa must be a fraction digit string")
-        if self.mantissa.text:
-            if self.mantissa.text[0] == "0":
+        if mantissa.text:
+            if mantissa.text[0] == "0":
                 raise ValueError("mantissa must open with a nonzero digit")
-        elif (self.sign, self.exponent) != (1, 0):
+        elif (sign, exponent) != (1, 0):
             raise ValueError("zero is stored as sign +1, empty mantissa, exponent 0")
+        return cls._of(sign, mantissa, exponent)
 
     @property
     def is_zero(self) -> bool:
         return not self.mantissa.text
 
 
+_set_sign, _set_mantissa, _set_exponent = slot_setters(DecimalScientific)
+
+
+def _decimal_scientific(sign: int, text: str, exponent: int) -> DecimalScientific:
+    """DecimalScientific's trusted constructor, from mantissa digits that
+    are already canonical: ASCII, opening with a nonzero, no trailing 0."""
+    self = _new(DecimalScientific)
+    _set_sign(self, sign)
+    _set_mantissa(self, _digit_string(text, FRACTION))
+    _set_exponent(self, exponent)
+    return self
+
+
 DECIMAL_ZERO = DecimalScientific(1, DigitString("", FRACTION), 0)
 
 
-@dataclass(frozen=True, slots=True)
-class Rational:
+class Rational(Value):
     """Signed ratio of nonnegative integers.
 
     Reduction is not required; conversion tolerates common factors."""
 
-    sign: int
-    p: int
-    q: int
+    __slots__ = _fields = ("sign", "p", "q")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.q == 0:
+    def __new__(cls, sign: int, p: int, q: int) -> Rational:
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        if q == 0:
             raise DomainError("zero denominator")
-        if self.p < 0 or self.q < 0:
+        if p < 0 or q < 0:
             raise ValueError("p and q must be nonnegative; use the sign")
+        return cls._of(sign, p, q)
 
     @classmethod
     def from_text(cls, text: str) -> "Rational":
@@ -164,7 +176,8 @@ def parse_numeral(text: str) -> DecimalScientific:
     if not digits:
         return DECIMAL_ZERO
     exponent = marker_exp + len(digits) - len(frac_digits)
-    return DecimalScientific(sign, DigitString.fraction(digits), exponent)
+    # digits opens with a nonzero, so it is canonical once its trailing zeros go
+    return _decimal_scientific(sign, digits.rstrip("0"), exponent)
 
 
 def _shifted_ge(x: int, k: int, y: int) -> bool:
@@ -229,24 +242,6 @@ def normalize_mantissa(m: DigitString, bin_exp: int) -> tuple[DigitString, int]:
     return _fraction_digits(N << K, n), bin_exp - K
 
 
-def scale_to_unit_interval(r: Rational) -> tuple[Rational, int]:
-    """Halve or double r onto [1/2, 1): returns (r', k) with r == r' * 2^k.
-
-    Doubles whichever of p and q is behind, so no reduction happens; the
-    count is one past the binary exponent of r.
-    """
-    if r.p == 0:
-        raise DomainError("cannot scale zero onto [1/2, 1)")
-    p, q = r.p, r.q
-    k = _log2_floor(p, q) + 1
-    assert _shifted_ge(p, 1 - k, q) and not _shifted_ge(p, -k, q)
-    if k <= 0:
-        scaled = Rational(r.sign, p << -k, q)
-    else:
-        scaled = Rational(r.sign, p, q << k)
-    return scaled, k
-
-
 def _leading_bits(num: int, den: int, count: int) -> list[int]:
     # the quotient of num * 2^count by den holds the first count bits
     acc = (num << count) // den
@@ -289,12 +284,12 @@ def _enclose_magnitude(num: int, den: int, fmt: FloatFormat) -> tuple[FloatValue
     if m == 0:
         return ZERO, True
     kind = KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL
-    return FloatValue(kind, 1, m, e), rem != 0
+    return _float_value(kind, 1, m, e), rem != 0
 
 
 def _widen(sign: int, lb: FloatValue, sticky: bool, fmt: FloatFormat) -> FloatInterval:
     ub = next_up(lb, fmt) if sticky else lb
-    interval = FloatInterval(lb, ub)
+    interval = _float_interval(lb, ub)
     return -interval if sign < 0 else interval
 
 

@@ -14,7 +14,6 @@ usable prefix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .digitstring import FRACTION, INTEGER, DigitString, _fraction_int, _text_from_int
 from .floatkit import (
@@ -27,7 +26,8 @@ from .floatkit import (
     FloatValue,
     decompose,
 )
-from .parse import DECIMAL_ZERO, DecimalScientific
+from .parse import DECIMAL_ZERO, DecimalScientific, _decimal_scientific
+from .value import Value
 
 # b * log10(2) stays more than 1e-6 away from every integer for
 # 0 < |b| < 10^5, far beyond any format's binades, so the float product
@@ -35,19 +35,18 @@ from .parse import DECIMAL_ZERO, DecimalScientific
 _LOG10_2 = math.log10(2)
 
 
-@dataclass(frozen=True, slots=True)
-class DecimalInfinity:
+class DecimalInfinity(Value):
     """Marker for an interval endpoint beyond the finite range."""
 
-    sign: int
+    __slots__ = _fields = ("sign",)
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+    def __new__(cls, sign: int) -> DecimalInfinity:
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        return cls._of(sign)
 
 
-@dataclass(frozen=True, slots=True)
-class BracketRendering:
+class BracketRendering(Value):
     """Interval text split into a shared prefix and per-bound tails.
 
     fallback is None when the prefix form applies; otherwise it holds the
@@ -56,10 +55,12 @@ class BracketRendering:
     reproduces each bound's numeral exactly.
     """
 
-    prefix: str
-    low_tail: str
-    high_tail: str
-    fallback: str | None = None
+    __slots__ = _fields = ("prefix", "low_tail", "high_tail", "fallback")
+
+    def __new__(
+        cls, prefix: str, low_tail: str, high_tail: str, fallback: str | None = None
+    ) -> BracketRendering:
+        return cls._of(prefix, low_tail, high_tail, fallback)
 
     def text(self) -> str:
         if self.fallback is not None:
@@ -122,7 +123,8 @@ def float_to_exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific
     if m == 0:
         return DECIMAL_ZERO
     text = str(m << e) if e >= 0 else str(m * 5**-e)
-    return DecimalScientific(f.sign, DigitString.fraction(text), len(text) + min(e, 0))
+    # m > 0, so the text opens with a nonzero digit
+    return _decimal_scientific(f.sign, text.rstrip("0"), len(text) + min(e, 0))
 
 
 def truncate_directed(d: DecimalScientific, n: int, direction: str) -> DecimalScientific:
@@ -187,8 +189,9 @@ def _round_outward(f: FloatValue, n: int, direction: str, fmt: FloatFormat) -> D
     if r and (direction == "up") == (f.sign > 0):
         q += 1
         if q == 10**n:
-            return DecimalScientific(f.sign, DigitString.fraction("1"), exponent + 1)
-    return DecimalScientific(f.sign, DigitString.fraction(str(q).rstrip("0")), exponent)
+            return _decimal_scientific(f.sign, "1", exponent + 1)
+    # 10^(n-1) <= q < 10^n, so the text opens with a nonzero digit
+    return _decimal_scientific(f.sign, str(q).rstrip("0"), exponent)
 
 
 def interval_to_decimal(

@@ -317,6 +317,20 @@ class TestPrintInterval:
         assert status == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("fmt", ["binary32", "binary64"])
+    @pytest.mark.parametrize("check", [[], ["--check"]], ids=["plain", "check"])
+    def test_disordered_bounds_name_the_inputs(self, fmt, check):
+        argv = ["print-interval", "--format", fmt, *check]
+        status, out, err = run_cli([*argv, "2", "1"])
+        assert (status, out) == (2, "")
+        assert err == "error: bounds out of order: '2' > '1'\n"
+        status, out, err = run_cli(argv, stdin_text="2 1\n0.5 -0.25\n")
+        assert (status, err) == (0, "")
+        assert out == (
+            "2 1\tERR\tbounds out of order: '2' > '1'\n"
+            "0.5 -0.25\tERR\tbounds out of order: '0.5' > '-0.25'\n"
+        )
+
     def test_missing_second_value(self):
         status, _, err = run_cli(["print-interval", "0.25"])
         assert status == 1

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from builders import exact_float, machine_epsilon
 from radival.floatkit import (
     BINARY32,
     BINARY64,
@@ -25,10 +26,8 @@ from radival.floatkit import (
     NotRepresentable,
     as_py_float,
     decompose,
-    exact_float,
     from_bits,
     infinity,
-    machine_epsilon,
     next_up,
     to_bits,
 )

@@ -1,8 +1,12 @@
 """Source hygiene that a linter would check: no module imports a name it
-never uses, and every name the package exports resolves."""
+never uses, and every name the package exports resolves. Launch hygiene:
+importing the command line loads nothing that only --check needs."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +35,46 @@ def test_every_import_is_used(path):
 def test_exports_resolve():
     missing = [name for name in radival.__all__ if not hasattr(radival, name)]
     assert missing == []
+
+
+SRC = pathlib.Path(radival.__file__).resolve().parents[1]
+
+# what a run without --check never needs: the oracle and its imports, and
+# the dataclass machinery the value classes no longer use
+CHECK_ONLY = ("dataclasses", "decimal", "fractions", "radival.oracle")
+
+
+def _python(*args, stdin=""):
+    # -S keeps the site hooks from loading modules of their own
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-S", *args], input=stdin, capture_output=True, text=True, env=env
+    )
+
+
+def test_cli_import_leaves_check_modules_unloaded():
+    code = f"import sys, radival.cli; print([m for m in {CHECK_ONLY!r} if m in sys.modules])"
+    result = _python("-c", code)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["parse", "--format", "binary64", "0.1"], ""),
+        (["parse", "--format", "binary64"], "0.1\n-2.5e-310\n1e400\n"),
+        (["print-interval", "--digits", "17", "bits:3eaaaaaa", "bits:3eaaaaab"], ""),
+        (["print-interval", "--digits", "3"], "0.25 0.5\nbits:7f7fffff bits:7f800000\n"),
+        (["table"], ""),
+    ],
+    ids=["parse", "parse-filter", "print-interval", "print-interval-filter", "table"],
+)
+def test_check_loads_the_oracle_on_demand(argv, stdin):
+    """A fresh process runs --check, single-shot and as a filter, with the
+    oracle imported only then, and prints what the run without it prints."""
+    plain = _python("-m", "radival.cli", *argv, stdin=stdin)
+    checked = _python("-m", "radival.cli", *argv, "--check", stdin=stdin)
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert (checked.returncode, checked.stderr) == (0, "")
+    assert checked.stdout == plain.stdout != ""

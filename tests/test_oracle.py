@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from builders import exact_float
 from radival import oracle
 from radival.digitstring import DigitString
 from radival.floatkit import (
@@ -15,7 +16,6 @@ from radival.floatkit import (
     BINARY64,
     ZERO,
     FloatInterval,
-    exact_float,
     infinity,
     next_up,
 )

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepwise
+from builders import scale_to_unit_interval
 from radival import oracle
 from radival.digitstring import DigitString, mul2
 from radival.floatkit import (
@@ -44,7 +45,6 @@ from radival.parse import (
     normalize_mantissa,
     parse_numeral,
     rational_to_interval,
-    scale_to_unit_interval,
 )
 
 

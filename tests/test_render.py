@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepwise
+from builders import exact_float
 from radival import oracle
 from radival.digitstring import DigitString
 from radival.floatkit import (
@@ -18,7 +19,6 @@ from radival.floatkit import (
     DomainError,
     FloatInterval,
     decompose,
-    exact_float,
     from_bits,
     infinity,
     next_up,
