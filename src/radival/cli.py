@@ -33,8 +33,6 @@ from .floatkit import (
     BINARY32,
     BINARY64,
     KIND_INFINITE,
-    KIND_NORMAL,
-    KIND_ZERO,
     DomainError,
     FloatFormat,
     FloatInterval,
@@ -53,7 +51,6 @@ from .parse import (
 )
 from .render import (
     DecimalInfinity,
-    _trailing_hex,
     bracket_notation,
     float_to_exact_decimal,
     hex_significand_bracket,
@@ -87,18 +84,6 @@ class CheckFailure(Exception):
     """A --check revalidation disagreed with the emitted result."""
 
 
-def _bound_hex(f: FloatValue, fmt: FloatFormat) -> str:
-    """Hex significand text extended to the non-normal kinds."""
-    if f.kind == KIND_INFINITE:
-        return "inf" if f.sign > 0 else "-inf"
-    if f.kind == KIND_ZERO:
-        return "0"
-    if f.kind == KIND_NORMAL:
-        return hex_significand_rendering(f, fmt)
-    sign = "" if f.sign > 0 else "-"
-    return f"{sign}2^({fmt.emin}) * 0.{_trailing_hex(f.significand, fmt)}"
-
-
 def _exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific | DecimalInfinity:
     if f.kind == KIND_INFINITE:
         return DecimalInfinity(f.sign)
@@ -109,10 +94,7 @@ def _decimal_fields(
     lo: DecimalScientific | DecimalInfinity, hi: DecimalScientific | DecimalInfinity
 ) -> tuple[str, str, str]:
     """Plain text of each decimal bound, then the bracket of the pair."""
-    if isinstance(lo, DecimalInfinity) or isinstance(hi, DecimalInfinity):
-        lo_text, hi_text = plain_decimal(lo), plain_decimal(hi)
-        return lo_text, hi_text, f"[{lo_text},{hi_text}]"
-    # the bracket already holds each bound's plain text as prefix + tail
+    # the bracket holds each bound's plain text as prefix + tail
     r = bracket_notation(lo, hi)
     return r.prefix + r.low_tail, r.prefix + r.high_tail, r.text()
 
@@ -189,7 +171,9 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
         lo, hi, bracket = _decimal_fields(
             _exact_decimal(interval.lb, fmt), _exact_decimal(interval.ub, fmt)
         )
-        return _bound_hex(interval.lb, fmt), lo, _bound_hex(interval.ub, fmt), hi, bracket
+        lb_hex = hex_significand_rendering(interval.lb, fmt)
+        ub_hex = hex_significand_rendering(interval.ub, fmt)
+        return lb_hex, lo, ub_hex, hi, bracket
 
     layout = "lb = {0} = {1}\nub = {2} = {3}\nbracket = {4}\n"
     return _serve([args.value], record, layout, stdin, stdout)

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 
-from .digitstring import FRACTION, INTEGER, DigitString, _fraction_int, _text_from_int
+from .digitstring import DigitString, _text_from_int
 from .floatkit import (
     BINARY32,
     KIND_INFINITE,
-    KIND_NORMAL,
     DomainError,
     FloatFormat,
     FloatInterval,
@@ -68,61 +67,20 @@ class BracketRendering(Value):
         return f"{self.prefix}[{self.low_tail},{self.high_tail}]"
 
 
-def decimalize_integer(m: int) -> DigitString:
-    """Decimal digits of a nonnegative machine integer; zero is empty."""
-    if m < 0:
-        raise ValueError("negative integers have no digit string")
-    return DigitString.integer(str(m) if m else "")
-
-
-def integer_to_fraction_exponent(m: DigitString) -> int:
-    """Reread the integer d1..dk as the fraction 0.d1..dk * 10^k: the
-    exponent is just k."""
-    if m.role != INTEGER:
-        raise ValueError("expected an integer digit string")
-    return len(m)
-
-
-def decimalize_exponent(m: DigitString, bin_exp: int, dec_exp: int) -> tuple[DigitString, int]:
-    """Fold the binary exponent into the decimal one, exactly.
-
-    Returns (m', dec_exp') with 2^bin_exp * 10^dec_exp * 0.m equal to
-    10^dec_exp' * 0.m'. Positive powers of two multiply into the digits
-    and every carry past the point raises the decimal exponent; negative
-    powers append factors of five and every leading zero produced lowers
-    it on the way out. Both directions collapse to one big multiply.
-    """
-    if m.role != FRACTION:
-        raise ValueError("expected a fraction digit string")
-    if m.text[:1] == "0":
-        raise ValueError("mantissa must not start with 0")
-    N, n = _fraction_int(m)
-    if N == 0 or bin_exp == 0:
-        return m, dec_exp
-    if bin_exp > 0:
-        text = _text_from_int(N << bin_exp)
-        dec_exp += len(text) - n
-    else:
-        text = _text_from_int(N * 5**-bin_exp)
-        dec_exp -= (n - bin_exp) - len(text)
-    return DigitString.fraction(text), dec_exp
-
-
 def float_to_exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific:
     """The terminating decimal expansion of a finite float, normalized.
 
     No digit budget applies: the smallest binary64 subnormals take around
     750 significant digits and all of them are produced. One big-integer
-    product gives them all: m * 2^e is m * 5^-e / 10^-e when e < 0. This
-    is the staged route decimalize_integer, integer_to_fraction_exponent,
-    decimalize_exponent collapsed to a single str().
+    product gives them all: m * 2^e is m * 5^-e / 10^-e when e < 0, and
+    one conversion of it to text writes every digit, however many.
     """
     if f.kind == KIND_INFINITE:
         raise DomainError("no exact decimal for an infinity")
     m, e = decompose(f, fmt)
     if m == 0:
         return DECIMAL_ZERO
-    text = str(m << e) if e >= 0 else str(m * 5**-e)
+    text = _text_from_int(m << e) if e >= 0 else _text_from_int(m * 5**-e)
     # m > 0, so the text opens with a nonzero digit
     return _decimal_scientific(f.sign, text.rstrip("0"), len(text) + min(e, 0))
 
@@ -168,6 +126,8 @@ def _round_outward(f: FloatValue, n: int, direction: str, fmt: FloatFormat) -> D
     the estimate was one too high, n - 1 of them and a remainder from
     which one more digit follows. A nonzero final remainder means digits
     were dropped, and only then does rounding away from zero add one.
+    The exact expansion has at most E - min(e, 0) digits, so a larger
+    budget is cut to that and gives the exact value.
     """
     if n < 1:
         raise ValueError("need at least one digit")
@@ -175,6 +135,9 @@ def _round_outward(f: FloatValue, n: int, direction: str, fmt: FloatFormat) -> D
     if m == 0:
         return DECIMAL_ZERO
     exponent = math.ceil((m.bit_length() + e) * _LOG10_2)
+    # n > max(E, E - e), tested without calls on the per-bound path
+    if n > exponent and n > exponent - e:
+        n = exponent - min(e, 0)
     num, den = (m << e, 1) if e >= 0 else (m, 1 << -e)
     shift = n - exponent
     if shift >= 0:
@@ -191,7 +154,7 @@ def _round_outward(f: FloatValue, n: int, direction: str, fmt: FloatFormat) -> D
         if q == 10**n:
             return _decimal_scientific(f.sign, "1", exponent + 1)
     # 10^(n-1) <= q < 10^n, so the text opens with a nonzero digit
-    return _decimal_scientific(f.sign, str(q).rstrip("0"), exponent)
+    return _decimal_scientific(f.sign, _text_from_int(q).rstrip("0"), exponent)
 
 
 def interval_to_decimal(
@@ -245,14 +208,23 @@ def _compare_decimals(a: DecimalScientific, b: DecimalScientific) -> int:
     return sa * (-1 if da.ljust(pad, "0") < db.ljust(pad, "0") else 1)
 
 
-def bracket_notation(lo: DecimalScientific, hi: DecimalScientific) -> BracketRendering:
+def bracket_notation(
+    lo: DecimalScientific | DecimalInfinity, hi: DecimalScientific | DecimalInfinity
+) -> BracketRendering:
     """Shared-prefix rendering of a decimal interval.
 
     When the bounds agree in sign, exponent, and opening digit, the common
     positional prefix is factored out and only the differing tails sit in
-    the brackets; equal bounds leave the brackets empty. Any disagreement
-    falls back to the plain [lo,hi] pair.
+    the brackets; equal bounds leave the brackets empty. Any disagreement,
+    and any infinite bound, falls back to the plain [lo,hi] pair.
     """
+    lo_infinite, hi_infinite = isinstance(lo, DecimalInfinity), isinstance(hi, DecimalInfinity)
+    if lo_infinite or hi_infinite:
+        # -inf lies below every finite value and +inf above it
+        if (lo.sign if lo_infinite else 0) > (hi.sign if hi_infinite else 0):
+            raise ValueError("bounds out of order")
+        lo_text, hi_text = plain_decimal(lo), plain_decimal(hi)
+        return BracketRendering("", lo_text, hi_text, f"[{lo_text},{hi_text}]")
     if _compare_decimals(lo, hi) > 0:
         raise ValueError("bounds out of order")
     lo_text = plain_decimal(lo)
@@ -298,26 +270,22 @@ def _shared_prefix_length(a: str, b: str) -> int:
 def hex_significand_rendering(f: FloatValue, fmt: FloatFormat = BINARY32) -> str:
     """Power-of-two exponent with the trailing significand bits in base 16.
 
-    The 23 trailing bits of a binary32 group as one octal digit followed
-    by five hex digits, as in 2^(-2) * 1.2aaaab; the 52 trailing bits of a
-    binary64 are exactly thirteen hex digits. Normal values only.
+    A normal value prints as 2^(e) * 1.<digits> and a subnormal as
+    2^(emin) * 0.<digits>, the t = p - 1 trailing bits filling (t + 3) // 4
+    hex digits: a binary32 opens with a digit 0-7 and five more, as in
+    2^(-2) * 1.2aaaab, and a binary64 has exactly thirteen. Zero prints
+    as 0 and the infinities as inf and -inf.
     """
-    if f.kind != KIND_NORMAL:
-        raise ValueError("hex significand rendering covers normal values only")
+    if f.kind == KIND_INFINITE:
+        return "inf" if f.sign > 0 else "-inf"
     m, e = decompose(f, fmt)
-    trailing = m - (1 << (fmt.significand_bits - 1))
-    unbiased = e + fmt.significand_bits - 1
-    body = _trailing_hex(trailing, fmt)
+    if m == 0:
+        return "0"
+    t = fmt.significand_bits - 1
     sign = "" if f.sign > 0 else "-"
-    return f"{sign}2^({unbiased}) * 1.{body}"
-
-
-def _trailing_hex(trailing: int, fmt: FloatFormat) -> str:
-    if fmt.significand_bits == 24:
-        return f"{trailing >> 20:o}{trailing & 0xFFFFF:05x}"
-    if fmt.significand_bits == 53:
-        return f"{trailing:013x}"
-    raise ValueError("no digit grouping defined for this format")
+    # the leading bit m >> t is 1 for a normal and 0 for a subnormal, whose
+    # exponent e + t is emin
+    return "%s2^(%d) * %d.%0*x" % (sign, e + t, m >> t, (t + 3) // 4, m & ((1 << t) - 1))
 
 
 def hex_significand_bracket(interval: FloatInterval, fmt: FloatFormat = BINARY32) -> str:
@@ -325,13 +293,13 @@ def hex_significand_bracket(interval: FloatInterval, fmt: FloatFormat = BINARY32
 
     The shared prefix factors out only when both bounds carry the same
     power of two: 2^(-2) * 1.2aaaa[a,b]. A degenerate interval shows empty
-    brackets and bounds in different binades fall back to the plain pair.
+    brackets; bounds in different binades, and any infinite bound, fall
+    back to the plain pair, as in bracket_notation.
     """
     lo = hex_significand_rendering(interval.lb, fmt)
-    if interval.degenerate:
-        return f"{lo}[,]"
     hi = hex_significand_rendering(interval.ub, fmt)
-    if lo.rsplit(".", 1)[0] != hi.rsplit(".", 1)[0]:
+    infinite = KIND_INFINITE in (interval.lb.kind, interval.ub.kind)
+    if infinite or lo.rsplit(".", 1)[0] != hi.rsplit(".", 1)[0]:
         return f"[{lo},{hi}]"
     k = _shared_prefix_length(lo, hi)
     return f"{lo[:k]}[{lo[k:]},{hi[k:]}]"

@@ -44,26 +44,6 @@ def normalize_stepwise(m: DigitString, bin_exp: int) -> tuple[DigitString, int]:
     return digits, bin_exp
 
 
-def decimalize_exponent_stepwise(
-    m: DigitString, bin_exp: int, dec_exp: int
-) -> tuple[DigitString, int]:
-    """Fold the binary exponent into the decimal one by single steps."""
-    digits = m
-    while bin_exp > 0:
-        digits, carry = mul2(digits)
-        bin_exp -= 1
-        if carry:
-            digits = DigitString((1,) + digits.digits, FRACTION)
-            dec_exp += 1
-    while bin_exp < 0:
-        digits = div2(digits)
-        bin_exp += 1
-        if digits.digits and digits.digits[0] == 0:
-            digits = DigitString(digits.digits[1:], FRACTION)
-            dec_exp -= 1
-    return digits, dec_exp
-
-
 def scale_stepwise(p: int, q: int) -> tuple[int, int, int]:
     """Double p or q until p/q sits in [1/2, 1); returns (p', q', k) with
     p/q == (p'/q') * 2^k. The pair may come out unreduced."""

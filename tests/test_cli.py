@@ -305,6 +305,32 @@ class TestPrintInterval:
         assert lines[1] == "hi = inf"
         assert lines[2].endswith(",inf]")
 
+    @pytest.mark.parametrize(
+        "fmt, low, high, digits",
+        [
+            ("binary32", "bits:00000001", "bits:00000002", "5000"),
+            ("binary64", "bits:0000000000000001", "bits:0000000000000002", "5000"),
+            ("binary64", "bits:3ff0000000000000", "bits:3ff0000000000001", "4301"),
+            ("binary32", "bits:ff7fffff", "bits:7f800000", str(10**9)),
+        ],
+        ids=["binary32-subnormal", "binary64-subnormal", "binary64-one", "binary32-range"],
+    )
+    @pytest.mark.parametrize("check", [[], ["--check"]], ids=["plain", "check"])
+    def test_budget_past_exact_length(self, fmt, low, high, digits, check):
+        # a budget past each bound's digit count prints the bounds exactly
+        argv = ["print-interval", "--format", fmt, "--digits", digits, *check]
+        expected = []
+        for token in (low, high):
+            status, out, err = run_cli(["print", "--format", fmt, token])
+            assert (status, err) == (0, "")
+            expected.append(out.rstrip("\n"))
+        status, out, err = run_cli([*argv, low, high])
+        assert (status, err) == (0, "")
+        assert out.splitlines()[:2] == [f"lo = {expected[0]}", f"hi = {expected[1]}"]
+        status, out, err = run_cli(argv, stdin_text=f"{low} {high}\n")
+        assert (status, err) == (0, "")
+        assert out.split("\t")[1:3] == expected
+
     @pytest.mark.parametrize("digits", ["0", "-2"])
     def test_digit_budget_below_one(self, digits):
         status, out, err = run_cli(["print-interval", "0.25", "0.5", "--digits", digits])

@@ -1,6 +1,7 @@
 """Source hygiene that a linter would check: no module imports a name it
-never uses, and every name the package exports resolves. Launch hygiene:
-importing the command line loads nothing that only --check needs."""
+never uses, every name the package exports resolves, and every public
+definition has a user. Launch hygiene: importing the command line loads
+nothing that only --check needs."""
 
 import ast
 import os
@@ -35,6 +36,53 @@ def test_every_import_is_used(path):
 def test_exports_resolve():
     missing = [name for name in radival.__all__ if not hasattr(radival, name)]
     assert missing == []
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_every_public_definition_has_a_user():
+    """Each public top-level function and class in the package is used by
+    name somewhere in src/ or demos/, or is pinned by the acceptance
+    tests. An import alone is not a use, so re-exporting a name from
+    __init__.py does not keep it alive."""
+    paths = [*pathlib.Path(radival.__file__).parent.glob("*.py"), *ROOT.glob("demos/*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    pinned = {
+        alias.asname or alias.name
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unused = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used | pinned
+    ]
+    assert unused == []
+
+
+def test_cli_imports_nothing_private_from_render():
+    tree = ast.parse((pathlib.Path(radival.__file__).parent / "cli.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "render"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 SRC = pathlib.Path(radival.__file__).resolve().parents[1]

@@ -1,6 +1,7 @@
 """Exact decimal output, outward truncation, and bracket renderings."""
 
 import random
+import time
 from fractions import Fraction
 from os.path import commonprefix
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stepwise
 from builders import exact_float
 from radival import oracle
 from radival.digitstring import DigitString
@@ -17,8 +17,8 @@ from radival.floatkit import (
     BINARY64,
     ZERO,
     DomainError,
+    FloatFormat,
     FloatInterval,
-    decompose,
     from_bits,
     infinity,
     next_up,
@@ -35,16 +35,16 @@ from radival.render import (
     BracketRendering,
     DecimalInfinity,
     bracket_notation,
-    decimalize_exponent,
-    decimalize_integer,
     float_to_exact_decimal,
     hex_significand_bracket,
     hex_significand_rendering,
-    integer_to_fraction_exponent,
     interval_to_decimal,
     plain_decimal,
     truncate_directed,
 )
+
+# IEEE binary128, a format the package does not name
+BINARY128 = FloatFormat(113, -16382, 16383)
 
 
 def frac(text: str) -> DigitString:
@@ -53,60 +53,6 @@ def frac(text: str) -> DigitString:
 
 def decimal(sign: int, digits: str, exponent: int) -> DecimalScientific:
     return DecimalScientific(sign, frac(digits), exponent)
-
-
-class TestDecimalize:
-    def test_integer_digits(self):
-        assert decimalize_integer(0) == DigitString.integer("")
-        assert decimalize_integer(14) == DigitString.integer("14")
-        with pytest.raises(ValueError):
-            decimalize_integer(-3)
-
-    def test_integer_reread_as_fraction(self):
-        assert integer_to_fraction_exponent(DigitString.integer("75")) == 2
-        with pytest.raises(ValueError):
-            integer_to_fraction_exponent(frac("75"))
-
-    def test_exponent_fold_worked_example(self):
-        assert decimalize_exponent(frac("75"), -2, 2) == (frac("1875"), 2)
-
-    def test_positive_power(self):
-        assert decimalize_exponent(frac("1"), 3, 0) == (frac("8"), 0)
-        assert decimalize_exponent(frac("5"), 1, 0) == (frac("1"), 1)
-
-    def test_negative_power(self):
-        assert decimalize_exponent(frac("1"), -3, 0) == (frac("125"), -1)
-
-    def test_identity_cases(self):
-        assert decimalize_exponent(frac("42"), 0, 7) == (frac("42"), 7)
-        assert decimalize_exponent(frac(""), 9, 3) == (frac(""), 3)
-
-    def test_leading_zero_rejected(self):
-        with pytest.raises(ValueError):
-            decimalize_exponent(frac("05"), 1, 0)
-
-    @pytest.mark.parametrize("bexp", [3, -3])
-    def test_past_int_text_limit(self, bexp):
-        # 5000 digits are past CPython's default int/str limit of 4300
-        m = frac("1" * 5000)
-        assert decimalize_exponent(m, bexp, 0) == stepwise.decimalize_exponent_stepwise(m, bexp, 0)
-
-    @given(
-        st.from_regex(r"[1-9][0-9]{0,14}", fullmatch=True).map(frac),
-        st.integers(-45, 45),
-        st.integers(-20, 20),
-    )
-    def test_matches_stepwise_and_preserves_value(self, m, bexp, dexp):
-        result = decimalize_exponent(m, bexp, dexp)
-        assert result == stepwise.decimalize_exponent_stepwise(m, bexp, dexp)
-        out, dexp2 = result
-        before = _value(m, dexp) * Fraction(2) ** bexp
-        assert _value(out, dexp2) == before
-
-
-def _value(m: DigitString, dec_exp: int) -> Fraction:
-    text = m.as_text()
-    return Fraction(int(text or "0"), 10 ** len(text)) * Fraction(10) ** dec_exp
 
 
 class TestFloatToExactDecimal:
@@ -141,7 +87,7 @@ class TestFloatToExactDecimal:
 
     @pytest.mark.parametrize("fmt", [BINARY32, BINARY64])
     def test_matches_staged_route(self, fmt):
-        # the one-product printer against the paper's three stages, on
+        # the one-product printer against the oracle's exact value, on
         # seeded bit patterns of which every third is subnormal or zero
         rng = random.Random(fmt.bit_width)
         subnormal_mask = (1 << (fmt.bit_width - 1)) | ((1 << (fmt.significand_bits - 1)) - 1)
@@ -155,13 +101,30 @@ class TestFloatToExactDecimal:
                 continue
             if f.kind == "infinity":
                 continue
-            m, e = decompose(f, fmt)
-            whole = decimalize_integer(m)
-            mantissa, dec_exp = decimalize_exponent(
-                DigitString.fraction(whole.text), e, integer_to_fraction_exponent(whole)
-            )
-            staged = DecimalScientific(f.sign, mantissa, dec_exp) if m else DECIMAL_ZERO
-            assert float_to_exact_decimal(f, fmt) == staged
+            d = float_to_exact_decimal(f, fmt)
+            assert oracle.exact_value(d) == oracle.float_exact_value(f)
+            # canonical: no trailing zero, and a nonzero opening digit
+            digits = d.mantissa.text
+            assert digits == digits.rstrip("0") and digits[:1] != "0"
+            assert (d == DECIMAL_ZERO) == f.is_zero
+
+    def test_binary128_past_int_text_limit(self):
+        # exact decimals of binary128 run past CPython's 4300-digit
+        # int/str limit: the smallest subnormal has 11,529 digits
+        fmt = BINARY128
+        rng = random.Random(128)
+        values = [fmt.smallest_subnormal, -fmt.max_finite]
+        while len(values) < 6:
+            try:
+                f = from_bits(rng.getrandbits(128), fmt)
+            except DomainError:
+                continue
+            if f.kind != "infinity":
+                values.append(f)
+        for f in values:
+            d = float_to_exact_decimal(f, fmt)
+            assert oracle.exact_value(d) == oracle.float_exact_value(f)
+        assert len(float_to_exact_decimal(fmt.smallest_subnormal, fmt).mantissa) > 4300
 
     @given(st.integers(0, 2**64 - 1))
     def test_round_trips_through_parsing(self, pattern):
@@ -259,6 +222,24 @@ class TestIntervalToDecimal:
         lo, hi = interval_to_decimal(iv, 6, BINARY32)
         assert isinstance(lo, DecimalScientific)
         assert hi == DecimalInfinity(1)
+
+    @pytest.mark.parametrize(
+        "fmt", [BINARY32, BINARY64, BINARY128], ids=["binary32", "binary64", "binary128"]
+    )
+    def test_budget_past_exact_length(self, fmt):
+        # a budget at or past the exact length gives the exact bounds, in a
+        # time that does not grow with the budget; budgets past 4300 digits
+        # once failed on CPython's int/str limit
+        values = [ZERO, fmt.one, fmt.smallest_subnormal, -fmt.smallest_subnormal, fmt.max_finite]
+        for f in values:
+            exact = float_to_exact_decimal(f, fmt)
+            for n in (max(len(exact.mantissa), 1), 4301, 10**9):
+                start = time.perf_counter()
+                lo, hi = interval_to_decimal(FloatInterval(f, f), n, fmt)
+                assert time.perf_counter() - start < 0.5
+                assert lo == truncate_directed(exact, n, "down")
+                assert hi == truncate_directed(exact, n, "up")
+            assert lo == hi == exact
 
     @settings(max_examples=200)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(1, 15))
@@ -461,6 +442,42 @@ class TestBracketNotation:
         r = bracket_notation(decimal(1, "19", 0), decimal(1, "21", 0))
         assert (r.prefix, r.low_tail, r.high_tail) == ("", "0.19", "0.21")
 
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=["binary32", "binary64"])
+    def test_every_kernel_interval(self, fmt):
+        # seeded intervals, infinite and zero bounds among them, at seeded
+        # budgets: each renders, and prefix + tail is each bound's text
+        rng = random.Random(3 * fmt.bit_width)
+        tiny, top = fmt.smallest_subnormal, fmt.max_finite
+        pairs = [
+            (top, infinity(1)),
+            (infinity(-1), -top),
+            (infinity(-1), tiny),
+            (infinity(1), infinity(1)),
+            (infinity(-1), infinity(-1)),
+            (infinity(-1), infinity(1)),
+            (ZERO, ZERO),
+            (ZERO, tiny),
+            (-tiny, ZERO),
+        ]
+        while len(pairs) < 300:
+            try:
+                a, b = (from_bits(rng.getrandbits(fmt.bit_width), fmt) for _ in "ab")
+            except DomainError:
+                continue
+            if rng.random() < 0.5:
+                b = next_up(a, fmt) if a != infinity(1) else a
+            pairs.append((min(a, b), max(a, b)))
+        for a, b in pairs:
+            lo, hi = interval_to_decimal(FloatInterval(a, b), rng.randint(1, 40), fmt)
+            r = bracket_notation(lo, hi)
+            assert r.prefix + r.low_tail == plain_decimal(lo)
+            assert r.prefix + r.high_tail == plain_decimal(hi)
+            if isinstance(lo, DecimalInfinity) or isinstance(hi, DecimalInfinity):
+                assert r.text() == f"[{plain_decimal(lo)},{plain_decimal(hi)}]"
+            if lo != hi:
+                with pytest.raises(ValueError):
+                    bracket_notation(hi, lo)
+
 
 class TestHexSignificand:
     def test_binary32_grouping(self):
@@ -489,11 +506,46 @@ class TestHexSignificand:
         f = exact_float(-1, 1, -1, BINARY32)
         assert hex_significand_rendering(f, BINARY32) == "-2^(-1) * 1.000000"
 
-    def test_non_normal_rejected(self):
-        with pytest.raises(ValueError):
-            hex_significand_rendering(ZERO, BINARY32)
-        with pytest.raises(ValueError):
-            hex_significand_rendering(BINARY32.smallest_subnormal, BINARY32)
+    def test_non_normal_kinds(self):
+        # the texts the parse subcommand prints for these bounds
+        for fmt in (BINARY32, BINARY64):
+            assert hex_significand_rendering(ZERO, fmt) == "0"
+            assert hex_significand_rendering(infinity(1), fmt) == "inf"
+            assert hex_significand_rendering(infinity(-1), fmt) == "-inf"
+        tiny32, tiny64 = BINARY32.smallest_subnormal, BINARY64.smallest_subnormal
+        assert hex_significand_rendering(tiny32, BINARY32) == "2^(-126) * 0.000001"
+        assert hex_significand_rendering(-tiny64, BINARY64) == "-2^(-1022) * 0.0000000000001"
+        largest32 = -next_up(-from_bits(1 << 23, BINARY32), BINARY32)
+        assert hex_significand_rendering(largest32, BINARY32) == "2^(-126) * 0.7fffff"
+
+    @pytest.mark.parametrize(
+        "fmt, width", [(BINARY32, 6), (BINARY64, 13), (BINARY128, 28)], ids=["32", "64", "128"]
+    )
+    def test_every_kind_agrees_with_the_bits(self, fmt, width):
+        # the trailing significand field, read back from the text, is the
+        # low bits of the pattern, and the exponent is the stored one
+        rng = random.Random(fmt.bit_width)
+        trailing_bits = fmt.significand_bits - 1
+        for i in range(300):
+            pattern = rng.getrandbits(fmt.bit_width)
+            if i % 3 == 0:
+                pattern &= (1 << (fmt.bit_width - 1)) | ((1 << trailing_bits) - 1)
+            try:
+                f = from_bits(pattern, fmt)
+            except DomainError:
+                continue
+            text = hex_significand_rendering(f, fmt)
+            if f.kind in ("zero", "infinity"):
+                assert text in ("0", "inf", "-inf")
+                continue
+            head, digits = text.rsplit(".", 1)
+            assert len(digits) == width
+            assert int(digits, 16) == pattern & ((1 << trailing_bits) - 1)
+            biased = (pattern >> trailing_bits) & ((1 << fmt.exponent_field_bits) - 1)
+            lead = 1 if biased else 0
+            power = max(biased, 1) - fmt.emax
+            sign = "-" if pattern >> (fmt.bit_width - 1) else ""
+            assert head == f"{sign}2^({power}) * {lead}"
 
     def test_bracket_shared(self):
         iv = rational_to_interval(Rational(1, 1, 3), BINARY32)
@@ -502,6 +554,23 @@ class TestHexSignificand:
     def test_bracket_degenerate(self):
         iv = rational_to_interval(Rational(1, 1, 2), BINARY32)
         assert hex_significand_bracket(iv, BINARY32) == "2^(-1) * 1.000000[,]"
+
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=["binary32", "binary64"])
+    def test_bracket_follows_the_decimal_rule(self, fmt):
+        # zero and subnormal bounds factor as any others do, and an
+        # infinite bound takes the plain pair, as bracket_notation does
+        tiny, top, inf = fmt.smallest_subnormal, fmt.max_finite, infinity(1)
+        tiny_text = hex_significand_rendering(tiny, fmt)
+        top_text = hex_significand_rendering(top, fmt)
+        assert hex_significand_bracket(FloatInterval(ZERO, ZERO), fmt) == "0[,]"
+        assert hex_significand_bracket(FloatInterval(ZERO, tiny), fmt) == f"[0,{tiny_text}]"
+        assert hex_significand_bracket(FloatInterval(tiny, tiny), fmt) == f"{tiny_text}[,]"
+        assert hex_significand_bracket(FloatInterval(top, inf), fmt) == f"[{top_text},inf]"
+        assert hex_significand_bracket(FloatInterval(inf, inf), fmt) == "[inf,inf]"
+        assert hex_significand_bracket(FloatInterval(-inf, -inf), fmt) == "[-inf,-inf]"
+        assert hex_significand_bracket(FloatInterval(-inf, inf), fmt) == "[-inf,inf]"
+        pair = FloatInterval(tiny, next_up(tiny, fmt))
+        assert hex_significand_bracket(pair, fmt).endswith("[1,2]")
 
     def test_bracket_binade_crossing_falls_back(self):
         below = exact_float(1, 2**24 - 1, -24, BINARY32)  # just under 1
