@@ -84,12 +84,6 @@ class CheckFailure(Exception):
     """A --check revalidation disagreed with the emitted result."""
 
 
-def _exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific | DecimalInfinity:
-    if f.kind == KIND_INFINITE:
-        return DecimalInfinity(f.sign)
-    return float_to_exact_decimal(f, fmt)
-
-
 def _decimal_fields(
     lo: DecimalScientific | DecimalInfinity, hi: DecimalScientific | DecimalInfinity
 ) -> tuple[str, str, str]:
@@ -169,7 +163,7 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
         if args.check:
             _check_enclosure(interval, value, fmt, text)
         lo, hi, bracket = _decimal_fields(
-            _exact_decimal(interval.lb, fmt), _exact_decimal(interval.ub, fmt)
+            float_to_exact_decimal(interval.lb, fmt), float_to_exact_decimal(interval.ub, fmt)
         )
         lb_hex = hex_significand_rendering(interval.lb, fmt)
         ub_hex = hex_significand_rendering(interval.ub, fmt)
@@ -184,7 +178,7 @@ def _cmd_print(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
 
     def record(text: str) -> tuple[str]:
         f = _parse_float_token(text, fmt)
-        d = _exact_decimal(f, fmt)
+        d = float_to_exact_decimal(f, fmt)
         if args.check and f.kind != KIND_INFINITE:
             _check_enclosure(FloatInterval(f, f), d, fmt, text)
         return (plain_decimal(d),)

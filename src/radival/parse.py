@@ -28,6 +28,7 @@ from .digitstring import (
     _fraction_digits,
     _fraction_int,
     _int_from_digits,
+    _require,
 )
 from .floatkit import (
     KIND_NORMAL,
@@ -212,8 +213,7 @@ def binarize_exponent(m: DigitString, dec_exp: int) -> tuple[DigitString, int]:
     A positive decimal exponent requires a mantissa with no leading zeros
     (or an empty one); negative exponents take any fraction string.
     """
-    if m.role != FRACTION:
-        raise ValueError("expected a fraction digit string")
+    _require(m, FRACTION)
     if dec_exp > 0 and m.text[:1] == "0":
         raise ValueError("positive exponents need a mantissa without leading zeros")
     N, n = _fraction_int(m)
@@ -233,8 +233,7 @@ def normalize_mantissa(m: DigitString, bin_exp: int) -> tuple[DigitString, int]:
     doubling to the binary exponent.
 
     No carries can appear: the last doubling starts below 1/2."""
-    if m.role != FRACTION:
-        raise ValueError("expected a fraction digit string")
+    _require(m, FRACTION)
     if not m.text:
         raise ValueError("cannot normalize an empty mantissa")
     N, n = _fraction_int(m)
@@ -257,8 +256,7 @@ def fraction_bits(p: int, q: int, count: int) -> list[int]:
 
 def mantissa_bits(m: DigitString, count: int) -> list[int]:
     """First `count` binary fraction digits of the fraction 0.m."""
-    if m.role != FRACTION:
-        raise ValueError("expected a fraction digit string")
+    _require(m, FRACTION)
     N, n = _fraction_int(m)
     return _leading_bits(N, 10**n, count)
 

@@ -16,15 +16,7 @@ from __future__ import annotations
 import math
 
 from .digitstring import DigitString, _text_from_int
-from .floatkit import (
-    BINARY32,
-    KIND_INFINITE,
-    DomainError,
-    FloatFormat,
-    FloatInterval,
-    FloatValue,
-    decompose,
-)
+from .floatkit import KIND_INFINITE, FloatFormat, FloatInterval, FloatValue, decompose
 from .parse import DECIMAL_ZERO, DecimalScientific, _decimal_scientific
 from .value import Value
 
@@ -48,27 +40,24 @@ class DecimalInfinity(Value):
 class BracketRendering(Value):
     """Interval text split into a shared prefix and per-bound tails.
 
-    fallback is None when the prefix form applies; otherwise it holds the
-    complete plain rendering, the prefix is empty and each tail is a whole
-    bound. Either way text() gives the final string, and prefix + tail
-    reproduces each bound's numeral exactly.
+    The prefix form always has a nonempty prefix, so an empty one marks the
+    plain [lo,hi] form, whose tails are the whole bounds. Either way text()
+    gives the final string, and prefix + tail reproduces each bound's
+    numeral exactly.
     """
 
-    __slots__ = _fields = ("prefix", "low_tail", "high_tail", "fallback")
+    __slots__ = _fields = ("prefix", "low_tail", "high_tail")
 
-    def __new__(
-        cls, prefix: str, low_tail: str, high_tail: str, fallback: str | None = None
-    ) -> BracketRendering:
-        return cls._of(prefix, low_tail, high_tail, fallback)
+    def __new__(cls, prefix: str, low_tail: str, high_tail: str) -> BracketRendering:
+        return cls._of(prefix, low_tail, high_tail)
 
     def text(self) -> str:
-        if self.fallback is not None:
-            return self.fallback
         return f"{self.prefix}[{self.low_tail},{self.high_tail}]"
 
 
-def float_to_exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific:
-    """The terminating decimal expansion of a finite float, normalized.
+def float_to_exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific | DecimalInfinity:
+    """The terminating decimal expansion of a finite float, normalized, or
+    the infinity marker of an infinite one.
 
     No digit budget applies: the smallest binary64 subnormals take around
     750 significant digits and all of them are produced. One big-integer
@@ -76,7 +65,7 @@ def float_to_exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific
     one conversion of it to text writes every digit, however many.
     """
     if f.kind == KIND_INFINITE:
-        raise DomainError("no exact decimal for an infinity")
+        return DecimalInfinity(f.sign)
     m, e = decompose(f, fmt)
     if m == 0:
         return DECIMAL_ZERO
@@ -116,9 +105,12 @@ def truncate_directed(d: DecimalScientific, n: int, direction: str) -> DecimalSc
     return DecimalScientific(d.sign, DigitString.fraction(grown), d.exponent)
 
 
-def _round_outward(f: FloatValue, n: int, direction: str, fmt: FloatFormat) -> DecimalScientific:
-    """The n-digit rounding of a finite float toward the named direction,
-    from its pair (m, e) alone: the digits past the n-th are never formed.
+def _round_outward(
+    f: FloatValue, n: int, direction: str, fmt: FloatFormat
+) -> DecimalScientific | DecimalInfinity:
+    """The n-digit rounding of a float toward the named direction, from its
+    pair (m, e) alone: the digits past the n-th are never formed. An
+    infinity needs no digits and gives its marker.
 
     With x = m * 2^e in [2^(b-1), 2^b), b = bitlen(m) + e, the decimal
     exponent E of x = 0.d1d2... * 10^E is ceil(b * log10 2) or one less,
@@ -131,6 +123,8 @@ def _round_outward(f: FloatValue, n: int, direction: str, fmt: FloatFormat) -> D
     """
     if n < 1:
         raise ValueError("need at least one digit")
+    if f.kind == KIND_INFINITE:
+        return DecimalInfinity(f.sign)
     m, e = decompose(f, fmt)
     if m == 0:
         return DECIMAL_ZERO
@@ -164,15 +158,7 @@ def interval_to_decimal(
     bound: the lower bound rounds downward, the upper upward, each straight
     from its binary pair. Infinite endpoints pass through as infinity
     markers."""
-    if interval.lb.kind == KIND_INFINITE:
-        lo: DecimalScientific | DecimalInfinity = DecimalInfinity(interval.lb.sign)
-    else:
-        lo = _round_outward(interval.lb, n, "down", fmt)
-    if interval.ub.kind == KIND_INFINITE:
-        hi: DecimalScientific | DecimalInfinity = DecimalInfinity(interval.ub.sign)
-    else:
-        hi = _round_outward(interval.ub, n, "up", fmt)
-    return lo, hi
+    return _round_outward(interval.lb, n, "down", fmt), _round_outward(interval.ub, n, "up", fmt)
 
 
 def plain_decimal(d: DecimalScientific | DecimalInfinity) -> str:
@@ -223,8 +209,7 @@ def bracket_notation(
         # -inf lies below every finite value and +inf above it
         if (lo.sign if lo_infinite else 0) > (hi.sign if hi_infinite else 0):
             raise ValueError("bounds out of order")
-        lo_text, hi_text = plain_decimal(lo), plain_decimal(hi)
-        return BracketRendering("", lo_text, hi_text, f"[{lo_text},{hi_text}]")
+        return BracketRendering("", plain_decimal(lo), plain_decimal(hi))
     if _compare_decimals(lo, hi) > 0:
         raise ValueError("bounds out of order")
     lo_text = plain_decimal(lo)
@@ -240,7 +225,7 @@ def bracket_notation(
         and lo_digits[0] == hi_digits[0]
     )
     if not sharable:
-        return BracketRendering("", lo_text, hi_text, f"[{lo_text},{hi_text}]")
+        return BracketRendering("", lo_text, hi_text)
     if lo.exponent <= 0:
         # below 1 both texts are the same sign, "0." and zeros, then the digits
         k = len(lo_text) - len(lo_digits) + _shared_prefix_length(lo_digits, hi_digits)
@@ -267,7 +252,7 @@ def _shared_prefix_length(a: str, b: str) -> int:
     return lo
 
 
-def hex_significand_rendering(f: FloatValue, fmt: FloatFormat = BINARY32) -> str:
+def hex_significand_rendering(f: FloatValue, fmt: FloatFormat) -> str:
     """Power-of-two exponent with the trailing significand bits in base 16.
 
     A normal value prints as 2^(e) * 1.<digits> and a subnormal as
@@ -288,7 +273,7 @@ def hex_significand_rendering(f: FloatValue, fmt: FloatFormat = BINARY32) -> str
     return "%s2^(%d) * %d.%0*x" % (sign, e + t, m >> t, (t + 3) // 4, m & ((1 << t) - 1))
 
 
-def hex_significand_bracket(interval: FloatInterval, fmt: FloatFormat = BINARY32) -> str:
+def hex_significand_bracket(interval: FloatInterval, fmt: FloatFormat) -> str:
     """Bracket form of an interval's hex significands.
 
     The shared prefix factors out only when both bounds carry the same

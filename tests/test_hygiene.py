@@ -1,7 +1,7 @@
 """Source hygiene that a linter would check: no module imports a name it
-never uses, every name the package exports resolves, and every public
-definition has a user. Launch hygiene: importing the command line loads
-nothing that only --check needs."""
+never uses, no function defaults its format, every name the package
+exports resolves, and every public definition has a user. Launch hygiene:
+importing the command line loads nothing that only --check needs."""
 
 import ast
 import os
@@ -31,6 +31,21 @@ def test_every_import_is_used(path):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_format_default(path):
+    """No function defaults its format: a caller that forgets fmt would get
+    binary32 digits for a binary64 value without an error."""
+    defaulted = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            with_default = positional[len(positional) - len(args.defaults) :]
+            with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            defaulted += [node.name for a in with_default if a.arg == "fmt"]
+    assert defaulted == []
 
 
 def test_exports_resolve():

@@ -115,6 +115,16 @@ class TestParseNumeral:
             parse_numeral("١٢")
 
 
+@pytest.mark.parametrize(
+    "stage, arg",
+    [(binarize_exponent, -3), (normalize_mantissa, 0), (mantissa_bits, 5)],
+    ids=["binarize_exponent", "normalize_mantissa", "mantissa_bits"],
+)
+def test_stages_reject_integer_strings(stage, arg):
+    with pytest.raises(ValueError, match="expected a fraction digit string"):
+        stage(DigitString.integer("12"), arg)
+
+
 class TestBinarize:
     def test_negative_exponent_worked_example(self):
         assert binarize_exponent(frac("123"), -1) == (frac("1968"), -4)

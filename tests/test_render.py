@@ -1,6 +1,7 @@
 """Exact decimal output, outward truncation, and bracket renderings."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from os.path import commonprefix
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import exact_float
+from builders import BFLOAT16, BINARY16, exact_float
 from radival import oracle
 from radival.digitstring import DigitString
 from radival.floatkit import (
@@ -81,9 +82,25 @@ class TestFloatToExactDecimal:
         assert len(d.mantissa.digits) == 105
         assert oracle.exact_value(d) == Fraction(1, 2**149)
 
-    def test_infinity_rejected(self):
-        with pytest.raises(DomainError):
-            float_to_exact_decimal(infinity(1), BINARY32)
+    def test_infinity_marker(self):
+        for fmt in (BINARY32, BINARY64):
+            for sign in (1, -1):
+                assert float_to_exact_decimal(infinity(sign), fmt) == DecimalInfinity(sign)
+
+    @pytest.mark.parametrize(
+        "text, fmt, expected",
+        [
+            ("1e39", BINARY32, "[340282346638528859811704183484516925440,inf]"),
+            ("-1e309", BINARY64, f"[-inf,{-int(sys.float_info.max)}]"),
+        ],
+        ids=["binary32", "binary64"],
+    )
+    def test_overflowed_enclosure_prints(self, text, fmt, expected):
+        # an overflowing magnitude's outer bound is an infinity; both exact
+        # bounds of its enclosure print, the finite one in full
+        iv = decimal_to_interval(parse_numeral(text), fmt)
+        lo, hi = float_to_exact_decimal(iv.lb, fmt), float_to_exact_decimal(iv.ub, fmt)
+        assert bracket_notation(lo, hi).text() == expected
 
     @pytest.mark.parametrize("fmt", [BINARY32, BINARY64])
     def test_matches_staged_route(self, fmt):
@@ -381,7 +398,7 @@ class TestBracketNotation:
 
     def test_fallback_on_exponent_mismatch(self):
         r = bracket_notation(decimal(1, "9", 0), decimal(1, "1", 1))
-        assert r.fallback == "[0.9,1]"
+        assert r.prefix == ""
         assert r.text() == "[0.9,1]"
 
     def test_fallback_on_sign_mismatch(self):
@@ -417,9 +434,11 @@ class TestBracketNotation:
         if oracle.exact_value(a) > oracle.exact_value(b):
             a, b = b, a
         r = bracket_notation(a, b)
-        if r.fallback is None:
-            assert r.prefix + r.low_tail == plain_decimal(a)
-            assert r.prefix + r.high_tail == plain_decimal(b)
+        assert r.prefix + r.low_tail == plain_decimal(a)
+        assert r.prefix + r.high_tail == plain_decimal(b)
+        # same sign and exponent, so the prefix form applies exactly when the
+        # opening digits agree, and its prefix is never empty
+        assert (r.prefix != "") == (da[0] == db[0])
 
     @pytest.mark.parametrize(
         "fmt, zeros", [(BINARY32, 38), (BINARY64, 300)], ids=["binary32", "binary64"]
@@ -433,7 +452,6 @@ class TestBracketNotation:
             lo, hi = (float_to_exact_decimal(f, fmt) for f in sorted([a, b]))
             lo_text, hi_text = plain_decimal(lo), plain_decimal(hi)
             r = bracket_notation(lo, hi)
-            assert r.fallback is None
             assert r.prefix == commonprefix([lo_text, hi_text])
             assert len(r.prefix) > zeros
             assert (r.prefix + r.low_tail, r.prefix + r.high_tail) == (lo_text, hi_text)
@@ -444,8 +462,9 @@ class TestBracketNotation:
 
     @pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=["binary32", "binary64"])
     def test_every_kernel_interval(self, fmt):
-        # seeded intervals, infinite and zero bounds among them, at seeded
-        # budgets: each renders, and prefix + tail is each bound's text
+        # seeded intervals, infinite and zero bounds among them, rounded at
+        # seeded budgets and printed exactly: each renders, and prefix +
+        # tail is each bound's text
         rng = random.Random(3 * fmt.bit_width)
         tiny, top = fmt.smallest_subnormal, fmt.max_finite
         pairs = [
@@ -468,15 +487,17 @@ class TestBracketNotation:
                 b = next_up(a, fmt) if a != infinity(1) else a
             pairs.append((min(a, b), max(a, b)))
         for a, b in pairs:
-            lo, hi = interval_to_decimal(FloatInterval(a, b), rng.randint(1, 40), fmt)
-            r = bracket_notation(lo, hi)
-            assert r.prefix + r.low_tail == plain_decimal(lo)
-            assert r.prefix + r.high_tail == plain_decimal(hi)
-            if isinstance(lo, DecimalInfinity) or isinstance(hi, DecimalInfinity):
-                assert r.text() == f"[{plain_decimal(lo)},{plain_decimal(hi)}]"
-            if lo != hi:
-                with pytest.raises(ValueError):
-                    bracket_notation(hi, lo)
+            rounded = interval_to_decimal(FloatInterval(a, b), rng.randint(1, 40), fmt)
+            exact = float_to_exact_decimal(a, fmt), float_to_exact_decimal(b, fmt)
+            for lo, hi in (rounded, exact):
+                r = bracket_notation(lo, hi)
+                assert r.prefix + r.low_tail == plain_decimal(lo)
+                assert r.prefix + r.high_tail == plain_decimal(hi)
+                if isinstance(lo, DecimalInfinity) or isinstance(hi, DecimalInfinity):
+                    assert r.text() == f"[{plain_decimal(lo)},{plain_decimal(hi)}]"
+                if lo != hi:
+                    with pytest.raises(ValueError):
+                        bracket_notation(hi, lo)
 
 
 class TestHexSignificand:
@@ -519,7 +540,9 @@ class TestHexSignificand:
         assert hex_significand_rendering(largest32, BINARY32) == "2^(-126) * 0.7fffff"
 
     @pytest.mark.parametrize(
-        "fmt, width", [(BINARY32, 6), (BINARY64, 13), (BINARY128, 28)], ids=["32", "64", "128"]
+        "fmt, width",
+        [(BINARY16, 3), (BFLOAT16, 2), (BINARY32, 6), (BINARY64, 13), (BINARY128, 28)],
+        ids=["16", "bfloat16", "32", "64", "128"],
     )
     def test_every_kind_agrees_with_the_bits(self, fmt, width):
         # the trailing significand field, read back from the text, is the

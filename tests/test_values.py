@@ -39,7 +39,7 @@ VALUES = [
     (DecimalInfinity(-1), "DecimalInfinity(sign=-1)"),
     (
         BracketRendering("0.5", "", ""),
-        "BracketRendering(prefix='0.5', low_tail='', high_tail='', fallback=None)",
+        "BracketRendering(prefix='0.5', low_tail='', high_tail='')",
     ),
 ]
 IDS = [type(value).__name__ for value, _ in VALUES]
