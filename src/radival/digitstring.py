@@ -84,11 +84,14 @@ def _digit_string(text: str, role: str) -> DigitString:
 
 
 def _digit_text(digits: Iterable[int]) -> str:
-    # any int outside 0..9 lands outside '0'..'9' and fails validation
+    # an int in 0..9 lands on its ASCII digit and any other int off '0'..'9'
     try:
-        return bytes(d + 48 for d in digits).decode("ascii")
+        text = bytes(d + 48 for d in digits).decode("ascii")
+        if text.isdigit() or not text:
+            return text
     except ValueError:
-        raise ValueError(f"digits out of range in {digits!r}") from None
+        pass
+    raise ValueError(f"digits out of range in {digits!r}")
 
 
 def _require(m: DigitString, role: str) -> None:

@@ -109,17 +109,14 @@ class FloatValue(Value):
     def __lt__(self, other: "FloatValue") -> bool:
         if not isinstance(other, FloatValue):
             return NotImplemented
-        if self == other:
-            return False
-        if self.kind == KIND_INFINITE:
-            return self.sign < 0
-        if other.kind == KIND_INFINITE:
-            return other.sign > 0
-        if self.sign != other.sign:
-            return self.sign < other.sign
-        if self.sign > 0:
-            return _magnitude_lt(self, other)
-        return _magnitude_lt(other, self)
+        if self.kind == KIND_INFINITE or other.kind == KIND_INFINITE:
+            # an infinity ranks by its sign against 0 for any finite value
+            a = self.sign if self.kind == KIND_INFINITE else 0
+            return a < (other.sign if other.kind == KIND_INFINITE else 0)
+        # signed significands shifted to the common exponent
+        a, b = self.sign * self.significand, other.sign * other.significand
+        shift = self.exponent - other.exponent
+        return (a << shift) < b if shift >= 0 else a < (b << -shift)
 
     def __neg__(self) -> "FloatValue":
         if self.kind == KIND_ZERO:
@@ -146,14 +143,6 @@ def _float_value(kind: str, sign: int, m: int, e: int) -> FloatValue:
     _set_significand(self, m)
     _set_exponent(self, e)
     return self
-
-
-def _magnitude_lt(a: FloatValue, b: FloatValue) -> bool:
-    ma, ea = a.significand, a.exponent
-    mb, eb = b.significand, b.exponent
-    if ea >= eb:
-        return (ma << (ea - eb)) < mb
-    return ma < (mb << (eb - ea))
 
 
 ZERO = FloatValue(KIND_ZERO, 1, 0, 0)

@@ -37,7 +37,6 @@ from .floatkit import (
     DomainError,
     FloatFormat,
     FloatInterval,
-    FloatValue,
     _float_interval,
     _float_value,
     next_up,
@@ -261,73 +260,53 @@ def mantissa_bits(m: DigitString, count: int) -> list[int]:
     return _leading_bits(N, 10**n, count)
 
 
-def _enclose_magnitude(num: int, den: int, fmt: FloatFormat) -> tuple[FloatValue, bool]:
-    """Lower bound and inexactness flag for the magnitude num/den > 0.
+def _enclose(sign: int, num: int, den: int, fmt: FloatFormat) -> FloatInterval:
+    """Narrowest interval of format values enclosing sign * num/den.
 
-    One division floors the magnitude onto the format's grid at its binade
-    (the subnormal grid below the normal range), and the remainder says
-    whether the floor was exact. Magnitudes beyond the finite range clamp
-    to the top value and magnitudes under the subnormal grid floor to
-    zero; both keep the flag on so the caller widens outward.
+    One division floors num/den onto the format's grid at its binade (the
+    subnormal grid below the normal range), and a nonzero remainder puts
+    the value strictly inside the next ulp, so the upper bound is one step
+    up. Magnitudes beyond the finite range clamp to the top value and
+    those under the subnormal grid to zero, both with a remainder.
     """
+    if num == 0:
+        return _float_interval(ZERO, ZERO)
     p = fmt.significand_bits
     E = _log2_floor(num, den)
     if E > fmt.emax:
-        return fmt.max_finite, True
-    e = max(E - (p - 1), fmt.least_exponent)
-    if e >= 0:
-        m, rem = divmod(num, den << e)
+        lb, rem = fmt.max_finite, 1
     else:
-        m, rem = divmod(num << -e, den)
-    if m == 0:
-        return ZERO, True
-    kind = KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL
-    return _float_value(kind, 1, m, e), rem != 0
-
-
-def _widen(sign: int, lb: FloatValue, sticky: bool, fmt: FloatFormat) -> FloatInterval:
-    ub = next_up(lb, fmt) if sticky else lb
-    interval = _float_interval(lb, ub)
+        e = max(E - (p - 1), fmt.least_exponent)
+        m, rem = divmod(num, den << e) if e >= 0 else divmod(num << -e, den)
+        # m == 0 leaves all of num > 0 as the remainder
+        lb = _float_value(KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, 1, m, e) if m else ZERO
+    interval = _float_interval(lb, next_up(lb, fmt) if rem else lb)
     return -interval if sign < 0 else interval
 
 
-def _exponent_hint(dec_exp: int, fmt: FloatFormat) -> tuple[FloatValue, bool] | None:
-    """Settle hopeless decimal exponents without touching any digits.
+def decimal_to_interval(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:
+    """Narrowest interval of format values enclosing the numeral's value:
+    degenerate when the value is exact, with an infinite outer bound past
+    the finite range and a zero inner bound under the subnormal grid.
 
     A nonzero mantissa puts the magnitude in [10^(e-1), 10^e). Since
     8^k <= 10^k, a large enough e forces an overflow whatever the digits
-    say, and a small enough e forces a value under the subnormal grid.
-    Keeps the digit work bounded by the format's own exponent range.
+    say and a small enough e a value under the subnormal grid; a power of
+    two from the same region then stands in for the digits, keeping the
+    digit work bounded by the format's own exponent range (zero has e = 0).
     """
-    if dec_exp > 0 and 3 * (dec_exp - 1) >= fmt.emax + 1:
-        return fmt.max_finite, True
-    if dec_exp < 0 and 3 * dec_exp <= fmt.least_exponent:
-        return ZERO, True
-    return None
-
-
-def decimal_to_interval(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:
-    """Narrowest interval of format values enclosing the numeral's value.
-
-    Exact values give a degenerate interval; any other value lands
-    strictly between two adjacent format values and both are returned.
-    Magnitudes beyond the finite range take an infinite outer bound,
-    magnitudes under the subnormal grid take a zero inner bound.
-    """
-    if d.is_zero:
-        return FloatInterval(ZERO, ZERO)
-    hint = _exponent_hint(d.exponent, fmt)
-    if hint is not None:
-        return _widen(d.sign, *hint, fmt)
-    # past the hint, |k| is at most the digit count plus the format's
+    e = d.exponent
+    if e > 0 and 3 * (e - 1) >= fmt.emax + 1:
+        return _enclose(d.sign, 2 << fmt.emax, 1, fmt)
+    if e < 0 and 3 * e <= fmt.least_exponent:
+        return _enclose(d.sign, 1, 2 << -fmt.least_exponent, fmt)
+    # past those tests |k| is at most the digit count plus the format's
     # decimal exponent range, so no power of ten outgrows the input
     N, n = _fraction_int(d.mantissa)
-    k = d.exponent - n
-    return rational_to_interval(Rational(d.sign, N * 10 ** max(k, 0), 10 ** max(-k, 0)), fmt)
+    k = e - n
+    return _enclose(d.sign, N * 10 ** max(k, 0), 10 ** max(-k, 0), fmt)
 
 
 def rational_to_interval(r: Rational, fmt: FloatFormat) -> FloatInterval:
     """Narrowest enclosing interval for p/q, never forming a decimal."""
-    if r.p == 0:
-        return FloatInterval(ZERO, ZERO)
-    return _widen(r.sign, *_enclose_magnitude(r.p, r.q, fmt), fmt)
+    return _enclose(r.sign, r.p, r.q, fmt)

@@ -74,19 +74,23 @@ def float_to_exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific
     return _decimal_scientific(f.sign, text.rstrip("0"), len(text) + min(e, 0))
 
 
-def truncate_directed(d: DecimalScientific, n: int, direction: str) -> DecimalScientific:
+def truncate_directed(
+    d: DecimalScientific | DecimalInfinity, n: int, direction: str
+) -> DecimalScientific | DecimalInfinity:
     """Round to at most n mantissa digits toward the named direction.
 
     "down" moves toward -infinity and "up" toward +infinity, so a negative
     numeral drops digits on "up" and rounds them on "down". Rounding a run
     of nines carries into a fresh leading 1 and lifts the exponent: 0.999
     rounded up at one digit is 0.1 * 10^1. Numerals already short enough
-    pass through untouched.
+    pass through untouched, and so does an infinity marker.
     """
     if direction not in ("down", "up"):
         raise ValueError(f"unknown direction {direction!r}")
     if n < 1:
         raise ValueError("need at least one digit")
+    if isinstance(d, DecimalInfinity):
+        return d
     text = d.mantissa.text
     if len(text) <= n:
         return d
@@ -119,7 +123,7 @@ def _round_outward(
     which one more digit follows. A nonzero final remainder means digits
     were dropped, and only then does rounding away from zero add one.
     The exact expansion has at most E - min(e, 0) digits, so a larger
-    budget is cut to that and gives the exact value.
+    budget gives that expansion itself.
     """
     if n < 1:
         raise ValueError("need at least one digit")
@@ -131,7 +135,7 @@ def _round_outward(
     exponent = math.ceil((m.bit_length() + e) * _LOG10_2)
     # n > max(E, E - e), tested without calls on the per-bound path
     if n > exponent and n > exponent - e:
-        n = exponent - min(e, 0)
+        return float_to_exact_decimal(f, fmt)
     num, den = (m << e, 1) if e >= 0 else (m, 1 << -e)
     shift = n - exponent
     if shift >= 0:
@@ -187,11 +191,11 @@ def _compare_decimals(a: DecimalScientific, b: DecimalScientific) -> int:
         return 0
     if a.exponent != b.exponent:
         return sa * (-1 if a.exponent < b.exponent else 1)
+    # a canonical mantissa never ends in 0, so text order is value order
     da, db = a.mantissa.text, b.mantissa.text
     if da == db:
         return 0
-    pad = max(len(da), len(db))
-    return sa * (-1 if da.ljust(pad, "0") < db.ljust(pad, "0") else 1)
+    return sa * (-1 if da < db else 1)
 
 
 def bracket_notation(
@@ -226,11 +230,7 @@ def bracket_notation(
     )
     if not sharable:
         return BracketRendering("", lo_text, hi_text)
-    if lo.exponent <= 0:
-        # below 1 both texts are the same sign, "0." and zeros, then the digits
-        k = len(lo_text) - len(lo_digits) + _shared_prefix_length(lo_digits, hi_digits)
-    else:
-        k = _shared_prefix_length(lo_text, hi_text)
+    k = _shared_prefix_length(lo_text, hi_text)
     return BracketRendering(lo_text[:k], lo_text[k:], hi_text[k:])
 
 

@@ -59,6 +59,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DigitString((-1,), FRACTION)
 
+    @pytest.mark.parametrize("digits", [[1, 10], [-1], b"12", (5, 300)], ids=repr)
+    def test_out_of_range_digits_named(self, digits):
+        # each element outside 0..9 is rejected under the caller's own input,
+        # not as the text it would map to (':' for 10, '/' for -1, 'ab' for
+        # the bytes 49 and 50)
+        message = f"digits out of range in {digits!r}"
+        for build in (DigitString, DigitString.fraction, DigitString.integer):
+            with pytest.raises(ValueError) as caught:
+                build(digits)
+            assert str(caught.value) == message
+
     def test_rejects_nondigit_text(self):
         with pytest.raises(ValueError):
             frac("12a")

@@ -5,13 +5,15 @@ host's float machinery and shares nothing with the integer arithmetic
 under test.
 """
 
+import random
 import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import exact_float, machine_epsilon
+from builders import BINARY16, exact_float, machine_epsilon
+from radival import oracle
 from radival.floatkit import (
     BINARY32,
     BINARY64,
@@ -147,6 +149,34 @@ class TestOrderingAndEquality:
         fb = struct.unpack("<f", struct.pack("<I", pb))[0]
         assert (a < b) == (fa < fb)
         assert (a == b) == (fa == fb)
+
+    def test_order_across_formats(self):
+        # values of three formats in both signs: zero, subnormals, one, the
+        # top finite value, seeded patterns and both infinities, with each
+        # binary16 value also placed on the binary64 grid, so equal values
+        # meet with different (m, e) pairs
+        rng = random.Random(2007)
+        values = [ZERO, infinity(1), infinity(-1)]
+        for fmt in (BINARY16, BINARY32, BINARY64):
+            t = fmt.significand_bits - 1
+            top = to_bits(fmt.max_finite, fmt)
+            patterns = [1, 2, (1 << t) - 1, 1 << t, to_bits(fmt.one, fmt), top]
+            for pattern in patterns + [rng.randrange(1, top) for _ in range(12)]:
+                f = from_bits(pattern, fmt)
+                values += [f, -f]
+                if fmt is BINARY16:
+                    values.append(exact_float(f.sign, f.significand, f.exponent, BINARY64))
+        # the oracle's exact value orders the finite values; an infinity
+        # ranks by its sign against all of them
+        ranks = [
+            (f.sign, 0) if f.kind == KIND_INFINITE else (0, oracle.float_exact_value(f))
+            for f in values
+        ]
+        for a, ra in zip(values, ranks):
+            for b, rb in zip(values, ranks):
+                assert (a < b) == (ra < rb), (a, b)
+                assert (a == b) == (ra == rb), (a, b)
+                assert [a < b, a == b, b < a].count(True) == 1, (a, b)
 
 
 class TestNextUp:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import exact_float
+from builders import BFLOAT16, BINARY16, exact_float
 from radival import oracle
 from radival.digitstring import DigitString
 from radival.floatkit import (
@@ -19,7 +19,7 @@ from radival.floatkit import (
     infinity,
     next_up,
 )
-from radival.parse import DECIMAL_ZERO, DecimalScientific, Rational
+from radival.parse import DECIMAL_ZERO, DecimalScientific, Rational, decimal_to_interval
 
 
 def decimal(sign: int, digits: str, exponent: int) -> DecimalScientific:
@@ -112,10 +112,16 @@ class TestNarrowestReference:
 
 
 class TestDecimalReference:
-    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=["binary32", "binary64"])
+    @pytest.mark.parametrize(
+        "fmt",
+        [BINARY32, BINARY64, BINARY16, BFLOAT16],
+        ids=["binary32", "binary64", "binary16", "bfloat16"],
+    )
     def test_clamps_agree_with_the_unclamped_reference(self, fmt):
         # every exponent within 60 of each edge of the format's decimal
-        # range, where both clamps switch on, in both signs
+        # range, in both signs: the sweep crosses where the oracle's clamps
+        # and the converter's own exponent tests switch on, and both must
+        # give the reference's interval on either side
         rng = random.Random(1990)
         edges = (fmt.emax + 1) * math.log10(2), fmt.least_exponent * math.log10(2)
         for edge in map(round, edges):
@@ -125,6 +131,7 @@ class TestDecimalReference:
                         d = decimal(sign, digits, e)
                         expected = oracle.narrowest_interval_reference(oracle.exact_value(d), fmt)
                         assert oracle.decimal_reference(d, fmt) == expected, (sign, digits, e)
+                        assert decimal_to_interval(d, fmt) == expected, (sign, digits, e)
 
     def test_zero(self):
         assert oracle.decimal_reference(DECIMAL_ZERO, BINARY32) == FloatInterval(ZERO, ZERO)

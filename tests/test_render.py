@@ -197,6 +197,18 @@ class TestTruncateDirected:
         with pytest.raises(ValueError):
             truncate_directed(decimal(1, "5", 0), 3, "sideways")
 
+    def test_infinity_marker_passes_through(self):
+        # the marker float_to_exact_decimal and interval_to_decimal return
+        # has no digits to drop, but the arguments are still checked
+        for sign in (1, -1):
+            marker = DecimalInfinity(sign)
+            for direction in ("down", "up"):
+                assert truncate_directed(marker, 3, direction) is marker
+                with pytest.raises(ValueError):
+                    truncate_directed(marker, 0, direction)
+            with pytest.raises(ValueError):
+                truncate_directed(marker, 3, "sideways")
+
     @given(
         st.builds(
             decimal,

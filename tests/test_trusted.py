@@ -1,7 +1,7 @@
 """The kernels' trusted constructors build only what the checked ones accept.
 
-parse_numeral, float_to_exact_decimal, _round_outward, _enclose_magnitude,
-_widen, next_up, from_bits and both negations skip the constructor checks
+parse_numeral, float_to_exact_decimal, _round_outward, _enclose, next_up,
+from_bits and both negations skip the constructor checks
 for values they have just made canonical. Every value they return here is
 rebuilt through the public constructors, which must accept it unchanged;
 each float must also be canonical for the format it came from.
