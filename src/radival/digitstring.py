@@ -84,7 +84,10 @@ def _digit_string(text: str, role: str) -> DigitString:
 
 
 def _digit_text(digits: Iterable[int]) -> str:
-    # an int in 0..9 lands on its ASCII digit and any other int off '0'..'9'
+    # an int in 0..9 lands on its ASCII digit and any other int off '0'..'9';
+    # an iterator is read once into a list, so an error can name its digits
+    if iter(digits) is digits:
+        digits = list(digits)
     try:
         text = bytes(d + 48 for d in digits).decode("ascii")
         if text.isdigit() or not text:

@@ -86,25 +86,20 @@ class FloatValue(Value):
     def is_zero(self) -> bool:
         return self.kind == KIND_ZERO
 
-    def _reduced(self) -> tuple[int, int]:
-        # unique value key for finite data: shift the significand odd
-        m = self.significand
-        if m == 0:
-            return 0, 0
-        shift = (m & -m).bit_length() - 1
-        return m >> shift, self.exponent + shift
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FloatValue):
             return NotImplemented
-        if self.kind == KIND_INFINITE or other.kind == KIND_INFINITE:
-            return self.kind == other.kind and self.sign == other.sign
-        return self.sign == other.sign and self._reduced() == other._reduced()
+        return not (self < other or other < self)
 
     def __hash__(self) -> int:
         if self.kind == KIND_INFINITE:
             return hash((KIND_INFINITE, self.sign))
-        return hash((self.sign, self._reduced()))
+        # equal values share the pair whose significand is shifted odd
+        m, e = self.significand, self.exponent
+        if m:
+            shift = (m & -m).bit_length() - 1
+            m, e = m >> shift, e + shift
+        return hash((self.sign, (m, e)))
 
     def __lt__(self, other: "FloatValue") -> bool:
         if not isinstance(other, FloatValue):
@@ -113,10 +108,9 @@ class FloatValue(Value):
             # an infinity ranks by its sign against 0 for any finite value
             a = self.sign if self.kind == KIND_INFINITE else 0
             return a < (other.sign if other.kind == KIND_INFINITE else 0)
-        # signed significands shifted to the common exponent
+        # signed significands compared at the common exponent
         a, b = self.sign * self.significand, other.sign * other.significand
-        shift = self.exponent - other.exponent
-        return (a << shift) < b if shift >= 0 else a < (b << -shift)
+        return not _shifted_ge(a, self.exponent - other.exponent, b)
 
     def __neg__(self) -> "FloatValue":
         if self.kind == KIND_ZERO:
@@ -133,6 +127,13 @@ class FloatValue(Value):
 
 
 _set_kind, _set_sign, _set_significand, _set_exponent = slot_setters(FloatValue)
+
+
+def _shifted_ge(x: int, k: int, y: int) -> bool:
+    # x * 2^k >= y with k of either sign
+    if k >= 0:
+        return (x << k) >= y
+    return x >= (y << -k)
 
 
 def _float_value(kind: str, sign: int, m: int, e: int) -> FloatValue:
@@ -176,6 +177,23 @@ def decompose(f: FloatValue, fmt: FloatFormat) -> tuple[int, int]:
     return m, e
 
 
+def _on_grid(sign: int, m: int, e: int, fmt: FloatFormat) -> FloatValue:
+    """The format value sign * m * 2^e, for a pair on the format's grid or
+    one unit past the top of its binade.
+
+    The unit past the top carries into the next binade, and past the top
+    finite value into an infinity; m == 0 is zero.
+    """
+    p = fmt.significand_bits
+    if m == 1 << p:
+        m, e = m >> 1, e + 1
+        if e > fmt.emax - p + 1:
+            return infinity(sign)
+    if m == 0:
+        return ZERO
+    return _float_value(KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e)
+
+
 def next_up(x: FloatValue, fmt: FloatFormat) -> FloatValue:
     """Least format value greater than x.
 
@@ -184,29 +202,16 @@ def next_up(x: FloatValue, fmt: FloatFormat) -> FloatValue:
     """
     if x.kind == KIND_INFINITE:
         raise ValueError("next_up needs a finite value")
-    p = fmt.significand_bits
     if x.kind == KIND_ZERO:
         return fmt.smallest_subnormal
     m, e = decompose(x, fmt)
     if x.sign > 0:
-        m += 1
-        if m == 1 << p:
-            m >>= 1
-            e += 1
-            if e > fmt.emax - p + 1:
-                return infinity(1)
-        kind = KIND_NORMAL if m >= 1 << (p - 1) else KIND_SUBNORMAL
-        return _float_value(kind, 1, m, e)
-    # negative: one step toward zero, borrowing a bit when m leaves the
-    # normal range while the exponent still has room
-    m -= 1
-    if m == 0:
-        return ZERO
-    if m < 1 << (p - 1) and e > fmt.least_exponent:
-        m = (m << 1) | 1
-        e -= 1
-    kind = KIND_NORMAL if m >= 1 << (p - 1) else KIND_SUBNORMAL
-    return _float_value(kind, -1, m, e)
+        return _on_grid(1, m + 1, e, fmt)
+    # negative: one step toward zero; at the bottom of a binade the step
+    # lands in the binade below, which has twice the resolution
+    if m == 1 << (fmt.significand_bits - 1) and e > fmt.least_exponent:
+        m, e = m << 1, e - 1
+    return _on_grid(-1, m - 1, e, fmt)
 
 
 def to_bits(x: FloatValue, fmt: FloatFormat) -> int:
@@ -242,9 +247,7 @@ def from_bits(pattern: int, fmt: FloatFormat) -> FloatValue:
             raise DomainError("NaN patterns have no value")
         return infinity(sign)
     if field == 0:
-        if trailing == 0:
-            return ZERO
-        return _float_value(KIND_SUBNORMAL, sign, trailing, fmt.least_exponent)
+        return _on_grid(sign, trailing, fmt.least_exponent, fmt)
     m = (1 << t) | trailing
     e = field - fmt.emax - (fmt.significand_bits - 1)
     return _float_value(KIND_NORMAL, sign, m, e)

@@ -31,15 +31,13 @@ from .digitstring import (
     _require,
 )
 from .floatkit import (
-    KIND_NORMAL,
-    KIND_SUBNORMAL,
     ZERO,
     DomainError,
     FloatFormat,
     FloatInterval,
     _float_interval,
-    _float_value,
-    next_up,
+    _on_grid,
+    _shifted_ge,
 )
 from .value import Value, _new, slot_setters
 
@@ -180,13 +178,6 @@ def parse_numeral(text: str) -> DecimalScientific:
     return _decimal_scientific(sign, digits.rstrip("0"), exponent)
 
 
-def _shifted_ge(x: int, k: int, y: int) -> bool:
-    # x * 2^k >= y with k of either sign
-    if k >= 0:
-        return (x << k) >= y
-    return x >= (y << -k)
-
-
 def _log2_floor(p: int, q: int) -> int:
     """floor(log2(p/q)) for positive p and q.
 
@@ -274,13 +265,13 @@ def _enclose(sign: int, num: int, den: int, fmt: FloatFormat) -> FloatInterval:
     p = fmt.significand_bits
     E = _log2_floor(num, den)
     if E > fmt.emax:
-        lb, rem = fmt.max_finite, 1
+        m, e, rem = (1 << p) - 1, fmt.emax - p + 1, 1
     else:
         e = max(E - (p - 1), fmt.least_exponent)
         m, rem = divmod(num, den << e) if e >= 0 else divmod(num << -e, den)
-        # m == 0 leaves all of num > 0 as the remainder
-        lb = _float_value(KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, 1, m, e) if m else ZERO
-    interval = _float_interval(lb, next_up(lb, fmt) if rem else lb)
+    # m == 0 (all of num > 0 left as the remainder) gives zero
+    lb = _on_grid(1, m, e, fmt)
+    interval = _float_interval(lb, _on_grid(1, m + 1, e, fmt) if rem else lb)
     return -interval if sign < 0 else interval
 
 

@@ -1,6 +1,7 @@
 """Digit-string arithmetic against hand-worked cases and value identities."""
 
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -59,15 +60,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DigitString((-1,), FRACTION)
 
-    @pytest.mark.parametrize("digits", [[1, 10], [-1], b"12", (5, 300)], ids=repr)
+    @pytest.mark.parametrize(
+        "digits",
+        [[1, 10], [-1], b"12", (5, 300), pytest.param(iter([1, 10]), id="iter([1, 10])")],
+        ids=repr,
+    )
     def test_out_of_range_digits_named(self, digits):
         # each element outside 0..9 is rejected under the caller's own input,
         # not as the text it would map to (':' for 10, '/' for -1, 'ab' for
-        # the bytes 49 and 50)
+        # the bytes 49 and 50); an iterator is named by its elements
+        one_shot = isinstance(digits, Iterator)
+        if one_shot:
+            digits = list(digits)
         message = f"digits out of range in {digits!r}"
         for build in (DigitString, DigitString.fraction, DigitString.integer):
             with pytest.raises(ValueError) as caught:
-                build(digits)
+                build(iter(digits) if one_shot else digits)
             assert str(caught.value) == message
 
     def test_rejects_nondigit_text(self):

@@ -177,6 +177,8 @@ class TestOrderingAndEquality:
                 assert (a < b) == (ra < rb), (a, b)
                 assert (a == b) == (ra == rb), (a, b)
                 assert [a < b, a == b, b < a].count(True) == 1, (a, b)
+                if ra == rb:
+                    assert hash(a) == hash(b), (a, b)
 
 
 class TestNextUp:

@@ -1,6 +1,7 @@
 """Source hygiene that a linter would check: no module imports a name it
 never uses, no function defaults its format, every name the package
-exports resolves, and every public definition has a user. Launch hygiene:
+exports resolves, every public definition has a user, and no function
+name is defined in two modules. Launch hygiene:
 importing the command line loads nothing that only --check needs."""
 
 import ast
@@ -86,6 +87,24 @@ def test_every_public_definition_has_a_user():
         and node.name not in used | pinned
     ]
     assert unused == []
+
+
+# the oracle's own copies of converter helpers, kept so that it shares no
+# code with what it checks
+ORACLE_COPIES = {"_shifted_ge"}
+
+
+def test_one_definition_per_function_name():
+    """No top-level function name is defined in two modules, so a second
+    copy of a kernel helper cannot creep in; only the oracle's deliberate
+    copies are exempt."""
+    homes = {}
+    for path in pathlib.Path(radival.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                homes.setdefault(node.name, []).append(path.name)
+    shared = {name: sorted(where) for name, where in homes.items() if len(where) > 1}
+    assert shared == {name: ["floatkit.py", "oracle.py"] for name in ORACLE_COPIES}
 
 
 def test_cli_imports_nothing_private_from_render():

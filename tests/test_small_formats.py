@@ -18,6 +18,7 @@ from builders import BFLOAT16, BINARY16
 from radival import oracle
 from radival.floatkit import (
     KIND_INFINITE,
+    ZERO,
     DomainError,
     FloatInterval,
     as_py_float,
@@ -124,3 +125,18 @@ def test_outward_rounding_contains(fmt, code, shift):
                 assert oracle.float_exact_value(b) <= oracle.exact_value(hi)
             else:
                 assert hi == DecimalInfinity(b.sign) and b.kind == KIND_INFINITE
+
+
+@pytest.mark.parametrize("fmt", [fmt for fmt, _, _ in HOSTS], ids=IDS)
+def test_next_up_steps_every_pattern(fmt):
+    # every finite pattern of both signs: a positive value steps to the
+    # next pattern and a negative one to the previous, which walks every
+    # carry and borrow at every binade edge
+    sign_bit = 1 << (fmt.bit_width - 1)
+    top = to_bits(fmt.max_finite, fmt)
+    assert to_bits(next_up(ZERO, fmt), fmt) == 1
+    for pattern in range(1, top + 1):
+        assert to_bits(next_up(from_bits(pattern, fmt), fmt), fmt) == pattern + 1
+    assert next_up(from_bits(sign_bit | 1, fmt), fmt) == ZERO
+    for pattern in range(sign_bit | 2, sign_bit | (top + 1)):
+        assert to_bits(next_up(from_bits(pattern, fmt), fmt), fmt) == pattern - 1
