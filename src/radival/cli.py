@@ -52,6 +52,7 @@ from .parse import (
 from .render import (
     DecimalInfinity,
     bracket_notation,
+    enclosure_fields,
     float_to_exact_decimal,
     hex_significand_bracket,
     hex_significand_rendering,
@@ -162,12 +163,7 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
             interval = rational_to_interval(value, fmt)
         if args.check:
             _check_enclosure(interval, value, fmt, text)
-        lo, hi, bracket = _decimal_fields(
-            float_to_exact_decimal(interval.lb, fmt), float_to_exact_decimal(interval.ub, fmt)
-        )
-        lb_hex = hex_significand_rendering(interval.lb, fmt)
-        ub_hex = hex_significand_rendering(interval.ub, fmt)
-        return lb_hex, lo, ub_hex, hi, bracket
+        return enclosure_fields(interval, fmt)
 
     layout = "lb = {0} = {1}\nub = {2} = {3}\nbracket = {4}\n"
     return _serve([args.value], record, layout, stdin, stdout)

@@ -112,18 +112,22 @@ class Rational(Value):
 
     @classmethod
     def from_text(cls, text: str) -> "Rational":
-        """Parse p/q or a bare integer, with an optional leading sign."""
+        """Parse p/q or a bare integer, with an optional leading sign.
+
+        An error gives the index in text where the rejected digit run starts."""
         body = text.strip()
+        start = len(text) - len(text.lstrip())
         sign = 1
         if body[:1] in ("+", "-"):
             sign = -1 if body[0] == "-" else 1
             body = body[1:]
+            start += 1
         num, slash, den = body.partition("/")
         if not num.isascii() or not num.isdigit():
-            raise NumeralSyntaxError(text, 0, "expected digits")
+            raise NumeralSyntaxError(text, start, "expected digits")
         if slash:
             if not den.isascii() or not den.isdigit():
-                raise NumeralSyntaxError(text, len(text) - len(den), "expected digits")
+                raise NumeralSyntaxError(text, start + len(num) + 1, "expected digits")
             return cls(sign, _int_from_digits(num), _int_from_digits(den))
         return cls(sign, _int_from_digits(num), 1)
 

@@ -52,7 +52,14 @@ class BracketRendering(Value):
         return cls._of(prefix, low_tail, high_tail)
 
     def text(self) -> str:
-        return f"{self.prefix}[{self.low_tail},{self.high_tail}]"
+        return _BRACKET % (self.prefix, self.low_tail, self.high_tail)
+
+
+_BRACKET = "%s[%s,%s]"
+
+
+def _infinity_text(sign: int) -> str:
+    return "inf" if sign > 0 else "-inf"
 
 
 def float_to_exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific | DecimalInfinity:
@@ -69,9 +76,14 @@ def float_to_exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific
     m, e = decompose(f, fmt)
     if m == 0:
         return DECIMAL_ZERO
+    return _decimal_scientific(f.sign, *_exact_digits(m, e))
+
+
+def _exact_digits(m: int, e: int) -> tuple[str, int]:
+    """Canonical mantissa digits and decimal exponent of m * 2^e, m > 0."""
     text = _text_from_int(m << e) if e >= 0 else _text_from_int(m * 5**-e)
     # m > 0, so the text opens with a nonzero digit
-    return _decimal_scientific(f.sign, text.rstrip("0"), len(text) + min(e, 0))
+    return text.rstrip("0"), len(text) + min(e, 0)
 
 
 def truncate_directed(
@@ -168,12 +180,15 @@ def interval_to_decimal(
 def plain_decimal(d: DecimalScientific | DecimalInfinity) -> str:
     """Positional text with no exponent marker: 0.05, 12.5, 12500, 0."""
     if isinstance(d, DecimalInfinity):
-        return "inf" if d.sign > 0 else "-inf"
-    digits = d.mantissa.text
+        return _infinity_text(d.sign)
+    return _positional(d.sign, d.mantissa.text, d.exponent)
+
+
+def _positional(sign: int, digits: str, e: int) -> str:
+    """Positional text of sign * 10^e * 0.digits, canonical digits."""
     if not digits:
         return "0"
-    sign = "" if d.sign > 0 else "-"
-    e = d.exponent
+    sign = "" if sign > 0 else "-"
     if e <= 0:
         return f"{sign}0.{'0' * -e}{digits}"
     if e >= len(digits):
@@ -216,22 +231,29 @@ def bracket_notation(
         return BracketRendering("", plain_decimal(lo), plain_decimal(hi))
     if _compare_decimals(lo, hi) > 0:
         raise ValueError("bounds out of order")
-    lo_text = plain_decimal(lo)
-    hi_text = plain_decimal(hi)
-    if lo_text == hi_text:
-        return BracketRendering(lo_text, "", "")
-    lo_digits, hi_digits = lo.mantissa.text, hi.mantissa.text
-    sharable = (
-        lo_digits
-        and hi_digits
-        and lo.sign == hi.sign
-        and lo.exponent == hi.exponent
-        and lo_digits[0] == hi_digits[0]
+    sharable = _lead(lo.sign, lo.mantissa.text, lo.exponent) == _lead(
+        hi.sign, hi.mantissa.text, hi.exponent
     )
+    return BracketRendering(*_cut(plain_decimal(lo), plain_decimal(hi), sharable))
+
+
+def _lead(sign: int, digits: str, exponent: int) -> tuple[int, int, str] | None:
+    """What two finite bounds must have in common to share a bracket
+    prefix: sign, decimal exponent and opening digit. Zero has none."""
+    return (sign, exponent, digits[0]) if digits else None
+
+
+def _cut(lo_text: str, hi_text: str, sharable: bool) -> tuple[str, str, str]:
+    """Prefix and tails of the bracket of two finite bounds' texts: equal
+    texts go whole into the prefix, bounds with the same lead split at
+    their common prefix, and any other pair keeps its texts whole as the
+    tails."""
+    if lo_text == hi_text:
+        return lo_text, "", ""
     if not sharable:
-        return BracketRendering("", lo_text, hi_text)
+        return "", lo_text, hi_text
     k = _shared_prefix_length(lo_text, hi_text)
-    return BracketRendering(lo_text[:k], lo_text[k:], hi_text[k:])
+    return lo_text[:k], lo_text[k:], hi_text[k:]
 
 
 def _shared_prefix_length(a: str, b: str) -> int:
@@ -262,12 +284,17 @@ def hex_significand_rendering(f: FloatValue, fmt: FloatFormat) -> str:
     as 0 and the infinities as inf and -inf.
     """
     if f.kind == KIND_INFINITE:
-        return "inf" if f.sign > 0 else "-inf"
+        return _infinity_text(f.sign)
     m, e = decompose(f, fmt)
+    return _hex(f.sign, m, e, fmt)
+
+
+def _hex(sign: int, m: int, e: int, fmt: FloatFormat) -> str:
+    """Hex significand text of the canonical pair sign * m * 2^e."""
     if m == 0:
         return "0"
     t = fmt.significand_bits - 1
-    sign = "" if f.sign > 0 else "-"
+    sign = "" if sign > 0 else "-"
     # the leading bit m >> t is 1 for a normal and 0 for a subnormal, whose
     # exponent e + t is emin
     return "%s2^(%d) * %d.%0*x" % (sign, e + t, m >> t, (t + 3) // 4, m & ((1 << t) - 1))
@@ -283,8 +310,38 @@ def hex_significand_bracket(interval: FloatInterval, fmt: FloatFormat) -> str:
     """
     lo = hex_significand_rendering(interval.lb, fmt)
     hi = hex_significand_rendering(interval.ub, fmt)
-    infinite = KIND_INFINITE in (interval.lb.kind, interval.ub.kind)
-    if infinite or lo.rsplit(".", 1)[0] != hi.rsplit(".", 1)[0]:
-        return f"[{lo},{hi}]"
-    k = _shared_prefix_length(lo, hi)
-    return f"{lo[:k]}[{lo[k:]},{hi[k:]}]"
+    return _float_bracket(interval, lo, hi, lo.rsplit(".", 1)[0] == hi.rsplit(".", 1)[0])
+
+
+def _float_bracket(interval: FloatInterval, lo_text: str, hi_text: str, sharable: bool) -> str:
+    """Bracket text of a float interval from its bounds' texts. An infinite
+    bound keeps the plain pair, even when both are the same infinity."""
+    if KIND_INFINITE in (interval.lb.kind, interval.ub.kind):
+        return _BRACKET % ("", lo_text, hi_text)
+    return _BRACKET % _cut(lo_text, hi_text, sharable)
+
+
+def enclosure_fields(interval: FloatInterval, fmt: FloatFormat) -> tuple[str, str, str, str, str]:
+    """The text of an enclosure: each bound's hex significand and exact
+    decimal, then the bracket of the pair.
+
+    The fields are those that hex_significand_rendering, and bracket_notation
+    over float_to_exact_decimal, give for the same interval. Each finite
+    bound is checked against fmt once and written straight from its pair,
+    with no decimal value in between.
+    """
+    lb_hex, lo, lo_lead = _bound_texts(interval.lb, fmt)
+    ub_hex, hi, hi_lead = _bound_texts(interval.ub, fmt)
+    return lb_hex, lo, ub_hex, hi, _float_bracket(interval, lo, hi, lo_lead == hi_lead)
+
+
+def _bound_texts(f: FloatValue, fmt: FloatFormat) -> tuple[str, str, tuple | None]:
+    """Hex and positional text of one bound, and its lead (None for an
+    infinity, which _float_bracket keeps out of the cut)."""
+    if f.kind == KIND_INFINITE:
+        text = _infinity_text(f.sign)
+        return text, text, None
+    m, e = decompose(f, fmt)
+    digits, exponent = _exact_digits(m, e) if m else ("", 0)
+    lead = _lead(f.sign, digits, exponent)
+    return _hex(f.sign, m, e, fmt), _positional(f.sign, digits, exponent), lead

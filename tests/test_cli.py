@@ -10,7 +10,7 @@ import time
 import pytest
 
 import radival
-from radival import cli, oracle
+from radival import cli, oracle, render
 from radival.floatkit import ZERO, FloatInterval
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -167,6 +167,29 @@ class TestParse:
         fields = out.rstrip("\n").split("\t")
         assert fields[:2] == ["1 2", "ERR"]
         assert len(fields) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["parse", "--format", "binary64"], ["0.1", "-2.5e-310", "3.14159", "-7e300"]),
+        (["parse-rational"], ["1/3", "-2/7", "123456789/1000"]),
+    ],
+    ids=["parse", "parse-rational"],
+)
+def test_parse_record_checks_each_bound_once(monkeypatch, argv, lines):
+    # finite, nonzero, inexact values: one format check per bound
+    real = render.decompose
+    calls = []
+
+    def counted(f, fmt):
+        calls.append(f)
+        return real(f, fmt)
+
+    monkeypatch.setattr(render, "decompose", counted)
+    status, out, _ = run_cli(argv, "\n".join(lines) + "\n")
+    assert status == 0 and "ERR" not in out
+    assert len(calls) == 2 * len(lines)
 
 
 class TestParseRational:

@@ -265,6 +265,27 @@ class TestRationalParsing:
         with pytest.raises(NumeralSyntaxError):
             Rational.from_text("3.5/2")
 
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("/3", 0),
+            ("abc", 0),
+            ("3 /7", 0),
+            ("1\t/3", 0),
+            ("1/", 2),
+            ("1/3/4", 2),
+            ("-x/3", 1),
+            ("+/3", 1),
+            ("1/x ", 2),
+            (" 1/x", 3),
+        ],
+    )
+    def test_errors_carry_position(self, text, position):
+        # the index in the text as given where the rejected digit run starts
+        with pytest.raises(NumeralSyntaxError) as info:
+            Rational.from_text(text)
+        assert info.value.position == position
+
 
 class TestBitStreams:
     def test_three_sevenths_repeats(self):

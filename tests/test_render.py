@@ -36,6 +36,7 @@ from radival.render import (
     BracketRendering,
     DecimalInfinity,
     bracket_notation,
+    enclosure_fields,
     float_to_exact_decimal,
     hex_significand_bracket,
     hex_significand_rendering,
@@ -412,6 +413,8 @@ class TestBracketNotation:
         r = bracket_notation(decimal(1, "9", 0), decimal(1, "1", 1))
         assert r.prefix == ""
         assert r.text() == "[0.9,1]"
+        # same opening digit and a common "0.", but a different exponent
+        assert bracket_notation(decimal(1, "12", -1), decimal(1, "15", 0)).text() == "[0.012,0.15]"
 
     def test_fallback_on_sign_mismatch(self):
         r = bracket_notation(decimal(-1, "5", 0), decimal(1, "5", 0))
@@ -614,3 +617,78 @@ class TestHexSignificand:
             hex_significand_bracket(iv, BINARY32)
             == "[2^(-1) * 1.7fffff,2^(0) * 1.000000]"
         )
+
+
+def composed_fields(interval: FloatInterval, fmt: FloatFormat) -> tuple[str, ...]:
+    """A parse record's fields from the public renderers one by one."""
+    r = bracket_notation(
+        float_to_exact_decimal(interval.lb, fmt), float_to_exact_decimal(interval.ub, fmt)
+    )
+    lb_hex = hex_significand_rendering(interval.lb, fmt)
+    ub_hex = hex_significand_rendering(interval.ub, fmt)
+    return lb_hex, r.prefix + r.low_tail, ub_hex, r.prefix + r.high_tail, r.text()
+
+
+FIVE_FORMATS = [BINARY16, BFLOAT16, BINARY32, BINARY64, BINARY128]
+FIVE_IDS = ["binary16", "bfloat16", "binary32", "binary64", "binary128"]
+
+
+class TestEnclosureFields:
+    @pytest.mark.parametrize("fmt", FIVE_FORMATS, ids=FIVE_IDS)
+    def test_special_intervals(self, fmt):
+        tiny, top, inf = fmt.smallest_subnormal, fmt.max_finite, infinity(1)
+        top_hex = hex_significand_rendering(top, fmt)
+        top_text = plain_decimal(float_to_exact_decimal(top, fmt))
+        tiny_text = plain_decimal(float_to_exact_decimal(tiny, fmt))
+        expected = {
+            (inf, inf): ("inf", "inf", "inf", "inf", "[inf,inf]"),
+            (-inf, -inf): ("-inf", "-inf", "-inf", "-inf", "[-inf,-inf]"),
+            (-inf, inf): ("-inf", "-inf", "inf", "inf", "[-inf,inf]"),
+            (top, inf): (top_hex, top_text, "inf", "inf", f"[{top_text},inf]"),
+            (ZERO, ZERO): ("0", "0", "0", "0", "0[,]"),
+        }
+        for (a, b), fields in expected.items():
+            assert enclosure_fields(FloatInterval(a, b), fmt) == fields
+        # a zero bound never shares a prefix with a nonzero one
+        assert enclosure_fields(FloatInterval(ZERO, tiny), fmt)[4] == f"[0,{tiny_text}]"
+        assert enclosure_fields(FloatInterval(-tiny, ZERO), fmt)[4] == f"[-{tiny_text},0]"
+
+    @pytest.mark.parametrize("fmt", FIVE_FORMATS, ids=FIVE_IDS)
+    def test_matches_the_public_composition(self, fmt):
+        # seeded degenerate, adjacent and unrelated pairs, a quarter of them
+        # at a binade end so that many adjacent pairs cross a binade
+        rng = random.Random(7 * fmt.bit_width + fmt.significand_bits)
+        tiny, top, inf = fmt.smallest_subnormal, fmt.max_finite, infinity(1)
+        pairs = [
+            (inf, inf), (-inf, -inf), (-inf, inf), (ZERO, ZERO),
+            (ZERO, tiny), (-tiny, ZERO), (top, inf), (-inf, -top),
+        ]
+        trailing = (1 << (fmt.significand_bits - 1)) - 1
+        while len(pairs) < 600:
+            pattern = rng.getrandbits(fmt.bit_width)
+            if len(pairs) % 4 == 0:
+                pattern |= trailing
+            elif len(pairs) % 4 == 1:
+                pattern &= ~trailing
+            try:
+                a = from_bits(pattern, fmt)
+                b = from_bits(rng.getrandbits(fmt.bit_width), fmt)
+            except DomainError:
+                continue
+            choice = len(pairs) % 3
+            if choice == 0:
+                b = a
+            elif choice == 1:
+                b = next_up(a, fmt) if a not in (inf, -inf) else a
+            pairs.append((min(a, b), max(a, b)))
+        for a, b in pairs:
+            interval = FloatInterval(a, b)
+            assert enclosure_fields(interval, fmt) == composed_fields(interval, fmt)
+
+    def test_bound_off_the_format_grid(self):
+        # a binary64 value is not canonical for binary32, as in the renderers
+        x = decimal_to_interval(parse_numeral("0.1"), BINARY64).lb
+        with pytest.raises(ValueError):
+            enclosure_fields(FloatInterval(x, x), BINARY32)
+        with pytest.raises(ValueError):
+            enclosure_fields(FloatInterval(ZERO, x), BINARY32)
