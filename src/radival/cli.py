@@ -94,18 +94,23 @@ def _decimal_fields(
     return r.prefix + r.low_tail, r.prefix + r.high_tail, r.text()
 
 
+def _canonical_fields(interval: FloatInterval) -> list[tuple]:
+    return [(f.kind, f.sign, f.significand, f.exponent) for f in (interval.lb, interval.ub)]
+
+
 def _check_enclosure(interval: FloatInterval, value, fmt: FloatFormat, text: str) -> None:
     """Raise CheckFailure unless interval is the oracle's enclosure of the
-    parsed value, a Rational or a DecimalScientific."""
+    parsed value, a Rational or a DecimalScientific, field for field: the
+    same value as a pair the format does not use is a disagreement too."""
     from . import oracle
 
     if isinstance(value, Rational):
-        reference = oracle.narrowest_interval_reference(oracle.rational_value(value), fmt)
+        reference = oracle.rational_reference(value, fmt)
     else:
         reference = oracle.decimal_reference(value, fmt)
     # the message names the input text: str() of an exact value past
     # 4300 digits would raise instead
-    if interval != reference:
+    if _canonical_fields(interval) != _canonical_fields(reference):
         raise CheckFailure(f"interval disagrees with the reference enclosure for {text!r}")
 
 
@@ -202,10 +207,10 @@ def _cmd_print_interval(args: argparse.Namespace, stdin: TextIO, stdout: TextIO)
 
             # an infinite bound comes back as an infinity marker, which contains anything
             if isinstance(lo, DecimalScientific):
-                if oracle.exact_value(lo) > oracle.float_exact_value(interval.lb):
+                if oracle.compare_decimal_float(lo, interval.lb) > 0:
                     raise CheckFailure("lower bound fails containment")
             if isinstance(hi, DecimalScientific):
-                if oracle.exact_value(hi) < oracle.float_exact_value(interval.ub):
+                if oracle.compare_decimal_float(hi, interval.ub) < 0:
                     raise CheckFailure("upper bound fails containment")
         return _decimal_fields(lo, hi)
 
@@ -240,8 +245,10 @@ def _cmd_table(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
         value = oracle.rational_value(r)
         nearest = oracle.nearest_float(value, fmt)
         interval = rational_to_interval(r, fmt)
-        if args.check and interval != oracle.narrowest_interval_reference(value, fmt):
-            mismatches.append(f"1/{i}")
+        if args.check:
+            reference = oracle.rational_reference(r, fmt)
+            if _canonical_fields(interval) != _canonical_fields(reference):
+                mismatches.append(f"1/{i}")
         cell = _ROW_OVERRIDES.get(i) or hex_significand_bracket(interval, fmt)
         stdout.write(f"{f'1/{i}':<8}{hex_significand_rendering(nearest, fmt):<26}{cell}\n")
     if mismatches:

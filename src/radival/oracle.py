@@ -1,9 +1,11 @@
 """Independent exact-value arithmetic used to cross-check conversions.
 
-Everything here goes through Fraction and deliberately shares none of the
-digit-string or bit-streaming machinery; the only common ground is the
-format descriptions and the successor function. That keeps disagreement
-meaningful: when a differential test trips, exactly one side is wrong.
+Everything here is exact arithmetic on integer ratios, with Fraction only
+at the public value maps, and deliberately shares none of the converter's
+code, its grid packer and successor function included; the only common
+ground is the format descriptions and the value types. That keeps
+disagreement meaningful: when a differential test trips, exactly one side
+is wrong.
 """
 
 from __future__ import annotations
@@ -19,40 +21,58 @@ from .floatkit import (
     FloatInterval,
     FloatValue,
     infinity,
-    next_up,
 )
 from .parse import DecimalScientific, Rational
 
 
-def exact_value(d: DecimalScientific) -> Fraction:
-    """Value of a normalized decimal as an exact rational."""
+def _decimal_ratio(d: DecimalScientific) -> tuple[int, int]:
+    """The decimal's value as a signed numerator over a positive
+    denominator, not reduced."""
     text = d.mantissa.as_text()
     if not text:
-        return Fraction(0)
-    scale = d.exponent - len(text)
+        return 0, 1
     # int() refuses texts past 4300 digits by default; read in chunks
-    N = 0
-    for i in range(0, len(text), 4000):
+    N = int(text[:4000])
+    for i in range(4000, len(text), 4000):
         chunk = text[i : i + 4000]
         N = N * 10 ** len(chunk) + int(chunk)
     N *= d.sign
+    scale = d.exponent - len(text)
     if scale >= 0:
-        return Fraction(N * 10**scale)
-    return Fraction(N, 10**-scale)
+        return N * 10**scale, 1
+    return N, 10**-scale
+
+
+def exact_value(d: DecimalScientific) -> Fraction:
+    """Value of a normalized decimal as an exact rational."""
+    return Fraction(*_decimal_ratio(d))
 
 
 def rational_value(r: Rational) -> Fraction:
     return Fraction(r.sign * r.p, r.q)
 
 
-def float_exact_value(f: FloatValue) -> Fraction:
-    """A finite float is the rational sign * m * 2^e, exactly."""
+def _float_ratio(f: FloatValue) -> tuple[int, int]:
+    """A finite float's value sign * m * 2^e as a signed numerator over a
+    power of two."""
     if f.kind == KIND_INFINITE:
         raise ValueError("an infinity has no rational value")
-    m = f.sign * f.significand
-    if f.exponent >= 0:
-        return Fraction(m << f.exponent)
-    return Fraction(m, 1 << -f.exponent)
+    m, e = f.sign * f.significand, f.exponent
+    return (m << e, 1) if e >= 0 else (m, 1 << -e)
+
+
+def float_exact_value(f: FloatValue) -> Fraction:
+    """A finite float is the rational sign * m * 2^e, exactly."""
+    return Fraction(*_float_ratio(f))
+
+
+def compare_decimal_float(d: DecimalScientific, f: FloatValue) -> int:
+    """-1, 0 or 1 as the decimal's value is below, at or above the finite
+    float's, by cross-multiplying their ratios."""
+    num, den = _decimal_ratio(d)
+    fnum, fden = _float_ratio(f)
+    x, y = num * fden, fnum * den
+    return (x > y) - (x < y)
 
 
 def _shifted_ge(x: int, k: int, y: int) -> bool:
@@ -63,46 +83,60 @@ def _shifted_ge(x: int, k: int, y: int) -> bool:
     return x >= (y << -k)
 
 
-def narrowest_interval_reference(x: Fraction, fmt: FloatFormat) -> FloatInterval:
-    """Tightest enclosing interval computed the slow, direct way.
+def _reference(num: int, den: int, fmt: FloatFormat) -> FloatInterval:
+    """Tightest interval enclosing num/den, for den > 0 and the ratio not
+    necessarily reduced, computed the slow, direct way.
 
-    Reads floor(log2 |x|) off the numerator and denominator bit lengths,
-    floors |x| onto the format grid with one big division (clamped for
-    subnormals), and widens upward only when the floor was inexact.
-    Magnitudes beyond the finite range give [max finite, +infinity) and
-    its mirror image.
+    Reads floor(log2 |num/den|) off the bit lengths, floors the magnitude
+    onto the format grid with one division (clamped for subnormals), and
+    when that floor was inexact steps one unit up on its own: the unit
+    past the top of a binade carries into the next one, and past the top
+    finite value into infinity. Magnitudes beyond the finite range give
+    [max finite, +infinity) and its mirror image.
     """
-    x = Fraction(x)
-    if x == 0:
+    if num == 0:
         return FloatInterval(ZERO, ZERO)
-    sign = 1 if x > 0 else -1
-    a = abs(x.numerator)
-    b = x.denominator
-    E = a.bit_length() - b.bit_length()
-    if not _shifted_ge(a, -E, b):
+    sign = 1 if num > 0 else -1
+    a = num * sign
+    E = a.bit_length() - den.bit_length()
+    if not _shifted_ge(a, -E, den):
         E -= 1
-    # now 2^E <= a/b < 2^(E+1)
+    # now 2^E <= a/den < 2^(E+1)
     p = fmt.significand_bits
     if E > fmt.emax:
         top = FloatInterval(fmt.max_finite, infinity(1))
         return -top if sign < 0 else top
     e = max(E - (p - 1), fmt.least_exponent)
     if e >= 0:
-        m, rem = divmod(a, b << e)
+        m, rem = divmod(a, den << e)
     else:
-        m, rem = divmod(a << -e, b)
-    if m == 0:
-        lb = ZERO
+        m, rem = divmod(a << -e, den)
+    low = FloatValue(KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e) if m else ZERO
+    if rem == 0:
+        return FloatInterval(low, low)
+    m += 1
+    if m >> p:
+        m, e = m >> 1, e + 1
+    if e > fmt.emax - p + 1:
+        high = infinity(sign)
     else:
-        kind = KIND_NORMAL if m >= 1 << (p - 1) else KIND_SUBNORMAL
-        lb = FloatValue(kind, 1, m, e)
-    ub = lb if rem == 0 else next_up(lb, fmt)
-    interval = FloatInterval(lb, ub)
-    return -interval if sign < 0 else interval
+        high = FloatValue(KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e)
+    return FloatInterval(low, high) if sign > 0 else FloatInterval(high, low)
+
+
+def narrowest_interval_reference(x: Fraction, fmt: FloatFormat) -> FloatInterval:
+    """Tightest enclosing interval of the rational x."""
+    x = Fraction(x)
+    return _reference(x.numerator, x.denominator, fmt)
+
+
+def rational_reference(r: Rational, fmt: FloatFormat) -> FloatInterval:
+    """Tightest enclosing interval of the ratio, reduced or not."""
+    return _reference(r.sign * r.p, r.q, fmt)
 
 
 def decimal_reference(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:
-    """narrowest_interval_reference of the decimal's exact value, with
+    """Tightest enclosing interval of the decimal's exact value, with
     exponents far outside the format settled before any power of ten is
     built.
 
@@ -118,7 +152,7 @@ def decimal_reference(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:
         if 33 * d.exponent <= 10 * fmt.least_exponent:
             bottom = FloatInterval(ZERO, fmt.smallest_subnormal)
             return -bottom if d.sign < 0 else bottom
-    return narrowest_interval_reference(exact_value(d), fmt)
+    return _reference(*_decimal_ratio(d), fmt)
 
 
 def nearest_float(x: Fraction, fmt: FloatFormat) -> FloatValue:

@@ -3,8 +3,8 @@
 exact_float places sign * m * 2^e on a format's grid, machine_epsilon is
 the gap above 1, and scale_to_unit_interval halves or doubles a ratio onto
 [1/2, 1) the way the paper's rational reader does. None of them sits on a
-path the library or the command line reaches. BINARY16 and BFLOAT16 are
-IEEE formats the package does not name.
+path the library or the command line reaches. BINARY16, BFLOAT16 and
+BINARY128 are IEEE formats the package does not name.
 """
 
 from radival.floatkit import (
@@ -20,6 +20,7 @@ from radival.parse import Rational, _log2_floor, _shifted_ge
 
 BINARY16 = FloatFormat(11, -14, 15)
 BFLOAT16 = FloatFormat(8, -126, 127)
+BINARY128 = FloatFormat(113, -16382, 16383)
 
 
 def exact_float(sign: int, m: int, e: int, fmt: FloatFormat) -> FloatValue:

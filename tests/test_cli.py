@@ -12,6 +12,7 @@ import pytest
 import radival
 from radival import cli, oracle, render
 from radival.floatkit import ZERO, FloatInterval
+from radival.parse import parse_numeral
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN_TABLE = DATA / "reference_table.txt"
@@ -136,14 +137,14 @@ class TestParse:
 
     def test_check_failure_exit(self, monkeypatch):
         bogus = FloatInterval(ZERO, ZERO)
-        monkeypatch.setattr(oracle, "narrowest_interval_reference", lambda v, fmt: bogus)
+        monkeypatch.setattr(oracle, "decimal_reference", lambda v, fmt: bogus)
         status, _, err = run_cli(["parse", "0.5", "--check"])
         assert status == 3
         assert err.startswith("check failed: ")
 
     def test_check_failure_in_batch(self, monkeypatch):
         bogus = FloatInterval(ZERO, ZERO)
-        monkeypatch.setattr(oracle, "narrowest_interval_reference", lambda v, fmt: bogus)
+        monkeypatch.setattr(oracle, "decimal_reference", lambda v, fmt: bogus)
         status, out, _ = run_cli(["parse", "--check"], stdin_text="0.5\n")
         assert status == 3
         assert "\tERR\t" in out
@@ -152,7 +153,7 @@ class TestParse:
         # the failure message must not print the exact value, whose str()
         # past 4300 digits raises and would turn exit 3 into exit 2
         bogus = FloatInterval(ZERO, ZERO)
-        monkeypatch.setattr(oracle, "narrowest_interval_reference", lambda v, fmt: bogus)
+        monkeypatch.setattr(oracle, "decimal_reference", lambda v, fmt: bogus)
         numeral = "0." + "1234567890" * (LONG // 10)
         status, out, err = run_cli(["parse", "--check", numeral])
         assert (status, out) == (3, "")
@@ -317,6 +318,32 @@ class TestPrintInterval:
             ["print-interval", "bits:3eaaaaaa", "bits:3eaaaaab", "--check"]
         )
         assert status == 0
+
+    @pytest.mark.parametrize(
+        "index, step, which", [(0, 1, "lower"), (1, -1, "upper")], ids=["lower", "upper"]
+    )
+    def test_check_failure_on_containment(self, monkeypatch, index, step, which):
+        # one bound moved a unit of its last digit inward: the exact bounds
+        # -0.5 and 0.75 pass the check as they are and fail it once moved
+        real = cli.interval_to_decimal
+
+        def one_unit_inward(interval, digits, fmt):
+            bounds = list(real(interval, digits, fmt))
+            d = bounds[index]
+            text = d.mantissa.text
+            bounds[index] = parse_numeral(f"{d.sign * int(text) + step}e{d.exponent - len(text)}")
+            return tuple(bounds)
+
+        argv = ["print-interval", "--format", "binary64", "--digits", "17", "--check"]
+        assert run_cli([*argv, "-0.5", "0.75"])[0] == 0
+        monkeypatch.setattr(cli, "interval_to_decimal", one_unit_inward)
+        status, out, err = run_cli([*argv, "-0.5", "0.75"])
+        assert (status, out) == (3, "")
+        assert err == f"check failed: {which} bound fails containment\n"
+        line = "bits:3fb999999999999a bits:3fb999999999999b"
+        status, out, err = run_cli(argv, stdin_text=line + "\n")
+        assert (status, err) == (3, "")
+        assert out == f"{line}\tERR\t{which} bound fails containment\n"
 
     def test_infinite_upper_bound(self):
         status, out, _ = run_cli(

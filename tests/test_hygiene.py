@@ -1,7 +1,8 @@
 """Source hygiene that a linter would check: no module imports a name it
 never uses, no function defaults its format, every name the package
-exports resolves, every public definition has a user, and no function
-name is defined in two modules. Launch hygiene:
+exports resolves, every public definition has a user, no function
+name is defined in two modules, and the oracle imports no converter
+function. Launch hygiene:
 importing the command line loads nothing that only --check needs."""
 
 import ast
@@ -105,6 +106,41 @@ def test_one_definition_per_function_name():
                 homes.setdefault(node.name, []).append(path.name)
     shared = {name: sorted(where) for name, where in homes.items() if len(where) > 1}
     assert shared == {name: ["floatkit.py", "oracle.py"] for name in ORACLE_COPIES}
+
+
+# what the oracle may take from the package: the format descriptions and
+# the value types, never a function that computes a result it checks
+ORACLE_IMPORTS = {
+    "floatkit": {
+        "FloatFormat",
+        "FloatValue",
+        "FloatInterval",
+        "KIND_ZERO",
+        "KIND_SUBNORMAL",
+        "KIND_NORMAL",
+        "KIND_INFINITE",
+        "ZERO",
+        "infinity",
+    },
+    "parse": {"DecimalScientific", "Rational"},
+}
+
+
+def test_oracle_imports_no_converter_function():
+    tree = ast.parse((pathlib.Path(radival.__file__).parent / "oracle.py").read_text())
+    foreign = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            foreign += [alias.name for alias in node.names if alias.name.startswith("radival")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "radival":
+                    continue
+                module = module.partition(".")[2]
+            allowed = ORACLE_IMPORTS.get(module, set())
+            foreign += [f"{module}.{a.name}" for a in node.names if a.name not in allowed]
+    assert foreign == []
 
 
 def test_cli_imports_nothing_private_from_render():

@@ -1,25 +1,40 @@
-"""The Fraction-based reference against frozen values and self-checks."""
+"""The integer-ratio reference against frozen values, self-checks and
+the converter."""
 
 import math
 import random
+import struct
+from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import BFLOAT16, BINARY16, exact_float
+from builders import BFLOAT16, BINARY16, BINARY128, exact_float
 from radival import oracle
 from radival.digitstring import DigitString
 from radival.floatkit import (
     BINARY32,
     BINARY64,
+    KIND_NORMAL,
+    KIND_SUBNORMAL,
     ZERO,
     FloatInterval,
+    FloatValue,
+    from_bits,
     infinity,
     next_up,
+    to_bits,
 )
-from radival.parse import DECIMAL_ZERO, DecimalScientific, Rational, decimal_to_interval
+from radival.parse import (
+    DECIMAL_ZERO,
+    DecimalScientific,
+    Rational,
+    decimal_to_interval,
+    parse_numeral,
+    rational_to_interval,
+)
 
 
 def decimal(sign: int, digits: str, exponent: int) -> DecimalScientific:
@@ -184,3 +199,88 @@ class TestNearest:
         iv = oracle.narrowest_interval_reference(x, fmt)
         near = oracle.nearest_float(x, fmt)
         assert near == iv.lb or near == iv.ub
+
+
+def fields(f: FloatValue) -> tuple:
+    return f.kind, f.sign, f.significand, f.exponent
+
+
+FIVE_FORMATS = [BINARY16, BFLOAT16, BINARY32, BINARY64, BINARY128]
+FIVE_IDS = ["binary16", "bfloat16", "binary32", "binary64", "binary128"]
+
+
+@pytest.mark.parametrize("fmt", FIVE_FORMATS, ids=FIVE_IDS)
+def test_binade_tops_against_the_converter(fmt):
+    """Ratios a hair under 2^k, in both signs, for binades across the whole
+    range: the floor is the top significand of the binade below with a
+    remainder, so the outer bound is the step that carries into the next
+    binade, the least normal above the subnormals, or infinity past the
+    top. Oracle and converter must agree field by field, since an
+    uncarried (2^p, e) equals (2^(p-1), e+1) in value and would pass a
+    value comparison."""
+    rng = random.Random(1990)
+    p, least = fmt.significand_bits, fmt.least_exponent
+    edges = {least + 1, fmt.emin - 1, fmt.emin, fmt.emin + 1, 0, 1, fmt.emax, fmt.emax + 1}
+    for k in sorted(edges | {rng.randint(least + 1, fmt.emax + 1) for _ in range(150)}):
+        # 2^k * (1 - 1/den) is nearer 2^k than one ulp below it
+        den = rng.randint(1 << (p + 1), 1 << (p + 60))
+        num, q = (den << k) - 1 if k >= 0 else den - 1, den << max(-k, 0)
+        if k > fmt.emax:
+            top = infinity(1)
+        elif k >= fmt.emin:
+            top = FloatValue(KIND_NORMAL, 1, 1 << (p - 1), k - p + 1)
+        else:
+            top = FloatValue(KIND_SUBNORMAL, 1, 1 << (k - least), least)
+        for sign in (1, -1):
+            r = Rational(sign, num, q)
+            reference = oracle.rational_reference(r, fmt)
+            outer = reference.ub if sign > 0 else reference.lb
+            assert fields(outer) == fields(top if sign > 0 else -top), (k, sign)
+            converted = rational_to_interval(r, fmt)
+            assert list(map(fields, (converted.lb, converted.ub))) == list(
+                map(fields, (reference.lb, reference.ub))
+            ), (k, sign)
+
+
+def _host_binary64(pattern: int) -> float:
+    return struct.unpack("<d", pattern.to_bytes(8, "little"))[0]
+
+
+def _numerals_near(x: float, rng: random.Random) -> list[str]:
+    """The exact decimal of x, the decimals one unit away in its last
+    digit, and floored prefixes of it."""
+    exact = Decimal(x)
+    sign, digits, exp = exact.as_tuple()
+    N = (-1) ** sign * int("".join(map(str, digits)))
+    texts = [str(exact), f"{N + 1}e{exp}", f"{N - 1}e{exp}"]
+    for n in rng.sample(range(1, 20), 3):
+        texts.append(str(Context(prec=n, rounding=ROUND_FLOOR).plus(exact)))
+    return texts
+
+
+def test_decimal_float_comparison_against_fraction():
+    """The oracle's three-way comparison of a decimal with a float agrees
+    with Fraction arithmetic on host values: equal values (an exact bound
+    must pass), zero, both signs, subnormals and numerals of 4400 digits."""
+    rng = random.Random(2007)
+    patterns = [0, 1 << 63, 1, (1 << 63) | 1, 0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF]
+    patterns += [rng.getrandbits(64) for _ in range(120)]
+    patterns += [rng.getrandbits(52) | (rng.getrandbits(1) << 63) for _ in range(40)]
+    patterns = [bits for bits in patterns if math.isfinite(_host_binary64(bits))]
+    longs = [
+        f"{rng.choice('-+')}0.{rng.randint(1, 9)}"
+        + "".join(rng.choices("0123456789", k=4399))
+        + f"e{rng.randint(-330, 300)}"
+        for _ in range(4)
+    ]
+    cases = []
+    for bits in patterns:
+        texts = [*_numerals_near(_host_binary64(bits), rng), "0", rng.choice(longs)]
+        cases += [(text, bits) for text in texts]
+    for text in longs:
+        iv = decimal_to_interval(parse_numeral(text), BINARY64)
+        cases += [(text, to_bits(bound, BINARY64)) for bound in (iv.lb, iv.ub)]
+    for text, bits in cases:
+        d, f = parse_numeral(text), from_bits(bits, BINARY64)
+        a, b = Fraction(Decimal(text)), Fraction(_host_binary64(bits))
+        assert oracle.compare_decimal_float(d, f) == (a > b) - (a < b), (text[:40], hex(bits))

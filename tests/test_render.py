@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import BFLOAT16, BINARY16, exact_float
+from builders import BFLOAT16, BINARY16, BINARY128, exact_float
 from radival import oracle
 from radival.digitstring import DigitString
 from radival.floatkit import (
@@ -44,9 +44,6 @@ from radival.render import (
     plain_decimal,
     truncate_directed,
 )
-
-# IEEE binary128, a format the package does not name
-BINARY128 = FloatFormat(113, -16382, 16383)
 
 
 def frac(text: str) -> DigitString:
