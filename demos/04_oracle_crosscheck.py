@@ -1,7 +1,8 @@
-"""Differential check: the conversion pipeline against a Fraction oracle.
+"""Differential check: the conversion pipeline against the oracle.
 
-The oracle reimplements enclosure from scratch on top of fractions.Fraction
-and shares no machinery with the library, so agreement on random inputs is
+The oracle reimplements enclosure on exact integer ratios (this demo
+hands it Fraction values, which it reads as one such ratio) and shares
+no machinery with the library, so agreement on random inputs is
 evidence, not tautology.
 
 Run:  python demos/04_oracle_crosscheck.py [count]

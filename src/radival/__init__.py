@@ -5,7 +5,7 @@ between two adjacent ones. This package parses numerals and rationals
 into that narrowest enclosing interval (binary32 or binary64), prints
 floats back as exact decimals, rounds interval bounds outward to a digit
 budget, and renders intervals in a shared-prefix bracket notation. All
-arithmetic is exact; an independent Fraction-based oracle cross-checks
+arithmetic is exact; an independent integer-ratio oracle cross-checks
 every conversion in the tests and behind the --check flag of the CLI.
 """
 

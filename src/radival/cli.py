@@ -50,7 +50,6 @@ from .parse import (
     rational_to_interval,
 )
 from .render import (
-    DecimalInfinity,
     bracket_notation,
     enclosure_fields,
     float_to_exact_decimal,
@@ -83,15 +82,6 @@ class _Parser(argparse.ArgumentParser):
 
 class CheckFailure(Exception):
     """A --check revalidation disagreed with the emitted result."""
-
-
-def _decimal_fields(
-    lo: DecimalScientific | DecimalInfinity, hi: DecimalScientific | DecimalInfinity
-) -> tuple[str, str, str]:
-    """Plain text of each decimal bound, then the bracket of the pair."""
-    # the bracket holds each bound's plain text as prefix + tail
-    r = bracket_notation(lo, hi)
-    return r.prefix + r.low_tail, r.prefix + r.high_tail, r.text()
 
 
 def _canonical_fields(interval: FloatInterval) -> list[tuple]:
@@ -212,7 +202,9 @@ def _cmd_print_interval(args: argparse.Namespace, stdin: TextIO, stdout: TextIO)
             if isinstance(hi, DecimalScientific):
                 if oracle.compare_decimal_float(hi, interval.ub) < 0:
                     raise CheckFailure("upper bound fails containment")
-        return _decimal_fields(lo, hi)
+        # the bracket holds each bound's plain text as prefix + tail
+        r = bracket_notation(lo, hi)
+        return r.prefix + r.low_tail, r.prefix + r.high_tail, r.text()
 
     if args.low is not None and args.high is None:
         raise NumeralSyntaxError(args.low, 0, "expected two values or none")

@@ -1,0 +1,266 @@
+"""Mutation checks: each mutant is one small edit to the package that a
+named subset of the tests must catch.
+
+Run from anywhere:  python tests/mutants.py [name ...]
+
+For each mutant, one at a time, the script copies src/ to a temporary
+directory, applies the mutant's (file, old, new) edit to the copy and runs
+pytest on the mutant's tests with the copy first on PYTHONPATH. The mutant
+is killed when a test fails or the edited package no longer imports. Each
+test subset first runs once on an unedited copy, where it must pass. The
+script prints killed or survived per mutant and exits 1 if any survived,
+or 2 if a subset fails unedited or an edit's old text is not in its file
+exactly once. Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # a module of src/radival
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+OUTWARD = (
+    "tests/test_render.py::TestOutwardRounding",
+    "tests/test_render.py::TestOutwardRoundingAgainstLibmpdec",
+)
+LIBMPDEC = ("tests/test_render.py::TestOutwardRoundingAgainstLibmpdec",)
+PREFIX = (
+    "tests/test_render.py::TestBracketNotation",
+    "tests/test_render.py::test_shared_prefix_length_against_commonprefix",
+)
+TRUSTED = ("tests/test_trusted.py",)
+STEP_WALK = ("tests/test_small_formats.py::test_next_up_steps_every_pattern",)
+ORACLE_HYGIENE = ("tests/test_hygiene.py::test_oracle_imports_no_converter_function",)
+CONTAINMENT = ("tests/test_cli.py::TestPrintInterval::test_check_failure_on_containment",)
+
+MUTANTS = [
+    # outward n-digit rounding and the bracket prefix
+    Mutant(
+        "no-one-digit-correction", "render.py",
+        "    if q < 10 ** (n - 1):\n", "    if False:\n", OUTWARD,
+    ),
+    Mutant("no-carry", "render.py", "        if q == 10**n:\n", "        if False:\n", OUTWARD),
+    Mutant(
+        "away-from-zero-ignores-sign", "render.py",
+        '    if inexact and (direction == "up") == (sign > 0):\n',
+        '    if inexact and direction == "up":\n',
+        OUTWARD,
+    ),
+    Mutant(
+        "floored-exponent-estimate", "render.py",
+        "    exponent = math.ceil((m.bit_length() + e) * _LOG10_2)\n",
+        "    exponent = math.floor((m.bit_length() + e) * _LOG10_2)\n",
+        OUTWARD,
+    ),
+    Mutant(
+        "shortened-prefix", "render.py",
+        "    k = _shared_prefix_length(lo_text, hi_text)\n",
+        "    k = max(_shared_prefix_length(lo_text, hi_text) - 1, 0)\n",
+        PREFIX,
+    ),
+    Mutant(
+        "carry-keeps-exponent", "render.py",
+        '            return _decimal_scientific(sign, "1", exponent + 1)\n',
+        '            return _decimal_scientific(sign, "1", exponent)\n',
+        LIBMPDEC,
+    ),
+    Mutant(
+        "prefix-bytes-off-by-one", "render.py",
+        "    return n - (x.bit_length() + 7) // 8\n",
+        "    return n - (x.bit_length() + 8) // 8\n",
+        ("tests/test_render.py::test_shared_prefix_length_against_commonprefix",),
+    ),
+    # trusted constructors given what the checked ones refuse
+    Mutant(
+        "trailing-zero-outward", "render.py",
+        '_text_from_int(q).rstrip("0"), exponent)', "_text_from_int(q), exponent)", TRUSTED,
+    ),
+    Mutant(
+        "trailing-zero-exact-decimal", "render.py",
+        '    return text.rstrip("0"), len(text) + min(e, 0)\n',
+        "    return text, len(text) + min(e, 0)\n",
+        TRUSTED,
+    ),
+    Mutant(
+        "trailing-zero-parse-numeral", "parse.py",
+        '    return _decimal_scientific(sign, digits.rstrip("0"), exponent)\n',
+        "    return _decimal_scientific(sign, digits, exponent)\n",
+        TRUSTED,
+    ),
+    Mutant(
+        "reversed-enclosure", "parse.py",
+        "    interval = _float_interval(lb, _on_grid(1, m + 1, e, fmt) if rem else lb)\n",
+        "    interval = _float_interval(_on_grid(1, m + 1, e, fmt) if rem else lb, lb)\n",
+        TRUSTED,
+    ),
+    Mutant(
+        "reversed-negation", "floatkit.py",
+        "        return _float_interval(-self.ub, -self.lb)\n",
+        "        return _float_interval(-self.lb, -self.ub)\n",
+        TRUSTED,
+    ),
+    Mutant(
+        "wrong-kind-on-grid", "floatkit.py",
+        "KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL", "KIND_NORMAL", TRUSTED,
+    ),
+    Mutant(
+        "wrong-kind-from-bits", "floatkit.py",
+        "    return _float_value(KIND_NORMAL, sign, m, e)\n",
+        "    return _float_value(KIND_SUBNORMAL, sign, m, e)\n",
+        TRUSTED,
+    ),
+    # the grid packer, the step and the float order
+    Mutant(
+        "on-grid-no-carry", "floatkit.py", "    if m == 1 << p:\n", "    if False:\n", STEP_WALK,
+    ),
+    Mutant(
+        "on-grid-no-renormalising-shift", "floatkit.py",
+        "        m, e = m >> 1, e + 1\n", "",
+        ("tests/test_oracle.py::test_binade_tops_against_the_converter",),
+    ),
+    Mutant(
+        "borrow-at-least-exponent", "floatkit.py",
+        "    if m == 1 << (fmt.significand_bits - 1) and e > fmt.least_exponent:\n",
+        "    if m == 1 << (fmt.significand_bits - 1):\n",
+        STEP_WALK,
+    ),
+    Mutant(
+        "unreduced-hash", "floatkit.py",
+        "            m, e = m >> shift, e + shift\n", "",
+        ("tests/test_floatkit.py::TestOrderingAndEquality",),
+    ),
+    Mutant(
+        "second-on-grid-in-render", "render.py",
+        "def _hex(", "def _on_grid(sign, m, e, fmt):\n    return None\n\n\ndef _hex(",
+        ("tests/test_hygiene.py::test_one_definition_per_function_name",),
+    ),
+    # the text of enclosures
+    Mutant(
+        "float-bracket-without-infinity-guard", "render.py",
+        "    if KIND_INFINITE in (interval.lb.kind, interval.ub.kind):\n", "    if False:\n",
+        ("tests/test_render.py::TestEnclosureFields",),
+    ),
+    Mutant(
+        "lead-without-exponent", "render.py",
+        "    return (sign, exponent, digits[0]) if digits else None\n",
+        "    return (sign, digits[0]) if digits else None\n",
+        ("tests/test_render.py::TestBracketNotation::test_fallback_on_exponent_mismatch",),
+    ),
+    # the oracle and --check
+    Mutant(
+        "decimal-float-order-ge", "oracle.py",
+        "    return (x > y) - (x < y)\n", "    return (x >= y) - (x < y)\n",
+        ("tests/test_oracle.py::test_decimal_float_comparison_against_fraction", *CONTAINMENT),
+    ),
+    Mutant(
+        "lower-containment-unchecked", "cli.py",
+        "                if oracle.compare_decimal_float(lo, interval.lb) > 0:\n",
+        "                if False:\n",
+        CONTAINMENT,
+    ),
+    Mutant(
+        "upper-containment-unchecked", "cli.py",
+        "                if oracle.compare_decimal_float(hi, interval.ub) < 0:\n",
+        "                if False:\n",
+        CONTAINMENT,
+    ),
+    *(
+        Mutant(
+            f"oracle-imports-{label}", "oracle.py",
+            "from .parse import DecimalScientific, Rational\n",
+            f"from .parse import DecimalScientific, Rational\n{statement}\n",
+            ORACLE_HYGIENE,
+        )
+        for label, statement in (
+            ("next-up", "from .floatkit import next_up"),
+            ("next-up-absolute", "from radival.floatkit import next_up"),
+            ("render", "from . import render"),
+            ("parse-module", "import radival.parse"),
+        )
+    ),
+    # the command line against the host's float and decimal
+    Mutant(
+        "print-interval-one-digit-more", "cli.py",
+        "        lo, hi = interval_to_decimal(interval, args.digits, fmt)\n",
+        "        lo, hi = interval_to_decimal(interval, args.digits + 1, fmt)\n",
+        ("tests/test_host_witness.py",),
+    ),
+    Mutant(
+        "degenerate-parse-enclosure", "cli.py",
+        "            interval = decimal_to_interval(value, fmt)\n",
+        "            interval = decimal_to_interval(value, fmt)\n"
+        "            interval = _float_interval(interval.lb, interval.lb)\n",
+        ("tests/test_host_witness.py::test_parse_encloses_the_host_float",),
+    ),
+]
+
+
+def run_tests(src: pathlib.Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit status for the tests, importing radival from src."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    quiet = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL}
+    return subprocess.run(argv, cwd=ROOT, env=env, **quiet).returncode
+
+
+def fresh_copy(workdir: pathlib.Path) -> pathlib.Path:
+    """A copy of src/ under workdir, replacing any earlier one."""
+    src = workdir / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    for m in chosen:
+        count = (ROOT / "src" / "radival" / m.file).read_text().count(m.old)
+        if count != 1:
+            print(f"{m.name}: the edit's old text occurs {count} times in {m.file}")
+            return 2
+    survived = []
+    with tempfile.TemporaryDirectory() as workdir:
+        workdir = pathlib.Path(workdir)
+        src = fresh_copy(workdir)
+        for tests in dict.fromkeys(m.tests for m in chosen):
+            if run_tests(src, tests) != 0:
+                print(f"fails unedited: {' '.join(tests)}")
+                return 2
+        for m in chosen:
+            src = fresh_copy(workdir)
+            path = src / "radival" / m.file
+            path.write_text(path.read_text().replace(m.old, m.new))
+            # 1: a test failed; 2: collection stopped, as on an import error
+            status = run_tests(src, m.tests)
+            if status not in (0, 1, 2):
+                print(f"{m.name}: pytest exited {status}")
+                return 2
+            print(f"{m.name}: {'survived' if status == 0 else 'killed'}", flush=True)
+            if status == 0:
+                survived.append(m.name)
+    print(f"{len(chosen) - len(survived)} of {len(chosen)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

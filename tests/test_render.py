@@ -1,8 +1,10 @@
 """Exact decimal output, outward truncation, and bracket renderings."""
 
+import math
 import random
 import sys
 import time
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from os.path import commonprefix
 
@@ -20,6 +22,7 @@ from radival.floatkit import (
     DomainError,
     FloatFormat,
     FloatInterval,
+    FloatValue,
     from_bits,
     infinity,
     next_up,
@@ -35,6 +38,7 @@ from radival.parse import (
 from radival.render import (
     BracketRendering,
     DecimalInfinity,
+    _shared_prefix_length,
     bracket_notation,
     enclosure_fields,
     float_to_exact_decimal,
@@ -370,6 +374,99 @@ class TestOutwardRounding:
             interval_to_decimal(iv, 0, BINARY32)
 
 
+def _directed(n: int) -> tuple[Context, Context]:
+    """libmpdec contexts that round to n digits toward -inf and +inf, with
+    exponent limits no binary format reaches."""
+    return tuple(
+        Context(prec=n, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX)
+        for rounding in (ROUND_FLOOR, ROUND_CEILING)
+    )
+
+
+def _decimal_of(d: DecimalScientific) -> Decimal:
+    """The Decimal equal to sign * 0.digits * 10^exponent."""
+    digits = d.mantissa.digits
+    return Decimal((d.sign < 0, digits, d.exponent - len(digits)))
+
+
+def _float_decimal(f: FloatValue) -> Decimal:
+    """The exact Decimal of a finite float, built from integers alone:
+    m * 2^e is m * 5^-e * 10^e when e < 0."""
+    m, e = f.significand, f.exponent
+    if e >= 0:
+        return Decimal(f.sign * (m << e))
+    return Decimal((f.sign < 0, Decimal(m * 5**-e).as_tuple().digits, e))
+
+
+def _witness_floats(fmt: FloatFormat, rng: random.Random) -> list[FloatValue]:
+    """Zero and positive floats of fmt: the subnormal ends and seeded
+    subnormals, both ends of the outermost and of seeded binades, and the
+    floats on and next to every power of ten from 10^-3 to 10^25, where
+    rounding up to a few digits carries into 10^n, and to seeded others."""
+    p, least = fmt.significand_bits, fmt.least_exponent
+    top = fmt.emax - p + 1
+    floats = [ZERO, fmt.smallest_subnormal, exact_float(1, (1 << (p - 1)) - 1, least, fmt)]
+    floats += [exact_float(1, rng.randrange(1, 1 << (p - 1)), least, fmt) for _ in range(8)]
+    for e in [least, top, *rng.sample(range(least, top + 1), min(16, top - least + 1))]:
+        for m in (1 << (p - 1), (1 << p) - 1, rng.randrange(1 << (p - 1), 1 << p)):
+            floats.append(exact_float(1, m, e, fmt))
+    low, high = math.floor(least * math.log10(2)), math.ceil((fmt.emax + 1) * math.log10(2))
+    powers = {*range(max(low, -3), min(high, 25) + 1)}
+    powers.update(rng.sample(range(low, high + 1), min(12, high - low + 1)))
+    for k in sorted(powers):
+        interval = decimal_to_interval(parse_numeral(f"1e{k}"), fmt)
+        for f in (interval.lb, interval.ub):
+            if f.kind == "infinity":
+                continue
+            floats.append(f)
+            if f.kind != "zero":
+                floats += [-next_up(-f, fmt), next_up(f, fmt)]
+    return [f for f in floats if f.kind != "infinity"]
+
+
+WITNESS_DIGITS = [*range(1, 21), 40]
+
+
+class TestOutwardRoundingAgainstLibmpdec:
+    """Both n-digit roundings against libmpdec's directed rounding of the
+    exact value, which shares no code with radival."""
+
+    @pytest.mark.parametrize(
+        "fmt",
+        [BINARY16, BFLOAT16, BINARY32, BINARY64, BINARY128],
+        ids=["binary16", "bfloat16", "binary32", "binary64", "binary128"],
+    )
+    def test_floats(self, fmt):
+        rng = random.Random(fmt.bit_width + fmt.significand_bits)
+        contexts = {n: _directed(n) for n in WITNESS_DIGITS}
+        for f in _witness_floats(fmt, rng):
+            for g in {f, -f}:
+                x = _float_decimal(g)
+                for n, (down, up) in contexts.items():
+                    lo, hi = interval_to_decimal(FloatInterval(g, g), n, fmt)
+                    assert _decimal_of(lo) == down.plus(x), (g, n)
+                    assert _decimal_of(hi) == up.plus(x), (g, n)
+
+    def test_truncate_directed(self):
+        # mantissas of random digits and runs of nines, so that rounding
+        # away from zero carries through any number of places
+        rng = random.Random(2007)
+        for _ in range(250):
+            pieces = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.5:
+                    pieces.append("9" * rng.randint(1, 25))
+                else:
+                    pieces.append(str(rng.randrange(10 ** rng.randint(1, 15))))
+            text = "".join(pieces).lstrip("0").rstrip("0") or "9"
+            d = decimal(rng.choice([1, -1]), text, rng.randint(-400, 400))
+            x = _decimal_of(d)
+            for n in range(1, len(text) + 2):
+                down, up = _directed(n)
+                assert _decimal_of(truncate_directed(d, n, "down")) == down.plus(x), (d, n)
+                assert _decimal_of(truncate_directed(d, n, "up")) == up.plus(x), (d, n)
+
+
 class TestPlainDecimal:
     def test_exponent_placements(self):
         assert plain_decimal(decimal(1, "123", 0)) == "0.123"
@@ -510,6 +607,35 @@ class TestBracketNotation:
                 if lo != hi:
                     with pytest.raises(ValueError):
                         bracket_notation(hi, lo)
+
+
+def test_shared_prefix_length_against_commonprefix():
+    # seeded ASCII pairs: equal texts, one a prefix of the other, empty
+    # texts, differences at index 0 and past 4,000 characters, and the
+    # hex significands and exact decimals of adjacent binary64 floats
+    rng = random.Random(34)
+
+    def ascii_text(length):
+        return "".join(chr(rng.randrange(128)) for _ in range(length))
+
+    pairs = [("", ""), ("", "0.5"), ("0.5", ""), ("a", "b"), ("0.5", "0.55")]
+    for length in (1, 7, 8, 9, 300, 4100, 5000):
+        text = ascii_text(length)
+        cut = rng.randrange(length + 1)
+        pairs += [(text, text), (text, text[:cut]), (text[:cut], text)]
+        pairs += [(text, chr(ord(text[0]) ^ 1) + text[1:])]
+        for _ in range(20):
+            k = rng.randrange(length)
+            other = chr(ord(text[k]) ^ (1 << rng.randrange(7)))
+            pairs.append((text, text[:k] + other + ascii_text(rng.randrange(length))))
+    for _ in range(100):
+        # finite patterns below the top value, so the step up is finite
+        f = from_bits(rng.randrange(0x7FEFFFFFFFFFFFFF), BINARY64)
+        pair = f, next_up(f, BINARY64)
+        pairs.append(tuple(hex_significand_rendering(x, BINARY64) for x in pair))
+        pairs.append(tuple(plain_decimal(float_to_exact_decimal(x, BINARY64)) for x in pair))
+    for a, b in pairs:
+        assert _shared_prefix_length(a, b) == len(commonprefix([a, b])), (a, b)
 
 
 class TestHexSignificand:

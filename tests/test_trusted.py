@@ -1,9 +1,10 @@
 """The kernels' trusted constructors build only what the checked ones accept.
 
-parse_numeral, float_to_exact_decimal, _round_outward, floatkit._on_grid
-(the one packer behind _enclose, next_up and the subnormal and zero bit
-patterns of from_bits), the normal branch of from_bits and both negations
-skip the constructor checks for values they have just made canonical.
+parse_numeral, float_to_exact_decimal, _round_outward, truncate_directed
+(both through render._step_outward), floatkit._on_grid (the one packer
+behind _enclose, next_up and the subnormal and zero bit patterns of
+from_bits), the normal branch of from_bits and both negations skip the
+constructor checks for values they have just made canonical.
 Every value they return here is rebuilt through the public constructors,
 which must accept it unchanged; each float must also be canonical for the
 format it came from.
@@ -32,7 +33,12 @@ from radival.parse import (
     parse_numeral,
     rational_to_interval,
 )
-from radival.render import DecimalInfinity, float_to_exact_decimal, interval_to_decimal
+from radival.render import (
+    DecimalInfinity,
+    float_to_exact_decimal,
+    interval_to_decimal,
+    truncate_directed,
+)
 
 FORMATS = [BINARY32, BINARY64]
 
@@ -152,6 +158,24 @@ class TestTrustedConstruction:
             for n in range(1, 41):
                 for bound in interval_to_decimal(interval, n, fmt):
                     assert_public(bound)
+
+
+def test_truncate_directed():
+    # seeded mantissas, runs of nines that carry into a fresh leading 1,
+    # dropped tails that leave trailing zeros, and mantissas past 4,300
+    # digits, in both signs and both directions
+    rng = random.Random(5)
+    texts = ["9" * 12, "9" * 11 + "5", "3" + "0" * 8 + "7", "9" * 4400 + "1", "1" * 5000 + "3"]
+    texts += [str(rng.randrange(1, 10**40)).rstrip("0") for _ in range(40)]
+    for text in texts:
+        for sign in (1, -1):
+            d = DecimalScientific(sign, DigitString.fraction(text), rng.randint(-50, 50))
+            for n in {1, 2, 5, 11, max(len(text) - 1, 1), rng.randrange(1, len(text) + 1)}:
+                for direction in ("down", "up"):
+                    assert_public(truncate_directed(d, n, direction))
+    nines = DecimalScientific(-1, DigitString.fraction("9" * 4400 + "1"), 3)
+    carried = truncate_directed(nines, 4400, "down")
+    assert (carried.sign, carried.mantissa.text, carried.exponent) == (-1, "1", 4)
 
 
 def test_carries_and_trailing_zeros_occur():
