@@ -27,7 +27,8 @@ import contextlib
 import os
 import re
 import sys
-from typing import Callable, TextIO
+from collections.abc import Callable
+from io import TextIOBase
 
 from .floatkit import (
     BINARY32,
@@ -105,7 +106,7 @@ def _check_enclosure(interval: FloatInterval, value, fmt: FloatFormat, text: str
 
 
 def _serve(
-    values: list[str | None], record: Callable, layout: str, stdin: TextIO, stdout: TextIO
+    values: list[str | None], record: Callable, layout: str, stdin: TextIOBase, stdout: TextIOBase
 ) -> int:
     """Write the record of the given values in the single-shot layout or,
     with no values given, filter stdin: one record per nonblank line."""
@@ -144,7 +145,7 @@ def _parse_float_token(text: str, fmt: FloatFormat) -> FloatValue:
     return interval.lb
 
 
-def _cmd_parse(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
+def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     """parse and parse-rational: hex and exact decimal of each bound of the
     enclosure, then the bracket."""
     fmt = _FORMATS[args.format]
@@ -164,7 +165,7 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
     return _serve([args.value], record, layout, stdin, stdout)
 
 
-def _cmd_print(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
+def _cmd_print(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     fmt = _FORMATS[args.format]
 
     def record(text: str) -> tuple[str]:
@@ -177,7 +178,7 @@ def _cmd_print(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
     return _serve([args.value], record, "{0}\n", stdin, stdout)
 
 
-def _cmd_print_interval(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
+def _cmd_print_interval(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     fmt = _FORMATS[args.format]
 
     def record(low: str, high: str | None = None) -> tuple[str, str, str]:
@@ -225,7 +226,7 @@ _TABLE_HEADER = (
 _ROW_OVERRIDES = {11: "2^(-4) * 1.3a2e8[c,d]"}
 
 
-def _cmd_table(args: argparse.Namespace, stdin: TextIO, stdout: TextIO) -> int:
+def _cmd_table(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     # the table's nearest-float column comes from the oracle, check or not
     from . import oracle
 
@@ -318,9 +319,9 @@ _DISPATCH = {
 
 def run(
     argv: list[str],
-    stdin: TextIO | None = None,
-    stdout: TextIO | None = None,
-    stderr: TextIO | None = None,
+    stdin: TextIOBase | None = None,
+    stdout: TextIOBase | None = None,
+    stderr: TextIOBase | None = None,
 ) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout

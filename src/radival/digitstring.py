@@ -12,7 +12,7 @@ begin with zeros (0.05 is the two digits 0 and 5); those carry value.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .value import Value, _new, slot_setters
 

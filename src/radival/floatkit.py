@@ -36,8 +36,10 @@ class FloatFormat(Value):
     The derived constants are computed once, when the format is built."""
 
     _fields = ("significand_bits", "emin", "emax")
-    _derived = ("least_exponent", "exponent_field_bits", "bit_width")
-    __slots__ = _fields + _derived + ("max_finite", "smallest_subnormal", "one")
+    __slots__ = _fields + (
+        "least_exponent", "exponent_field_bits", "bit_width",
+        "max_finite", "smallest_subnormal", "one",
+    )
 
     def __new__(cls, significand_bits: int, emin: int, emax: int) -> FloatFormat:
         if significand_bits < 2:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .digitstring import _int_from_digits, _text_from_int
+from .digitstring import _text_from_int
 from .floatkit import KIND_INFINITE, FloatFormat, FloatInterval, FloatValue, decompose
 from .parse import DECIMAL_ZERO, DecimalScientific, _decimal_scientific
 from .value import Value
@@ -107,22 +107,23 @@ def truncate_directed(
     if len(text) <= n:
         return d
     # a canonical mantissa never ends in 0, so the dropped tail is nonzero
-    return _step_outward(d.sign, _int_from_digits(text[:n]), True, d.exponent, n, direction)
+    return _step_outward(d.sign, text[:n], True, d.exponent, direction)
 
 
 def _step_outward(
-    sign: int, q: int, inexact: int, exponent: int, n: int, direction: str
+    sign: int, digits: str, inexact: int, exponent: int, direction: str
 ) -> DecimalScientific:
-    """sign * 0.q * 10^exponent, q the first n digits of a value, rounded
-    toward the named direction: one unit more when digits were dropped
-    (inexact is nonzero) and the direction points away from zero, and a
-    carry to 10^n is 0.1 * 10^(exponent + 1)."""
+    """sign * 0.digits * 10^exponent, digits the first n digits of a value
+    (the first of them nonzero), rounded toward the named direction. When
+    digits were dropped (inexact is nonzero) and the direction points away
+    from zero, the kept digits rise one unit: trailing nines go and the
+    digit before them rises, and n nines carry to 0.1 * 10^(exponent + 1)."""
     if inexact and (direction == "up") == (sign > 0):
-        q += 1
-        if q == 10**n:
+        digits = digits.rstrip("9")
+        if not digits:
             return _decimal_scientific(sign, "1", exponent + 1)
-    # 10^(n-1) <= q < 10^n, so the text opens with a nonzero digit
-    return _decimal_scientific(sign, _text_from_int(q).rstrip("0"), exponent)
+        digits = digits[:-1] + chr(ord(digits[-1]) + 1)
+    return _decimal_scientific(sign, digits.rstrip("0"), exponent)
 
 
 def _round_outward(
@@ -163,7 +164,8 @@ def _round_outward(
         exponent -= 1
         digit, r = divmod(10 * r, den)
         q = 10 * q + digit
-    return _step_outward(f.sign, q, r, exponent, n, direction)
+    # 10^(n-1) <= q < 10^n, so the text opens with a nonzero digit
+    return _step_outward(f.sign, _text_from_int(q), r, exponent, direction)
 
 
 def interval_to_decimal(
@@ -178,9 +180,15 @@ def interval_to_decimal(
 
 def plain_decimal(d: DecimalScientific | DecimalInfinity) -> str:
     """Positional text with no exponent marker: 0.05, 12.5, 12500, 0."""
+    return _text_and_lead(d)[0]
+
+
+def _text_and_lead(d: DecimalScientific | DecimalInfinity) -> tuple[str, tuple | None]:
+    """Positional text and lead of a decimal bound; an infinity has no lead."""
     if isinstance(d, DecimalInfinity):
-        return _infinity_text(d.sign)
-    return _positional(d.sign, d.mantissa.text, d.exponent)
+        return _infinity_text(d.sign), None
+    digits, exponent = d.mantissa.text, d.exponent
+    return _positional(d.sign, digits, exponent), _lead(d.sign, digits, exponent)
 
 
 def _positional(sign: int, digits: str, e: int) -> str:
@@ -195,21 +203,17 @@ def _positional(sign: int, digits: str, e: int) -> str:
     return f"{sign}{digits[:e]}.{digits[e:]}"
 
 
-def _compare_decimals(a: DecimalScientific, b: DecimalScientific) -> int:
-    """Exact three-way value comparison of normalized decimals."""
-    sa = 0 if a.is_zero else a.sign
-    sb = 0 if b.is_zero else b.sign
-    if sa != sb:
-        return -1 if sa < sb else 1
-    if sa == 0:
-        return 0
-    if a.exponent != b.exponent:
-        return sa * (-1 if a.exponent < b.exponent else 1)
-    # a canonical mantissa never ends in 0, so text order is value order
-    da, db = a.mantissa.text, b.mantissa.text
-    if da == db:
-        return 0
-    return sa * (-1 if da < db else 1)
+def _above(a: DecimalScientific | DecimalInfinity, b: DecimalScientific | DecimalInfinity) -> bool:
+    """Whether a lies above b in exact value. Each ranks -2 as -inf, -1
+    below zero, 0 as zero, 1 above zero and 2 as +inf, and decimals of one
+    sign then order by exponent and digits."""
+    ra = 2 * a.sign if isinstance(a, DecimalInfinity) else 0 if a.is_zero else a.sign
+    rb = 2 * b.sign if isinstance(b, DecimalInfinity) else 0 if b.is_zero else b.sign
+    if ra != rb or ra not in (1, -1):
+        return ra > rb
+    # a canonical mantissa never ends in 0, so text order is magnitude order
+    x, y = (a.exponent, a.mantissa.text), (b.exponent, b.mantissa.text)
+    return x > y if ra > 0 else x < y
 
 
 def bracket_notation(
@@ -222,36 +226,29 @@ def bracket_notation(
     the brackets; equal bounds leave the brackets empty. Any disagreement,
     and any infinite bound, falls back to the plain [lo,hi] pair.
     """
-    lo_infinite, hi_infinite = isinstance(lo, DecimalInfinity), isinstance(hi, DecimalInfinity)
-    if lo_infinite or hi_infinite:
-        # -inf lies below every finite value and +inf above it
-        if (lo.sign if lo_infinite else 0) > (hi.sign if hi_infinite else 0):
-            raise ValueError("bounds out of order")
-        return BracketRendering("", plain_decimal(lo), plain_decimal(hi))
-    if _compare_decimals(lo, hi) > 0:
+    if _above(lo, hi):
         raise ValueError("bounds out of order")
-    sharable = _lead(lo.sign, lo.mantissa.text, lo.exponent) == _lead(
-        hi.sign, hi.mantissa.text, hi.exponent
-    )
-    return BracketRendering(*_cut(plain_decimal(lo), plain_decimal(hi), sharable))
+    (lo_text, lo_lead), (hi_text, hi_lead) = _text_and_lead(lo), _text_and_lead(hi)
+    return BracketRendering(*_cut(lo_text, hi_text, lo_lead, hi_lead))
 
 
-def _lead(sign: int, digits: str, exponent: int) -> tuple[int, int, str] | None:
+def _lead(sign: int, digits: str, exponent: int) -> tuple[int, int, str]:
     """What two finite bounds must have in common to share a bracket
-    prefix: sign, decimal exponent and opening digit. Zero has none."""
-    return (sign, exponent, digits[0]) if digits else None
+    prefix: sign, decimal exponent and opening digit. Zero, at exponent 0
+    with no digits, has the lead (sign, 0, "")."""
+    return sign, exponent, digits[:1]
 
 
-def _cut(lo_text: str, hi_text: str, sharable: bool) -> tuple[str, str, str]:
-    """Prefix and tails of the bracket of two finite bounds' texts: equal
-    texts go whole into the prefix, bounds with the same lead split at
-    their common prefix, and any other pair keeps its texts whole as the
-    tails."""
-    if lo_text == hi_text:
-        return lo_text, "", ""
-    if not sharable:
+def _cut(lo_text: str, hi_text: str, lo_lead: object, hi_lead: object) -> tuple[str, str, str]:
+    """Prefix and tails of the bracket of two bounds' texts, the one choice
+    between the prefix form and the plain pair. An infinite bound has the
+    lead None and shares no prefix, even with the same infinity. Bounds
+    with the same lead split at their common prefix, so equal texts go
+    whole into the prefix, and any other pair keeps its texts whole as
+    the tails."""
+    if lo_lead is None or lo_lead != hi_lead:
         return "", lo_text, hi_text
-    k = _shared_prefix_length(lo_text, hi_text)
+    k = len(lo_text) if lo_text == hi_text else _shared_prefix_length(lo_text, hi_text)
     return lo_text[:k], lo_text[k:], hi_text[k:]
 
 
@@ -302,17 +299,13 @@ def hex_significand_bracket(interval: FloatInterval, fmt: FloatFormat) -> str:
     brackets; bounds in different binades, and any infinite bound, fall
     back to the plain pair, as in bracket_notation.
     """
-    lo = hex_significand_rendering(interval.lb, fmt)
-    hi = hex_significand_rendering(interval.ub, fmt)
-    return _float_bracket(interval, lo, hi, lo.rsplit(".", 1)[0] == hi.rsplit(".", 1)[0])
-
-
-def _float_bracket(interval: FloatInterval, lo_text: str, hi_text: str, sharable: bool) -> str:
-    """Bracket text of a float interval from its bounds' texts. An infinite
-    bound keeps the plain pair, even when both are the same infinity."""
-    if KIND_INFINITE in (interval.lb.kind, interval.ub.kind):
-        return _BRACKET % ("", lo_text, hi_text)
-    return _BRACKET % _cut(lo_text, hi_text, sharable)
+    lo, hi = (hex_significand_rendering(f, fmt) for f in (interval.lb, interval.ub))
+    # a finite bound's lead is its text before the point
+    lo_lead, hi_lead = (
+        None if f.kind == KIND_INFINITE else text.rsplit(".", 1)[0]
+        for f, text in ((interval.lb, lo), (interval.ub, hi))
+    )
+    return _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
 
 
 def enclosure_fields(interval: FloatInterval, fmt: FloatFormat) -> tuple[str, str, str, str, str]:
@@ -326,12 +319,12 @@ def enclosure_fields(interval: FloatInterval, fmt: FloatFormat) -> tuple[str, st
     """
     lb_hex, lo, lo_lead = _bound_texts(interval.lb, fmt)
     ub_hex, hi, hi_lead = _bound_texts(interval.ub, fmt)
-    return lb_hex, lo, ub_hex, hi, _float_bracket(interval, lo, hi, lo_lead == hi_lead)
+    return lb_hex, lo, ub_hex, hi, _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
 
 
 def _bound_texts(f: FloatValue, fmt: FloatFormat) -> tuple[str, str, tuple | None]:
     """Hex and positional text of one bound, and its lead (None for an
-    infinity, which _float_bracket keeps out of the cut)."""
+    infinity)."""
     if f.kind == KIND_INFINITE:
         text = _infinity_text(f.sign)
         return text, text, None

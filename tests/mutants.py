@@ -46,6 +46,7 @@ PREFIX = (
 TRUSTED = ("tests/test_trusted.py",)
 STEP_WALK = ("tests/test_small_formats.py::test_next_up_steps_every_pattern",)
 ORACLE_HYGIENE = ("tests/test_hygiene.py::test_oracle_imports_no_converter_function",)
+ORDER = ("tests/test_render.py::TestBracketNotation::test_order_against_exact_values",)
 CONTAINMENT = ("tests/test_cli.py::TestPrintInterval::test_check_failure_on_containment",)
 
 MUTANTS = [
@@ -54,7 +55,7 @@ MUTANTS = [
         "no-one-digit-correction", "render.py",
         "    if q < 10 ** (n - 1):\n", "    if False:\n", OUTWARD,
     ),
-    Mutant("no-carry", "render.py", "        if q == 10**n:\n", "        if False:\n", OUTWARD),
+    Mutant("no-carry", "render.py", "        if not digits:\n", "        if False:\n", OUTWARD),
     Mutant(
         "away-from-zero-ignores-sign", "render.py",
         '    if inexact and (direction == "up") == (sign > 0):\n',
@@ -69,8 +70,8 @@ MUTANTS = [
     ),
     Mutant(
         "shortened-prefix", "render.py",
-        "    k = _shared_prefix_length(lo_text, hi_text)\n",
-        "    k = max(_shared_prefix_length(lo_text, hi_text) - 1, 0)\n",
+        "else _shared_prefix_length(lo_text, hi_text)\n",
+        "else max(_shared_prefix_length(lo_text, hi_text) - 1, 0)\n",
         PREFIX,
     ),
     Mutant(
@@ -88,7 +89,7 @@ MUTANTS = [
     # trusted constructors given what the checked ones refuse
     Mutant(
         "trailing-zero-outward", "render.py",
-        '_text_from_int(q).rstrip("0"), exponent)', "_text_from_int(q), exponent)", TRUSTED,
+        'digits.rstrip("0"), exponent)', "digits, exponent)", TRUSTED,
     ),
     Mutant(
         "trailing-zero-exact-decimal", "render.py",
@@ -151,15 +152,27 @@ MUTANTS = [
     ),
     # the text of enclosures
     Mutant(
-        "float-bracket-without-infinity-guard", "render.py",
-        "    if KIND_INFINITE in (interval.lb.kind, interval.ub.kind):\n", "    if False:\n",
+        "cut-without-infinity-guard", "render.py",
+        "    if lo_lead is None or lo_lead != hi_lead:\n", "    if lo_lead != hi_lead:\n",
         ("tests/test_render.py::TestEnclosureFields",),
     ),
     Mutant(
         "lead-without-exponent", "render.py",
-        "    return (sign, exponent, digits[0]) if digits else None\n",
-        "    return (sign, digits[0]) if digits else None\n",
+        "    return sign, exponent, digits[:1]\n", "    return sign, digits[:1]\n",
         ("tests/test_render.py::TestBracketNotation::test_fallback_on_exponent_mismatch",),
+    ),
+    # the order test of decimal bounds
+    Mutant(
+        "order-ignores-sign", "render.py",
+        "    return x > y if ra > 0 else x < y\n", "    return x > y\n", ORDER,
+    ),
+    Mutant(
+        "zero-ranked-positive", "render.py",
+        "else 0 if a.is_zero else a.sign\n    rb = 2 * b.sign if isinstance(b, DecimalInfinity) "
+        "else 0 if b.is_zero else b.sign\n",
+        "else 1 if a.is_zero else a.sign\n    rb = 2 * b.sign if isinstance(b, DecimalInfinity) "
+        "else 1 if b.is_zero else b.sign\n",
+        ORDER,
     ),
     # the oracle and --check
     Mutant(

@@ -177,6 +177,13 @@ def test_cli_import_leaves_check_modules_unloaded():
     assert result.stdout == "[]\n"
 
 
+def test_cli_import_leaves_typing_unloaded():
+    # annotations name collections.abc and io types, so no import on the
+    # command line's path needs typing
+    result = _python("-c", "import sys, radival.cli; print('typing' in sys.modules)")
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "False\n")
+
+
 @pytest.mark.parametrize(
     "argv, stdin",
     [

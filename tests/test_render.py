@@ -193,6 +193,26 @@ class TestTruncateDirected:
         ones = decimal(-1, "1" * 5000 + "3", 2)
         assert truncate_directed(ones, 4500, "down") == decimal(-1, "1" * 4499 + "2", 2)
 
+    def test_long_mantissa_in_linear_time(self):
+        # half of a seeded 1,000,000-digit mantissa kept in both directions,
+        # once over random digits and once over a run of nines before the
+        # cut: a round trip through an integer takes seconds at this length
+        rng = random.Random(1000)
+        n = 500_000
+        head = "3" + "".join(rng.choices("0123456789", k=n - 2)) + "4"
+        tail = "".join(rng.choices("0123456789", k=n - 1)) + "7"
+        digits, nines = decimal(1, head + tail, 2), decimal(-1, "9" * n + tail, -5)
+        start = time.perf_counter()
+        results = [truncate_directed(d, n, way) for d in (digits, nines) for way in ("up", "down")]
+        elapsed = time.perf_counter() - start
+        assert results == [
+            decimal(1, head[:-1] + "5", 2),
+            decimal(1, head, 2),
+            decimal(-1, "9" * n, -5),
+            decimal(-1, "1", -4),
+        ]
+        assert elapsed < 0.5
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             truncate_directed(decimal(1, "5", 0), 0, "down")
@@ -525,6 +545,34 @@ class TestBracketNotation:
     def test_order_enforced(self):
         with pytest.raises(ValueError):
             bracket_notation(decimal(1, "6", 0), decimal(1, "5", 0))
+
+    def test_order_against_exact_values(self):
+        # every ordered pair of seeded decimals (1-4 digits at exponents -3
+        # to 3, both signs), zero and both infinities: bracket_notation
+        # refuses a pair exactly when its exact values are out of order
+        rng = random.Random(403)
+        values = [DECIMAL_ZERO, DecimalInfinity(1), DecimalInfinity(-1)]
+        while len(values) < 403:
+            digits = str(rng.randrange(1, 10 ** rng.randint(1, 4)))
+            if digits[-1] != "0":
+                values.append(decimal(rng.choice([1, -1]), digits, rng.randint(-3, 3)))
+
+        def exact(d):
+            # an infinity ranks past every finite value on its side
+            if isinstance(d, DecimalInfinity):
+                return d.sign, Fraction(0)
+            return 0, oracle.exact_value(d)
+
+        keys = sorted({exact(d) for d in values})
+        rank = [keys.index(exact(d)) for d in values]
+        for lo, lo_rank in zip(values, rank):
+            for hi, hi_rank in zip(values, rank):
+                try:
+                    bracket_notation(lo, hi)
+                    refused = False
+                except ValueError:
+                    refused = True
+                assert refused == (lo_rank > hi_rank), (lo, hi)
 
     def test_negative_pair_shares_prefix(self):
         r = bracket_notation(decimal(-1, "338", 0), decimal(-1, "331", 0))
