@@ -18,12 +18,18 @@ failure goes to stderr with the text an ERR field would carry.
 Exit codes: 0 success, 1 syntax or arity (or stdout closed before the
 output was written), 2 domain (NaN bits, zero denominators, literals off
 the format grid, disordered bounds), 3 a --check revalidation failed.
+
+Run as a program, the filter writes its records in blocks of about 8 KiB
+and flushes them before each read of stdin, so the records of the lines
+already read are out before it waits for more. A closed stdin reads as
+empty input.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import re
 import sys
@@ -345,9 +351,37 @@ def run(
         return 2
 
 
+class _FlushingReader(io.BufferedReader):
+    """A buffered reader that flushes an output stream before each read."""
+
+    def __init__(self, raw: io.RawIOBase, output: TextIOBase) -> None:
+        super().__init__(raw)
+        self._output = output
+
+    def read1(self, size: int = -1) -> bytes:
+        self._output.flush()
+        return super().read1(size)
+
+
+def _flushing_stdin(stdout: TextIOBase) -> TextIOBase:
+    """sys.stdin, decoded as the interpreter decodes it, on a reader that
+    flushes stdout before each read: the classic stdio rule. A closed
+    stdin reads as empty input."""
+    if sys.stdin is None:
+        return io.StringIO()
+    reader = _FlushingReader(io.FileIO(sys.stdin.fileno(), closefd=False), stdout)
+    # newline as in the interpreter's own POSIX stdin: a lone \r stays in its line
+    return io.TextIOWrapper(reader, sys.stdin.encoding, sys.stdin.errors, newline="\n")
+
+
 def main() -> None:
+    if sys.stdout is None:
+        # stdout closed before launch: no record can be written
+        sys.exit(1)
+    # hold up to a chunk of text per write even under PYTHONUNBUFFERED
+    sys.stdout.reconfigure(write_through=False)
     try:
-        status = run(sys.argv[1:])
+        status = run(sys.argv[1:], _flushing_stdin(sys.stdout))
         # flush inside the try so a closed pipe surfaces here
         sys.stdout.flush()
     except BrokenPipeError:

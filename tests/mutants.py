@@ -213,6 +213,15 @@ MUTANTS = [
         "        lo, hi = interval_to_decimal(interval, args.digits + 1, fmt)\n",
         ("tests/test_host_witness.py",),
     ),
+    # the command line's standard streams
+    Mutant(
+        "read-without-flush", "cli.py", "        self._output.flush()\n", "",
+        ("tests/test_cli_streams.py::test_filter_answers_each_line_before_the_next",),
+    ),
+    Mutant(
+        "universal-newlines-on-stdin", "cli.py", 'newline="\\n")', "newline=None)",
+        ("tests/test_cli_streams.py::test_filter_reads_stdin_as_run_reads_text[lone-cr]",),
+    ),
     Mutant(
         "degenerate-parse-enclosure", "cli.py",
         "            interval = decimal_to_interval(value, fmt)\n",
