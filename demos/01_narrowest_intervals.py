@@ -6,36 +6,30 @@ Run:  python demos/01_narrowest_intervals.py
 from radival import (
     BINARY32,
     BINARY64,
-    KIND_INFINITE,
     Rational,
     as_py_float,
     decimal_to_interval,
-    float_to_exact_decimal,
+    enclosure_fields,
     hex_significand_bracket,
     parse_numeral,
-    plain_decimal,
     rational_to_interval,
     to_bits,
 )
 
 
-def decimal_text(f, fmt):
-    if f.kind == KIND_INFINITE:
-        return "inf" if f.sign > 0 else "-inf"
-    return plain_decimal(float_to_exact_decimal(f, fmt))
-
-
 def show(title, interval, fmt):
     width = fmt.bit_width // 4
+    # the exact decimal of each bound, as the parse command prints it
+    _, lo_text, _, hi_text, _ = enclosure_fields(interval, fmt)
     print(f"  {title}")
     if interval.degenerate:
         print(f"    exactly representable: bits {to_bits(interval.lb, fmt):0{width}x}")
-        print(f"    value = {decimal_text(interval.lb, fmt)}")
+        print(f"    value = {lo_text}")
     else:
         lo, hi = interval.lb, interval.ub
         print(f"    lb bits {to_bits(lo, fmt):0{width}x}  ub bits {to_bits(hi, fmt):0{width}x}")
-        print(f"    lb = {decimal_text(lo, fmt)}")
-        print(f"    ub = {decimal_text(hi, fmt)}")
+        print(f"    lb = {lo_text}")
+        print(f"    ub = {hi_text}")
         print(f"    as Python floats: {as_py_float(lo)!r} .. {as_py_float(hi)!r}")
     print()
 

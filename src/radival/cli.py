@@ -52,14 +52,17 @@ from .parse import (
     DecimalScientific,
     NumeralSyntaxError,
     Rational,
+    _decimal_floor,
+    _enclose,
+    _floor,
     decimal_to_interval,
     parse_numeral,
     rational_to_interval,
 )
 from .render import (
     bracket_notation,
-    enclosure_fields,
     float_to_exact_decimal,
+    floor_fields,
     hex_significand_bracket,
     hex_significand_rendering,
     interval_to_decimal,
@@ -155,17 +158,18 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
     """parse and parse-rational: hex and exact decimal of each bound of the
     enclosure, then the bracket."""
     fmt = _FORMATS[args.format]
+    if args.command == "parse":
+        read, floor = parse_numeral, _decimal_floor
+    else:
+        read, floor = Rational.from_text, lambda r, fmt: _floor(r.sign, r.p, r.q, fmt)
 
     def record(text: str) -> tuple[str, ...]:
-        if args.command == "parse":
-            value = parse_numeral(text)
-            interval = decimal_to_interval(value, fmt)
-        else:
-            value = Rational.from_text(text)
-            interval = rational_to_interval(value, fmt)
+        value = read(text)
+        grid = floor(value, fmt)
         if args.check:
-            _check_enclosure(interval, value, fmt, text)
-        return enclosure_fields(interval, fmt)
+            # the interval of the floor and carry that the fields are written from
+            _check_enclosure(_enclose(*grid, fmt), value, fmt, text)
+        return floor_fields(*grid, fmt)
 
     layout = "lb = {0} = {1}\nub = {2} = {3}\nbracket = {4}\n"
     return _serve([args.value], record, layout, stdin, stdout)

@@ -179,20 +179,26 @@ def decompose(f: FloatValue, fmt: FloatFormat) -> tuple[int, int]:
     return m, e
 
 
-def _on_grid(sign: int, m: int, e: int, fmt: FloatFormat) -> FloatValue:
-    """The format value sign * m * 2^e, for a pair on the format's grid or
-    one unit past the top of its binade.
-
-    The unit past the top carries into the next binade, and past the top
-    finite value into an infinity; m == 0 is zero.
-    """
+def _carry(m: int, e: int, fmt: FloatFormat) -> tuple[int, int] | None:
+    """The canonical pair of m * 2^e, on the format's grid or one unit past
+    the top of its binade: that unit carries into the next binade, and past
+    the top finite value into an infinity, which has no pair (None)."""
     p = fmt.significand_bits
     if m == 1 << p:
         m, e = m >> 1, e + 1
         if e > fmt.emax - p + 1:
-            return infinity(sign)
+            return None
+    return m, e
+
+
+def _on_grid(sign: int, m: int, e: int, fmt: FloatFormat) -> FloatValue:
+    """The format value sign * m * 2^e for a pair _carry takes; m == 0 is zero."""
+    if (pair := _carry(m, e, fmt)) is None:
+        return infinity(sign)
+    m, e = pair
     if m == 0:
         return ZERO
+    p = fmt.significand_bits
     return _float_value(KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e)
 
 

@@ -10,8 +10,6 @@ is wrong.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .floatkit import (
     KIND_INFINITE,
     KIND_NORMAL,
@@ -45,10 +43,12 @@ def _decimal_ratio(d: DecimalScientific) -> tuple[int, int]:
 
 def exact_value(d: DecimalScientific) -> Fraction:
     """Value of a normalized decimal as an exact rational."""
+    from fractions import Fraction
     return Fraction(*_decimal_ratio(d))
 
 
 def rational_value(r: Rational) -> Fraction:
+    from fractions import Fraction
     return Fraction(r.sign * r.p, r.q)
 
 
@@ -63,6 +63,7 @@ def _float_ratio(f: FloatValue) -> tuple[int, int]:
 
 def float_exact_value(f: FloatValue) -> Fraction:
     """A finite float is the rational sign * m * 2^e, exactly."""
+    from fractions import Fraction
     return Fraction(*_float_ratio(f))
 
 
@@ -126,6 +127,7 @@ def _reference(num: int, den: int, fmt: FloatFormat) -> FloatInterval:
 
 def narrowest_interval_reference(x: Fraction, fmt: FloatFormat) -> FloatInterval:
     """Tightest enclosing interval of the rational x."""
+    from fractions import Fraction
     x = Fraction(x)
     return _reference(x.numerator, x.denominator, fmt)
 
@@ -157,6 +159,7 @@ def decimal_reference(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:
 
 def nearest_float(x: Fraction, fmt: FloatFormat) -> FloatValue:
     """Round to nearest with ties to the even significand."""
+    from fractions import Fraction
     x = Fraction(x)
     if x < 0:
         return -nearest_float(-x, fmt)

@@ -31,7 +31,6 @@ from .digitstring import (
     _require,
 )
 from .floatkit import (
-    ZERO,
     DomainError,
     FloatFormat,
     FloatInterval,
@@ -116,22 +115,28 @@ class Rational(Value):
 
         An error gives the index in text where the rejected digit run starts."""
         body = text.strip()
-        start = len(text) - len(text.lstrip())
         sign = 1
         if body[:1] in ("+", "-"):
             sign = -1 if body[0] == "-" else 1
             body = body[1:]
-            start += 1
         num, slash, den = body.partition("/")
         if not num.isascii() or not num.isdigit():
-            raise NumeralSyntaxError(text, start, "expected digits")
-        if slash:
-            if not den.isascii() or not den.isdigit():
-                raise NumeralSyntaxError(text, start + len(num) + 1, "expected digits")
-            return cls(sign, _int_from_digits(num), _int_from_digits(den))
-        return cls(sign, _int_from_digits(num), 1)
+            # body, and so den, is a tail of text.rstrip()
+            raise NumeralSyntaxError(text, len(text.rstrip()) - len(body), "expected digits")
+        if slash and (not den.isascii() or not den.isdigit()):
+            raise NumeralSyntaxError(text, len(text.rstrip()) - len(den), "expected digits")
+        q = _int_from_digits(den) if slash else 1
+        if q == 0:
+            raise DomainError("zero denominator")
+        # what __new__ checks holds: a sign of +1 or -1, nonnegative terms
+        self = _new(cls)
+        _set_ratio_sign(self, sign)
+        _set_p(self, _int_from_digits(num))
+        _set_q(self, q)
+        return self
 
 
+_set_ratio_sign, _set_p, _set_q = slot_setters(Rational)
 _DIGIT_RUN = re.compile("[0-9]*")
 
 
@@ -255,28 +260,46 @@ def mantissa_bits(m: DigitString, count: int) -> list[int]:
     return _leading_bits(N, 10**n, count)
 
 
-def _enclose(sign: int, num: int, den: int, fmt: FloatFormat) -> FloatInterval:
-    """Narrowest interval of format values enclosing sign * num/den.
-
-    One division floors num/den onto the format's grid at its binade (the
-    subnormal grid below the normal range), and a nonzero remainder puts
-    the value strictly inside the next ulp, so the upper bound is one step
-    up. Magnitudes beyond the finite range clamp to the top value and
-    those under the subnormal grid to zero, both with a remainder.
-    """
+def _floor(sign: int, num: int, den: int, fmt: FloatFormat) -> tuple[int, int, int, int]:
+    """The grid floor (sign, m, e, rem) of sign * num/den: one division
+    floors num/den onto the format's grid at its binade (the subnormal grid
+    below the normal range) as m * 2^e, and a nonzero remainder puts the
+    value strictly inside the next ulp. Magnitudes beyond the finite range
+    clamp to the top value and those under the subnormal grid to zero, both
+    with a remainder."""
     if num == 0:
-        return _float_interval(ZERO, ZERO)
+        return sign, 0, 0, 0
     p = fmt.significand_bits
     E = _log2_floor(num, den)
     if E > fmt.emax:
-        m, e, rem = (1 << p) - 1, fmt.emax - p + 1, 1
-    else:
-        e = max(E - (p - 1), fmt.least_exponent)
-        m, rem = divmod(num, den << e) if e >= 0 else divmod(num << -e, den)
-    # m == 0 (all of num > 0 left as the remainder) gives zero
+        return sign, (1 << p) - 1, fmt.emax - p + 1, 1
+    e = max(E - (p - 1), fmt.least_exponent)
+    m, rem = divmod(num, den << e) if e >= 0 else divmod(num << -e, den)
+    return sign, m, e, rem
+
+
+def _enclose(sign: int, m: int, e: int, rem: int, fmt: FloatFormat) -> FloatInterval:
+    """The narrowest enclosing interval of the value with this grid floor."""
     lb = _on_grid(1, m, e, fmt)
     interval = _float_interval(lb, _on_grid(1, m + 1, e, fmt) if rem else lb)
     return -interval if sign < 0 else interval
+
+
+def _decimal_floor(d: DecimalScientific, fmt: FloatFormat) -> tuple[int, int, int, int]:
+    """The grid floor of the numeral's value, as decimal_to_interval says."""
+    e = d.exponent
+    if e > 0 and 3 * (e - 1) >= fmt.emax + 1:
+        return _floor(d.sign, 2 << fmt.emax, 1, fmt)
+    if e < 0 and 3 * e <= fmt.least_exponent:
+        return _floor(d.sign, 1, 2 << -fmt.least_exponent, fmt)
+    text = d.mantissa.text
+    keep = e - fmt.least_exponent
+    if len(text) > keep:
+        text = text[:keep] + "5"
+    # |k| is at most the kept digits plus the format's decimal exponent range
+    k = e - len(text)
+    N = _int_from_digits(text) if text else 0
+    return _floor(d.sign, N * 10 ** max(k, 0), 10 ** max(-k, 0), fmt)
 
 
 def decimal_to_interval(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:
@@ -287,21 +310,14 @@ def decimal_to_interval(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval
     A nonzero mantissa puts the magnitude in [10^(e-1), 10^e). Since
     8^k <= 10^k, a large enough e forces an overflow whatever the digits
     say and a small enough e a value under the subnormal grid; a power of
-    two from the same region then stands in for the digits, keeping the
-    digit work bounded by the format's own exponent range (zero has e = 0).
+    two from the same region then stands in for the digits. Each format
+    value is a multiple of 2^L = 5^-L * 10^L (L the least exponent), so a
+    tail past the 10^L place, nonzero in a canonical mantissa, counts as one
+    sticky 5, and the digit work is bounded by the format's exponent range.
     """
-    e = d.exponent
-    if e > 0 and 3 * (e - 1) >= fmt.emax + 1:
-        return _enclose(d.sign, 2 << fmt.emax, 1, fmt)
-    if e < 0 and 3 * e <= fmt.least_exponent:
-        return _enclose(d.sign, 1, 2 << -fmt.least_exponent, fmt)
-    # past those tests |k| is at most the digit count plus the format's
-    # decimal exponent range, so no power of ten outgrows the input
-    N, n = _fraction_int(d.mantissa)
-    k = e - n
-    return _enclose(d.sign, N * 10 ** max(k, 0), 10 ** max(-k, 0), fmt)
+    return _enclose(*_decimal_floor(d, fmt), fmt)
 
 
 def rational_to_interval(r: Rational, fmt: FloatFormat) -> FloatInterval:
     """Narrowest enclosing interval for p/q, never forming a decimal."""
-    return _enclose(r.sign, r.p, r.q, fmt)
+    return _enclose(*_floor(r.sign, r.p, r.q, fmt), fmt)

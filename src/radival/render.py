@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .digitstring import _text_from_int
-from .floatkit import KIND_INFINITE, FloatFormat, FloatInterval, FloatValue, decompose
+from .floatkit import KIND_INFINITE, FloatFormat, FloatInterval, FloatValue, _carry, decompose
 from .parse import DECIMAL_ZERO, DecimalScientific, _decimal_scientific
 from .value import Value
 
@@ -187,20 +187,22 @@ def _text_and_lead(d: DecimalScientific | DecimalInfinity) -> tuple[str, tuple |
     """Positional text and lead of a decimal bound; an infinity has no lead."""
     if isinstance(d, DecimalInfinity):
         return _infinity_text(d.sign), None
-    digits, exponent = d.mantissa.text, d.exponent
-    return _positional(d.sign, digits, exponent), _lead(d.sign, digits, exponent)
+    return _positional(d.sign, d.mantissa.text, d.exponent)
 
 
-def _positional(sign: int, digits: str, e: int) -> str:
-    """Positional text of sign * 10^e * 0.digits, canonical digits."""
+def _positional(sign: int, digits: str, e: int) -> tuple[str, tuple[int, int, str]]:
+    """Positional text of sign * 10^e * 0.digits, canonical digits, and its
+    lead, what two finite bounds must share for a bracket prefix: sign,
+    decimal exponent and opening digit. Zero's lead is (sign, 0, "")."""
+    lead = sign, e, digits[:1]
     if not digits:
-        return "0"
+        return "0", lead
     sign = "" if sign > 0 else "-"
     if e <= 0:
-        return f"{sign}0.{'0' * -e}{digits}"
+        return f"{sign}0.{'0' * -e}{digits}", lead
     if e >= len(digits):
-        return f"{sign}{digits}{'0' * (e - len(digits))}"
-    return f"{sign}{digits[:e]}.{digits[e:]}"
+        return f"{sign}{digits}{'0' * (e - len(digits))}", lead
+    return f"{sign}{digits[:e]}.{digits[e:]}", lead
 
 
 def _above(a: DecimalScientific | DecimalInfinity, b: DecimalScientific | DecimalInfinity) -> bool:
@@ -230,13 +232,6 @@ def bracket_notation(
         raise ValueError("bounds out of order")
     (lo_text, lo_lead), (hi_text, hi_lead) = _text_and_lead(lo), _text_and_lead(hi)
     return BracketRendering(*_cut(lo_text, hi_text, lo_lead, hi_lead))
-
-
-def _lead(sign: int, digits: str, exponent: int) -> tuple[int, int, str]:
-    """What two finite bounds must have in common to share a bracket
-    prefix: sign, decimal exponent and opening digit. Zero, at exponent 0
-    with no digits, has the lead (sign, 0, "")."""
-    return sign, exponent, digits[:1]
 
 
 def _cut(lo_text: str, hi_text: str, lo_lead: object, hi_lead: object) -> tuple[str, str, str]:
@@ -317,18 +312,32 @@ def enclosure_fields(interval: FloatInterval, fmt: FloatFormat) -> tuple[str, st
     bound is checked against fmt once and written straight from its pair,
     with no decimal value in between.
     """
-    lb_hex, lo, lo_lead = _bound_texts(interval.lb, fmt)
-    ub_hex, hi, hi_lead = _bound_texts(interval.ub, fmt)
+    return _fields(*(
+        _bound_texts(f.sign, None if f.kind == KIND_INFINITE else decompose(f, fmt), fmt)
+        for f in (interval.lb, interval.ub)
+    ))
+
+
+def floor_fields(sign: int, m: int, e: int, inexact: int, fmt: FloatFormat) -> tuple[str, ...]:
+    """enclosure_fields of the enclosure with the grid floor (sign, m, e, inexact)
+    from parse, with no float value built; an exact value's one bound is written once."""
+    low = _bound_texts(sign, (m, e), fmt)
+    high = _bound_texts(sign, _carry(m + 1, e, fmt), fmt) if inexact else low
+    return _fields(high, low) if sign < 0 else _fields(low, high)
+
+
+def _fields(lb: tuple, ub: tuple) -> tuple[str, str, str, str, str]:
+    """The five fields from the texts and leads of both bounds."""
+    (lb_hex, lo, lo_lead), (ub_hex, hi, hi_lead) = lb, ub
     return lb_hex, lo, ub_hex, hi, _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
 
 
-def _bound_texts(f: FloatValue, fmt: FloatFormat) -> tuple[str, str, tuple | None]:
-    """Hex and positional text of one bound, and its lead (None for an
-    infinity)."""
-    if f.kind == KIND_INFINITE:
-        text = _infinity_text(f.sign)
+def _bound_texts(sign: int, pair: tuple | None, fmt: FloatFormat) -> tuple[str, str, tuple | None]:
+    """Hex and positional text of a bound and its lead, from its sign and
+    canonical pair (m, e), or None for an infinity, which has no lead."""
+    if pair is None:
+        text = _infinity_text(sign)
         return text, text, None
-    m, e = decompose(f, fmt)
+    m, e = pair
     digits, exponent = _exact_digits(m, e) if m else ("", 0)
-    lead = _lead(f.sign, digits, exponent)
-    return _hex(f.sign, m, e, fmt), _positional(f.sign, digits, exponent), lead
+    return (_hex(sign, m, e, fmt), *_positional(sign, digits, exponent))

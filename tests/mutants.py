@@ -158,7 +158,7 @@ MUTANTS = [
     ),
     Mutant(
         "lead-without-exponent", "render.py",
-        "    return sign, exponent, digits[:1]\n", "    return sign, digits[:1]\n",
+        "    lead = sign, e, digits[:1]\n", "    lead = sign, digits[:1]\n",
         ("tests/test_render.py::TestBracketNotation::test_fallback_on_exponent_mismatch",),
     ),
     # the order test of decimal bounds
@@ -224,10 +224,28 @@ MUTANTS = [
     ),
     Mutant(
         "degenerate-parse-enclosure", "cli.py",
-        "            interval = decimal_to_interval(value, fmt)\n",
-        "            interval = decimal_to_interval(value, fmt)\n"
-        "            interval = _float_interval(interval.lb, interval.lb)\n",
+        "        grid = floor(value, fmt)\n", "        grid = floor(value, fmt)[:3] + (0,)\n",
         ("tests/test_host_witness.py::test_parse_encloses_the_host_float",),
+    ),
+    # the parse records' writer, its carry and the digit cut
+    Mutant(
+        "writer-keeps-negative-order", "render.py",
+        "    return _fields(high, low) if sign < 0 else _fields(low, high)\n",
+        "    return _fields(low, high)\n",
+        ("tests/test_render.py::TestFloorFields::test_matches_the_public_route",),
+    ),
+    Mutant(
+        "shared-carry-stays-in-binade", "floatkit.py",
+        "        m, e = m >> 1, e + 1\n", "        m, e = m >> 1, e\n",
+        (
+            "tests/test_render.py::TestFloorFields::test_carry_into_the_next_binade",
+            "tests/test_cli.py::test_check_covers_the_carry",
+        ),
+    ),
+    Mutant(
+        "decimal-cut-one-digit-early", "parse.py",
+        '        text = text[:keep] + "5"\n', '        text = text[:keep - 1] + "5"\n',
+        ("tests/test_parse.py::TestDecimalCut::test_against_the_oracle",),
     ),
 ]
 

@@ -3,6 +3,7 @@
 import io
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -170,6 +171,21 @@ class TestParse:
         assert len(fields) == 3
 
 
+def seeded_lines(command: str, count: int) -> list[str]:
+    """Numerals of 1 to 17 digits across and past the binary64 range, or
+    ratios of terms up to 64 bits, of both signs, zero among them."""
+    rng = random.Random(f"{command}:{count}")
+    lines = ["0", "-0/3"] if command == "parse-rational" else ["0", "-0.0"]
+    while len(lines) < count:
+        sign = rng.choice(["", "-"])
+        if command == "parse-rational":
+            lines.append(f"{sign}{rng.getrandbits(rng.randrange(1, 65))}/{rng.getrandbits(64) | 1}")
+        else:
+            digits = str(rng.randrange(10 ** rng.randrange(1, 18)))
+            lines.append(f"{sign}{digits}e{rng.randrange(-345, 330)}")
+    return lines
+
+
 @pytest.mark.parametrize(
     "argv, lines",
     [
@@ -178,19 +194,51 @@ class TestParse:
     ],
     ids=["parse", "parse-rational"],
 )
-def test_parse_record_checks_each_bound_once(monkeypatch, argv, lines):
-    # finite, nonzero, inexact values: one format check per bound
-    real = render.decompose
+def test_parse_record_builds_no_float_values(monkeypatch, argv, lines):
+    """A parse record goes from the grid floor to its text on integer pairs:
+    no float value or interval is built, and no bound is decomposed, for
+    finite, zero, subnormal and infinite bounds alike."""
+    from radival import floatkit
+
     calls = []
+    for name in ("_float_value", "_float_interval", "decompose"):
+        real = getattr(floatkit, name)
 
-    def counted(f, fmt):
-        calls.append(f)
-        return real(f, fmt)
+        def counted(*args, real=real):
+            calls.append(real.__name__)
+            return real(*args)
 
-    monkeypatch.setattr(render, "decompose", counted)
+        # every module that binds the function by name calls the counter
+        for module in (floatkit, cli, render, radival.parse):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    lines = lines + seeded_lines(argv[0], 200)
     status, out, _ = run_cli(argv, "\n".join(lines) + "\n")
     assert status == 0 and "ERR" not in out
-    assert len(calls) == 2 * len(lines)
+    assert out.count("\n") == len(lines)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, value, ub_hex",
+    [
+        (["parse"], "1.99999999", "2^(1) * 1.000000"),
+        (["parse-rational"], "2147483647/1073741824", "2^(1) * 1.000000"),
+        (["parse"], "3.4028235e38", "inf"),
+        (["parse-rational", "--format", "binary64"], "18446744073709551615/9223372036854775808",
+         "2^(1) * 1.0000000000000"),
+    ],
+    ids=["numeral", "ratio", "past-max", "ratio-binary64"],
+)
+def test_check_covers_the_carry(argv, value, ub_hex):
+    # the upper bound carries into the next binade or past max finite, and
+    # --check compares the interval of the floor and carry that is printed
+    for sign, bound in (("", "ub"), ("-", "lb")):
+        status, out, err = run_cli([*argv, "--check", sign + value])
+        assert (status, err) == (0, "")
+        assert f"{bound} = {sign}{ub_hex} = " in out
+        status, out, err = run_cli([*argv, "--check"], sign + value + "\n")
+        assert (status, err) == (0, "") and "ERR" not in out
 
 
 class TestParseRational:

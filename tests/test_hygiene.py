@@ -203,3 +203,34 @@ def test_check_loads_the_oracle_on_demand(argv, stdin):
     assert (plain.returncode, plain.stderr) == (0, "")
     assert (checked.returncode, checked.stderr) == (0, "")
     assert checked.stdout == plain.stdout != ""
+
+
+# the --check paths of parse and print-interval compare integer ratios
+FRACTION_ONLY = ("decimal", "fractions")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["parse", "--format", "binary64", "0.1"], ""),
+        (["parse", "--format", "binary64"], "0.1\n-2.5e-310\n1e400\n"),
+        (["parse-rational"], "1/3\n-2/7\n"),
+        (["print-interval", "--digits", "17", "bits:3eaaaaaa", "bits:3eaaaaab"], ""),
+        (["print-interval", "--digits", "3"], "0.25 0.5\nbits:7f7fffff bits:7f800000\n"),
+    ],
+    ids=[
+        "parse", "parse-filter", "parse-rational-filter", "print-interval", "print-interval-filter"
+    ],
+)
+def test_check_leaves_fraction_modules_unloaded(argv, stdin):
+    """A fresh process runs the command line with --check and, at exit,
+    reports which of the oracle and the Fraction modules it loaded."""
+    code = (
+        "import atexit, runpy, sys\n"
+        "names = ('radival.oracle',) + " + repr(FRACTION_ONLY) + "\n"
+        "atexit.register(lambda: sys.stderr.write(repr([m for m in names if m in sys.modules])))\n"
+        "runpy.run_module('radival.cli', run_name='__main__')\n"
+    )
+    result = _python("-c", code, *argv, "--check", stdin=stdin)
+    assert (result.returncode, result.stderr) == (0, "['radival.oracle']")
+    assert result.stdout != ""

@@ -8,6 +8,7 @@ same bit stream.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepwise
-from builders import scale_to_unit_interval
+from builders import BFLOAT16, BINARY16, BINARY128, scale_to_unit_interval
 from radival import oracle
-from radival.digitstring import DigitString, mul2
+from radival.digitstring import DigitString, _text_from_int, mul2
 from radival.floatkit import (
     BINARY32,
     BINARY64,
@@ -50,6 +51,9 @@ from radival.parse import (
 
 # a digit count past CPython's default 4300-digit int/str conversion limit
 LONG = 5000
+
+FIVE_FORMATS = [BINARY16, BFLOAT16, BINARY32, BINARY64, BINARY128]
+FIVE_IDS = ["binary16", "bfloat16", "binary32", "binary64", "binary128"]
 
 
 def frac(text: str) -> DigitString:
@@ -478,3 +482,71 @@ class TestFloatAccumulatorComparison:
         overshoot = bits[23] == 1 and bits[24] == 1
         expected = iv.ub if overshoot else iv.lb
         assert float(acc) == as_py_float(expected)
+
+
+class TestDecimalCut:
+    """decimal_to_interval reads a mantissa only down to the 10^L place, L
+    the format's least exponent, and lets one sticky 5 stand for the rest;
+    the oracle reads every digit."""
+
+    @staticmethod
+    def numerals(rng, fmt, count):
+        """Numerals whose digit count lands at E - L, E - L + 1 and beyond:
+        exact decimals of floats whose last digit sits at the 10^L place
+        (subnormals and the lowest binade) with that digit moved by one or
+        extended by a 1, and exact decimals of floats across the range
+        padded to the cut with zeros then a 1, lowered by a run of nines, or
+        given a random tail."""
+        L, p = fmt.least_exponent, fmt.significand_bits
+        for i in range(count):
+            sign = "-" if i % 2 else ""
+            m = rng.randrange(1, 1 << p)
+            # m * 2^L has the mantissa m * 5^-L over 10^-L, ending in a 5
+            N = m * 5**-L
+            text = _text_from_int(N)
+            E = len(text) + L
+            for digits in (text, _text_from_int(N - 1), _text_from_int(N + 1), text + "1"):
+                yield f"{sign}0.{digits}e{E}"
+            e = rng.randrange(L, fmt.emax - p + 2)
+            x = rng.randrange(1 << (p - 1), 1 << p)
+            N, K = (x << e, 0) if e >= 0 else (x * 5**-e, -e)
+            text = _text_from_int(N)
+            E = len(text) - K
+            keep = E - L
+            for n in (keep - 1, keep, keep + 1, keep + 2, keep + 9):
+                pad = n - len(text)
+                if pad < 1:
+                    continue
+                for tail in (1, -1, rng.randrange(1, 10**pad)):
+                    digits = _text_from_int(N * 10**pad + tail, n)
+                    yield f"{sign}0.{digits}e{E}"
+
+    @pytest.mark.parametrize("fmt", FIVE_FORMATS, ids=FIVE_IDS)
+    def test_against_the_oracle(self, fmt):
+        rng = random.Random(fmt.bit_width * 31 + fmt.significand_bits)
+        count = 5 if fmt is BINARY128 else 60
+        cut = 0
+        for text in self.numerals(rng, fmt, count):
+            d = parse_numeral(text)
+            cut += len(d.mantissa.text) > d.exponent - fmt.least_exponent
+            assert interval_pair(decimal_to_interval(d, fmt)) == interval_pair(
+                oracle.decimal_reference(d, fmt)
+            ), text
+        assert cut > 4 * count
+
+    def test_million_digits_in_bounded_time(self):
+        # a 1,000,000-digit numeral just above 1, and one under the smallest
+        # binary64 subnormal by a run of nines: all digits read into one
+        # integer take about a second at this length
+        above_one = "1." + "0" * 999_998 + "1"
+        head = "4940656458412465441765687928682213723650598026143246"
+        below_tiny = "0." + "0" * 323 + head + "9" * (1_000_000 - len(head))
+        start = time.perf_counter()
+        above, below = (
+            decimal_to_interval(parse_numeral(t), BINARY64) for t in (above_one, below_tiny)
+        )
+        elapsed = time.perf_counter() - start
+        one = decimal_to_interval(parse_numeral("1"), BINARY64).lb
+        assert interval_pair(above) == (one, next_up(one, BINARY64))
+        assert interval_pair(below) == (ZERO, BINARY64.smallest_subnormal)
+        assert elapsed < 0.5

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from builders import BFLOAT16, BINARY16, BINARY128, exact_float
 from radival import oracle
-from radival.digitstring import DigitString
+from radival.digitstring import DigitString, _text_from_int
 from radival.floatkit import (
     BINARY32,
     BINARY64,
@@ -30,6 +30,8 @@ from radival.floatkit import (
 from radival.parse import (
     DECIMAL_ZERO,
     DecimalScientific,
+    _decimal_floor,
+    _floor,
     decimal_to_interval,
     parse_numeral,
     rational_to_interval,
@@ -42,6 +44,7 @@ from radival.render import (
     bracket_notation,
     enclosure_fields,
     float_to_exact_decimal,
+    floor_fields,
     hex_significand_bracket,
     hex_significand_rendering,
     interval_to_decimal,
@@ -863,3 +866,100 @@ class TestEnclosureFields:
             enclosure_fields(FloatInterval(x, x), BINARY32)
         with pytest.raises(ValueError):
             enclosure_fields(FloatInterval(ZERO, x), BINARY32)
+
+
+def edge_ratios(fmt: FloatFormat) -> list[tuple[int, int]]:
+    """(num, den) pairs at m * 2^(e-1) for significands m that sit on the
+    grid (even) or halfway between two grid values (odd): zero, both sides
+    of the smallest subnormal and of the subnormal/normal boundary, a carry
+    into the next binade, max finite and past it, thirds of each, and the
+    far clamps. binary128 skips two exponents: its subnormals have about
+    11,500 digits."""
+    p, L = fmt.significand_bits, fmt.least_exponent
+    top = fmt.emax - p + 1
+    exponents = (L, 0, top) if fmt is BINARY128 else (L, L + 1, 1 - p, 0, top)
+    ms = (1, 2, 3, (1 << p) - 2, (1 << p) - 1, 1 << p, (1 << p) + 1)
+    ms += ((1 << (p + 1)) - 2, (1 << (p + 1)) - 1, 1 << (p + 1), (1 << (p + 1)) + 1)
+    ratios = [(0, 1), (0, 3), (1, 1 << (4 - L)), (1 << (fmt.emax + 4), 1)]
+    for e in exponents:
+        for m in ms:
+            num, den = (m << (e - 1), 1) if e >= 1 else (m, 1 << (1 - e))
+            ratios += [(num, den), (num, 3 * den), (3 * num, 2 * den)]
+    return ratios
+
+
+class TestFloorFields:
+    """floor_fields, the parse records' writer, gives what enclosure_fields
+    gives for the public enclosure of the same value."""
+
+    @pytest.mark.parametrize("fmt", FIVE_FORMATS, ids=FIVE_IDS)
+    def test_matches_the_public_route(self, fmt):
+        rng = random.Random(11 * fmt.bit_width + fmt.significand_bits)
+        ratios, count = edge_ratios(fmt), 30 if fmt is BINARY128 else 300
+        for _ in range(count):
+            num, den = rng.getrandbits(rng.randrange(1, 80)), rng.getrandbits(rng.randrange(1, 80))
+            shift = rng.randrange(fmt.least_exponent - 20, fmt.emax + 20)
+            ratios.append((num << shift, den or 1) if shift >= 0 else (num, (den or 1) << -shift))
+        numerals = [f"{rng.randrange(10**17)}e{rng.randrange(-400, 400)}" for _ in range(count)]
+        for num, den in ratios:
+            if den & (den - 1) == 0:
+                # a dyadic value's exact decimal, and one a digit past it
+                k = den.bit_length() - 1
+                digits = _text_from_int(num * 5**k)
+                numerals += [f"{digits}e-{k}", f"{digits}1e-{k + 1}"]
+        for sign in (1, -1):
+            for num, den in ratios:
+                r = Rational(sign, num, den)
+                expected = enclosure_fields(rational_to_interval(r, fmt), fmt)
+                floor = _floor(sign, num, den, fmt)
+                assert floor_fields(*floor, fmt) == expected, (sign, num, den)
+            for text in numerals:
+                d = parse_numeral(text if sign > 0 else "-" + text)
+                expected = enclosure_fields(decimal_to_interval(d, fmt), fmt)
+                assert floor_fields(*_decimal_floor(d, fmt), fmt) == expected, (sign, text)
+
+    @pytest.mark.parametrize(
+        "text, fields",
+        [
+            (
+                "1.99999999",
+                ("2^(0) * 1.7fffff", "1.99999988079071044921875",
+                 "2^(1) * 1.000000", "2", "[1.99999988079071044921875,2]"),
+            ),
+            (
+                "-1.99999999",
+                ("-2^(1) * 1.000000", "-2", "-2^(0) * 1.7fffff",
+                 "-1.99999988079071044921875", "[-2,-1.99999988079071044921875]"),
+            ),
+            (
+                "3.4028235e38",
+                ("2^(127) * 1.7fffff", "340282346638528859811704183484516925440",
+                 "inf", "inf", "[340282346638528859811704183484516925440,inf]"),
+            ),
+            (
+                "-3.4028235e38",
+                ("-inf", "-inf", "-2^(127) * 1.7fffff",
+                 "-340282346638528859811704183484516925440",
+                 "[-inf,-340282346638528859811704183484516925440]"),
+            ),
+        ],
+        ids=["below-two", "above-minus-two", "past-max", "below-minus-max"],
+    )
+    def test_carry_into_the_next_binade(self, text, fields):
+        # one unit past the top of a binade, the floor's upper neighbour is
+        # the next power of two, or an infinity past max finite
+        assert floor_fields(*_decimal_floor(parse_numeral(text), BINARY32), BINARY32) == fields
+
+    def test_exact_bound_written_once(self, monkeypatch):
+        from radival import render
+
+        real, calls = render._exact_digits, []
+
+        def counted(m, e):
+            calls.append((m, e))
+            return real(m, e)
+
+        monkeypatch.setattr(render, "_exact_digits", counted)
+        fields = floor_fields(*_decimal_floor(parse_numeral("0.375"), BINARY64), BINARY64)
+        assert fields == ("2^(-2) * 1.8000000000000", "0.375") * 2 + ("0.375[,]",)
+        assert calls == [(3 << 51, -54)]
