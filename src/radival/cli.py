@@ -39,34 +39,28 @@ from io import TextIOBase
 from .floatkit import (
     BINARY32,
     BINARY64,
-    KIND_INFINITE,
     DomainError,
     FloatFormat,
     FloatInterval,
-    FloatValue,
     NotRepresentable,
-    _float_interval,
-    from_bits,
+    _bits_pair,
+    _pair_below,
 )
 from .parse import (
-    DecimalScientific,
     NumeralSyntaxError,
     Rational,
     _decimal_floor,
     _enclose,
     _floor,
-    decimal_to_interval,
     parse_numeral,
     rational_to_interval,
 )
 from .render import (
-    bracket_notation,
-    float_to_exact_decimal,
+    exact_field,
     floor_fields,
     hex_significand_bracket,
     hex_significand_rendering,
-    interval_to_decimal,
-    plain_decimal,
+    outward_fields,
 )
 
 _FORMATS = {"binary32": BINARY32, "binary64": BINARY64}
@@ -98,22 +92,6 @@ def _canonical_fields(interval: FloatInterval) -> list[tuple]:
     return [(f.kind, f.sign, f.significand, f.exponent) for f in (interval.lb, interval.ub)]
 
 
-def _check_enclosure(interval: FloatInterval, value, fmt: FloatFormat, text: str) -> None:
-    """Raise CheckFailure unless interval is the oracle's enclosure of the
-    parsed value, a Rational or a DecimalScientific, field for field: the
-    same value as a pair the format does not use is a disagreement too."""
-    from . import oracle
-
-    if isinstance(value, Rational):
-        reference = oracle.rational_reference(value, fmt)
-    else:
-        reference = oracle.decimal_reference(value, fmt)
-    # the message names the input text: str() of an exact value past
-    # 4300 digits would raise instead
-    if _canonical_fields(interval) != _canonical_fields(reference):
-        raise CheckFailure(f"interval disagrees with the reference enclosure for {text!r}")
-
-
 def _serve(
     values: list[str | None], record: Callable, layout: str, stdin: TextIOBase, stdout: TextIOBase
 ) -> int:
@@ -138,25 +116,25 @@ def _serve(
     return status
 
 
-def _parse_float_token(text: str, fmt: FloatFormat) -> FloatValue:
-    """A float written as bits:HEX or as a decimal literal that must land
-    exactly on the format grid."""
+def _float_pair(text: str, fmt: FloatFormat) -> tuple[int, tuple[int, int] | None]:
+    """The sign and canonical pair (m, e), or None for an infinity, of a
+    float written as bits:HEX or as a literal exactly on the format grid."""
     if text.startswith("bits:"):
         body = text[5:]
         width = fmt.bit_width // 4
         if len(body) != width or not _HEX_DIGITS.fullmatch(body):
             raise NumeralSyntaxError(text, 5, f"need exactly {width} hex digits")
-        return from_bits(int(body, 16), fmt)
-    d = parse_numeral(text)
-    interval = decimal_to_interval(d, fmt)
-    if not interval.degenerate:
+        return _bits_pair(int(body, 16), fmt)
+    sign, m, e, rem = _decimal_floor(parse_numeral(text), fmt)
+    if rem:
         raise NotRepresentable(f"{text!r} does not land exactly on the format grid")
-    return interval.lb
+    return sign, (m, e)
 
 
 def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     """parse and parse-rational: hex and exact decimal of each bound of the
-    enclosure, then the bracket."""
+    enclosure, then the bracket; --check compares that enclosure with the
+    oracle's, field for field, so a pair the format does not use fails too."""
     fmt = _FORMATS[args.format]
     if args.command == "parse":
         read, floor = parse_numeral, _decimal_floor
@@ -167,8 +145,13 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
         value = read(text)
         grid = floor(value, fmt)
         if args.check:
-            # the interval of the floor and carry that the fields are written from
-            _check_enclosure(_enclose(*grid, fmt), value, fmt, text)
+            from .oracle import decimal_reference, rational_reference
+
+            reference = decimal_reference if read is parse_numeral else rational_reference
+            # the message names the input text: str() of an exact value past
+            # 4300 digits would raise instead
+            if _canonical_fields(_enclose(*grid, fmt)) != _canonical_fields(reference(value, fmt)):
+                raise CheckFailure(f"interval disagrees with the reference enclosure for {text!r}")
         return floor_fields(*grid, fmt)
 
     layout = "lb = {0} = {1}\nub = {2} = {3}\nbracket = {4}\n"
@@ -177,19 +160,24 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
 
 def _cmd_print(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     fmt = _FORMATS[args.format]
+    if args.check:
+        from . import oracle
 
     def record(text: str) -> tuple[str]:
-        f = _parse_float_token(text, fmt)
-        d = float_to_exact_decimal(f, fmt)
-        if args.check and f.kind != KIND_INFINITE:
-            _check_enclosure(FloatInterval(f, f), d, fmt, text)
-        return (plain_decimal(d),)
+        sign, pair = _float_pair(text, fmt)
+        field = exact_field(sign, pair)
+        # the oracle reads the printed text back: it must be the float's value
+        if args.check and oracle.positional_order(field, sign, pair) != 0:
+            raise CheckFailure(f"exact decimal differs from the value of {text!r}")
+        return (field,)
 
     return _serve([args.value], record, "{0}\n", stdin, stdout)
 
 
 def _cmd_print_interval(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     fmt = _FORMATS[args.format]
+    if args.check:
+        from . import oracle
 
     def record(low: str, high: str | None = None) -> tuple[str, str, str]:
         if high is None:
@@ -198,24 +186,17 @@ def _cmd_print_interval(args: argparse.Namespace, stdin: TextIOBase, stdout: Tex
             if len(parts) != 2:
                 raise NumeralSyntaxError(low, 0, "expected two values")
             low, high = parts
-        lb, ub = _parse_float_token(low, fmt), _parse_float_token(high, fmt)
-        if ub < lb:
+        lb, ub = _float_pair(low, fmt), _float_pair(high, fmt)
+        if _pair_below(*ub, *lb):
             raise DomainError(f"bounds out of order: {low!r} > {high!r}")
-        interval = _float_interval(lb, ub)
-        lo, hi = interval_to_decimal(interval, args.digits, fmt)
+        fields = outward_fields(lb, ub, args.digits)
         if args.check:
-            from . import oracle
-
-            # an infinite bound comes back as an infinity marker, which contains anything
-            if isinstance(lo, DecimalScientific):
-                if oracle.compare_decimal_float(lo, interval.lb) > 0:
-                    raise CheckFailure("lower bound fails containment")
-            if isinstance(hi, DecimalScientific):
-                if oracle.compare_decimal_float(hi, interval.ub) < 0:
-                    raise CheckFailure("upper bound fails containment")
-        # the bracket holds each bound's plain text as prefix + tail
-        r = bracket_notation(lo, hi)
-        return r.prefix + r.low_tail, r.prefix + r.high_tail, r.text()
+            # the oracle reads each printed bound back (None if it cannot): lo <= lb, hi >= ub
+            if oracle.positional_order(fields[0], *lb) not in (-1, 0):
+                raise CheckFailure("lower bound fails containment")
+            if oracle.positional_order(fields[1], *ub) not in (0, 1):
+                raise CheckFailure("upper bound fails containment")
+        return fields
 
     if args.low is not None and args.high is None:
         raise NumeralSyntaxError(args.low, 0, "expected two values or none")

@@ -106,13 +106,9 @@ class FloatValue(Value):
     def __lt__(self, other: "FloatValue") -> bool:
         if not isinstance(other, FloatValue):
             return NotImplemented
-        if self.kind == KIND_INFINITE or other.kind == KIND_INFINITE:
-            # an infinity ranks by its sign against 0 for any finite value
-            a = self.sign if self.kind == KIND_INFINITE else 0
-            return a < (other.sign if other.kind == KIND_INFINITE else 0)
-        # signed significands compared at the common exponent
-        a, b = self.sign * self.significand, other.sign * other.significand
-        return not _shifted_ge(a, self.exponent - other.exponent, b)
+        a = None if self.kind == KIND_INFINITE else (self.significand, self.exponent)
+        b = None if other.kind == KIND_INFINITE else (other.significand, other.exponent)
+        return _pair_below(self.sign, a, other.sign, b)
 
     def __neg__(self) -> "FloatValue":
         if self.kind == KIND_ZERO:
@@ -136,6 +132,16 @@ def _shifted_ge(x: int, k: int, y: int) -> bool:
     if k >= 0:
         return (x << k) >= y
     return x >= (y << -k)
+
+
+def _pair_below(sign: int, pair: tuple | None, other_sign: int, other: tuple | None) -> bool:
+    """Whether sign * m * 2^e of the pair (m, e), or None for an infinity, lies below the other."""
+    if pair is None or other is None:
+        # an infinity ranks by its sign against 0 for any finite value
+        return (sign if pair is None else 0) < (other_sign if other is None else 0)
+    (m, e), (n, f) = pair, other
+    # signed significands compared at the common exponent
+    return not _shifted_ge(sign * m, e - f, other_sign * n)
 
 
 def _float_value(kind: str, sign: int, m: int, e: int) -> FloatValue:
@@ -224,41 +230,42 @@ def next_up(x: FloatValue, fmt: FloatFormat) -> FloatValue:
 
 def to_bits(x: FloatValue, fmt: FloatFormat) -> int:
     """Interchange encoding as an unsigned integer; zero encodes as +0."""
-    w = fmt.exponent_field_bits
     t = fmt.significand_bits - 1
     if x.kind == KIND_ZERO:
         return 0
-    sign_bit = 0 if x.sign > 0 else 1
     if x.kind == KIND_INFINITE:
-        return (sign_bit << (w + t)) | (((1 << w) - 1) << t)
-    m, e = decompose(x, fmt)
-    if x.kind == KIND_SUBNORMAL:
-        field, trailing = 0, m
+        magnitude = ((1 << fmt.exponent_field_bits) - 1) << t
     else:
-        field = e + fmt.significand_bits - 1 + fmt.emax
-        trailing = m - (1 << t)
-    return (sign_bit << (w + t)) | (field << t) | trailing
+        m, e = decompose(x, fmt)
+        # a normal's field is e + t + emax, less the 1 its leading bit adds
+        # back; a subnormal's e + t + emax - 1 is its field of 0
+        magnitude = ((e + t + fmt.emax - 1) << t) + m
+    return magnitude | (x.sign < 0) << (fmt.bit_width - 1)
 
 
 def from_bits(pattern: int, fmt: FloatFormat) -> FloatValue:
     """Decode an interchange pattern; NaN patterns are a domain error and
     the negative zero pattern folds onto the unsigned zero."""
-    w = fmt.exponent_field_bits
-    t = fmt.significand_bits - 1
-    if not 0 <= pattern < 1 << (1 + w + t):
-        raise ValueError(f"pattern out of range for a {1 + w + t}-bit format")
-    sign = -1 if pattern >> (w + t) else 1
-    field = (pattern >> t) & ((1 << w) - 1)
-    trailing = pattern & ((1 << t) - 1)
-    if field == (1 << w) - 1:
+    sign, pair = _bits_pair(pattern, fmt)
+    return infinity(sign) if pair is None else _on_grid(sign, *pair, fmt)
+
+
+def _bits_pair(pattern: int, fmt: FloatFormat) -> tuple[int, tuple[int, int] | None]:
+    """from_bits as a sign and canonical pair (m, e), or None for an infinity;
+    -0 folds onto (1, (0, 0))."""
+    t, top = fmt.significand_bits - 1, (1 << fmt.exponent_field_bits) - 1
+    if not 0 <= pattern < 1 << fmt.bit_width:
+        raise ValueError(f"pattern out of range for a {fmt.bit_width}-bit format")
+    sign = -1 if pattern >> (fmt.bit_width - 1) else 1
+    field, trailing = (pattern >> t) & top, pattern & ((1 << t) - 1)
+    if field == top:
         if trailing:
             raise DomainError("NaN patterns have no value")
-        return infinity(sign)
-    if field == 0:
-        return _on_grid(sign, trailing, fmt.least_exponent, fmt)
-    m = (1 << t) | trailing
-    e = field - fmt.emax - (fmt.significand_bits - 1)
-    return _float_value(KIND_NORMAL, sign, m, e)
+        return sign, None
+    if not field | trailing:
+        return 1, (0, 0)
+    # the inverse of to_bits: a subnormal has field 0 and no leading bit
+    return sign, ((field > 0) << t | trailing, max(field, 1) - fmt.emax - t)
 
 
 def as_py_float(x: FloatValue) -> float:

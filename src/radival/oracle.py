@@ -10,6 +10,8 @@ is wrong.
 
 from __future__ import annotations
 
+import re
+
 from .floatkit import (
     KIND_INFINITE,
     KIND_NORMAL,
@@ -23,19 +25,16 @@ from .floatkit import (
 from .parse import DecimalScientific, Rational
 
 
-def _decimal_ratio(d: DecimalScientific) -> tuple[int, int]:
-    """The decimal's value as a signed numerator over a positive
-    denominator, not reduced."""
-    text = d.mantissa.as_text()
-    if not text:
-        return 0, 1
+def _decimal_ratio(sign: int, digits: str, exponent: int) -> tuple[int, int]:
+    """sign * 0.digits * 10^exponent, the digits ASCII and empty for zero, as
+    a signed numerator over a positive denominator, not reduced."""
     # int() refuses texts past 4300 digits by default; read in chunks
-    N = int(text[:4000])
-    for i in range(4000, len(text), 4000):
-        chunk = text[i : i + 4000]
+    N = int(digits[:4000] or "0")
+    for i in range(4000, len(digits), 4000):
+        chunk = digits[i : i + 4000]
         N = N * 10 ** len(chunk) + int(chunk)
-    N *= d.sign
-    scale = d.exponent - len(text)
+    N *= sign
+    scale = exponent - len(digits)
     if scale >= 0:
         return N * 10**scale, 1
     return N, 10**-scale
@@ -44,7 +43,7 @@ def _decimal_ratio(d: DecimalScientific) -> tuple[int, int]:
 def exact_value(d: DecimalScientific) -> Fraction:
     """Value of a normalized decimal as an exact rational."""
     from fractions import Fraction
-    return Fraction(*_decimal_ratio(d))
+    return Fraction(*_decimal_ratio(d.sign, d.mantissa.as_text(), d.exponent))
 
 
 def rational_value(r: Rational) -> Fraction:
@@ -52,27 +51,37 @@ def rational_value(r: Rational) -> Fraction:
     return Fraction(r.sign * r.p, r.q)
 
 
-def _float_ratio(f: FloatValue) -> tuple[int, int]:
-    """A finite float's value sign * m * 2^e as a signed numerator over a
-    power of two."""
-    if f.kind == KIND_INFINITE:
-        raise ValueError("an infinity has no rational value")
-    m, e = f.sign * f.significand, f.exponent
-    return (m << e, 1) if e >= 0 else (m, 1 << -e)
+def _float_ratio(sign: int, m: int, e: int) -> tuple[int, int]:
+    """The value sign * m * 2^e as a signed numerator over a power of two."""
+    return (sign * m << e, 1) if e >= 0 else (sign * m, 1 << -e)
 
 
 def float_exact_value(f: FloatValue) -> Fraction:
     """A finite float is the rational sign * m * 2^e, exactly."""
     from fractions import Fraction
-    return Fraction(*_float_ratio(f))
+    if f.kind == KIND_INFINITE:
+        raise ValueError("an infinity has no rational value")
+    return Fraction(*_float_ratio(f.sign, f.significand, f.exponent))
 
 
-def compare_decimal_float(d: DecimalScientific, f: FloatValue) -> int:
-    """-1, 0 or 1 as the decimal's value is below, at or above the finite
-    float's, by cross-multiplying their ratios."""
-    num, den = _decimal_ratio(d)
-    fnum, fden = _float_ratio(f)
-    x, y = num * fden, fnum * den
+_POSITIONAL = re.compile(r"(-?)(?:([0-9]+)(?:\.([0-9]+))?|inf)")
+
+
+def positional_order(text: str, sign: int, pair: tuple | None) -> int | None:
+    """-1, 0 or 1 as positional text (-?digits[.digits], inf or -inf; else
+    None) lies below, at or above the float sign * m * 2^e of the pair
+    (m, e), or None for an infinity: one cross-multiplication of ratios,
+    and an infinity ranks by its sign against 0 for any finite value."""
+    match = _POSITIONAL.fullmatch(text)
+    if match is None:
+        return None
+    minus, whole, fraction = match.groups("")
+    if not whole or pair is None:
+        x, y = 0 if whole else -1 if minus else 1, sign if pair is None else 0
+    else:
+        num, den = _decimal_ratio(-1 if minus else 1, whole + fraction, len(whole))
+        fnum, fden = _float_ratio(sign, *pair)
+        x, y = num * fden, fnum * den
     return (x > y) - (x < y)
 
 
@@ -154,7 +163,7 @@ def decimal_reference(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:
         if 33 * d.exponent <= 10 * fmt.least_exponent:
             bottom = FloatInterval(ZERO, fmt.smallest_subnormal)
             return -bottom if d.sign < 0 else bottom
-    return _reference(*_decimal_ratio(d), fmt)
+    return _reference(*_decimal_ratio(d.sign, d.mantissa.as_text(), d.exponent), fmt)
 
 
 def nearest_float(x: Fraction, fmt: FloatFormat) -> FloatValue:

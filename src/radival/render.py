@@ -38,13 +38,11 @@ class DecimalInfinity(Value):
 
 
 class BracketRendering(Value):
-    """Interval text split into a shared prefix and per-bound tails.
-
-    The prefix form always has a nonempty prefix, so an empty one marks the
+    """Interval text split into a shared prefix and per-bound tails. The
+    prefix form always has a nonempty prefix, so an empty one marks the
     plain [lo,hi] form, whose tails are the whole bounds. Either way text()
     gives the final string, and prefix + tail reproduces each bound's
-    numeral exactly.
-    """
+    numeral exactly."""
 
     __slots__ = _fields = ("prefix", "low_tail", "high_tail")
 
@@ -64,23 +62,14 @@ def _infinity_text(sign: int) -> str:
 
 def float_to_exact_decimal(f: FloatValue, fmt: FloatFormat) -> DecimalScientific | DecimalInfinity:
     """The terminating decimal expansion of a finite float, normalized, or
-    the infinity marker of an infinite one.
-
-    No digit budget applies: the smallest binary64 subnormals take around
-    750 significant digits and all of them are produced. One big-integer
-    product gives them all: m * 2^e is m * 5^-e / 10^-e when e < 0, and
-    one conversion of it to text writes every digit, however many.
-    """
-    if f.kind == KIND_INFINITE:
-        return DecimalInfinity(f.sign)
-    m, e = decompose(f, fmt)
-    if m == 0:
-        return DECIMAL_ZERO
-    return _decimal_scientific(f.sign, *_exact_digits(m, e))
+    the infinity marker of an infinite one. No digit budget applies: the
+    smallest binary64 subnormals take around 750 significant digits."""
+    return _to_decimal(f, None, "", fmt)
 
 
 def _exact_digits(m: int, e: int) -> tuple[str, int]:
-    """Canonical mantissa digits and decimal exponent of m * 2^e, m > 0."""
+    """Canonical mantissa digits and decimal exponent of m * 2^e, m > 0: one
+    conversion to text of m * 5^-e (m * 2^e is that over 10^-e when e < 0)."""
     text = _text_from_int(m << e) if e >= 0 else _text_from_int(m * 5**-e)
     # m > 0, so the text opens with a nonzero digit
     return text.rstrip("0"), len(text) + min(e, 0)
@@ -89,14 +78,12 @@ def _exact_digits(m: int, e: int) -> tuple[str, int]:
 def truncate_directed(
     d: DecimalScientific | DecimalInfinity, n: int, direction: str
 ) -> DecimalScientific | DecimalInfinity:
-    """Round to at most n mantissa digits toward the named direction.
-
+    """Round to at most n mantissa digits toward the named direction:
     "down" moves toward -infinity and "up" toward +infinity, so a negative
-    numeral drops digits on "up" and rounds them on "down". Rounding a run
-    of nines carries into a fresh leading 1 and lifts the exponent: 0.999
-    rounded up at one digit is 0.1 * 10^1. Numerals already short enough
-    pass through untouched, and so does an infinity marker.
-    """
+    numeral drops digits on "up" and rounds them on "down". A run of nines
+    carries into a fresh leading 1 and lifts the exponent: 0.999 rounded up
+    at one digit is 0.1 * 10^1. Numerals already short enough pass through
+    untouched, and so does an infinity marker."""
     if direction not in ("down", "up"):
         raise ValueError(f"unknown direction {direction!r}")
     if n < 1:
@@ -107,31 +94,41 @@ def truncate_directed(
     if len(text) <= n:
         return d
     # a canonical mantissa never ends in 0, so the dropped tail is nonzero
-    return _step_outward(d.sign, text[:n], True, d.exponent, direction)
+    digits = _step_outward(d.sign, text[:n], True, d.exponent, direction)
+    return _decimal_scientific(d.sign, *digits)
 
 
 def _step_outward(
     sign: int, digits: str, inexact: int, exponent: int, direction: str
-) -> DecimalScientific:
-    """sign * 0.digits * 10^exponent, digits the first n digits of a value
-    (the first of them nonzero), rounded toward the named direction. When
-    digits were dropped (inexact is nonzero) and the direction points away
-    from zero, the kept digits rise one unit: trailing nines go and the
-    digit before them rises, and n nines carry to 0.1 * 10^(exponent + 1)."""
+) -> tuple[str, int]:
+    """Canonical digits and exponent of sign * 0.digits * 10^exponent, the
+    digits the first n of a value (opening nonzero), rounded toward the named
+    direction: when digits were dropped (inexact nonzero) and the direction
+    points away from zero, trailing nines go and the digit before them rises,
+    and n nines carry to 0.1 * 10^(exponent + 1)."""
     if inexact and (direction == "up") == (sign > 0):
         digits = digits.rstrip("9")
         if not digits:
-            return _decimal_scientific(sign, "1", exponent + 1)
+            return "1", exponent + 1
         digits = digits[:-1] + chr(ord(digits[-1]) + 1)
-    return _decimal_scientific(sign, digits.rstrip("0"), exponent)
+    return digits.rstrip("0"), exponent
 
 
-def _round_outward(
-    f: FloatValue, n: int, direction: str, fmt: FloatFormat
+def _to_decimal(
+    f: FloatValue, n: int | None, direction: str, fmt: FloatFormat
 ) -> DecimalScientific | DecimalInfinity:
-    """The n-digit rounding of a float toward the named direction, from its
-    pair (m, e) alone: the digits past the n-th are never formed. An
-    infinity needs no digits and gives its marker.
+    """The float as _decimal_text writes it, as a value or infinity marker."""
+    if f.kind == KIND_INFINITE:
+        return DecimalInfinity(f.sign)
+    m, e = decompose(f, fmt)
+    if m == 0:
+        return DECIMAL_ZERO
+    return _decimal_scientific(f.sign, *_outward_digits(f.sign, m, e, n, direction))
+
+
+def _outward_digits(sign: int, m: int, e: int, n: int, direction: str) -> tuple[str, int]:
+    """Canonical digits and decimal exponent of sign * m * 2^e, m > 0, whole
+    when n is None, else rounded to n digits toward the named direction.
 
     With x = m * 2^e in [2^(b-1), 2^b), b = bitlen(m) + e, the decimal
     exponent E of x = 0.d1d2... * 10^E is ceil(b * log10 2) or one less,
@@ -140,19 +137,11 @@ def _round_outward(
     which one more digit follows. A nonzero final remainder means digits
     were dropped, and only then does rounding away from zero add one.
     The exact expansion has at most E - min(e, 0) digits, so a larger
-    budget gives that expansion itself.
-    """
-    if n < 1:
-        raise ValueError("need at least one digit")
-    if f.kind == KIND_INFINITE:
-        return DecimalInfinity(f.sign)
-    m, e = decompose(f, fmt)
-    if m == 0:
-        return DECIMAL_ZERO
+    budget gives that expansion itself."""
     exponent = math.ceil((m.bit_length() + e) * _LOG10_2)
     # n > max(E, E - e), tested without calls on the per-bound path
-    if n > exponent and n > exponent - e:
-        return float_to_exact_decimal(f, fmt)
+    if n is None or n > exponent and n > exponent - e:
+        return _exact_digits(m, e)
     num, den = (m << e, 1) if e >= 0 else (m, 1 << -e)
     shift = n - exponent
     if shift >= 0:
@@ -165,17 +154,45 @@ def _round_outward(
         digit, r = divmod(10 * r, den)
         q = 10 * q + digit
     # 10^(n-1) <= q < 10^n, so the text opens with a nonzero digit
-    return _step_outward(f.sign, _text_from_int(q), r, exponent, direction)
+    return _step_outward(sign, _text_from_int(q), r, exponent, direction)
 
 
 def interval_to_decimal(
     interval: FloatInterval, n: int, fmt: FloatFormat
 ) -> tuple[DecimalScientific | DecimalInfinity, DecimalScientific | DecimalInfinity]:
     """Decimal interval enclosing the float interval, at most n digits per
-    bound: the lower bound rounds downward, the upper upward, each straight
-    from its binary pair. Infinite endpoints pass through as infinity
-    markers."""
-    return _round_outward(interval.lb, n, "down", fmt), _round_outward(interval.ub, n, "up", fmt)
+    bound: the lower bound rounds down, the upper up, each straight from its
+    binary pair; an infinite endpoint passes through as its marker."""
+    if n < 1:
+        raise ValueError("need at least one digit")
+    return _to_decimal(interval.lb, n, "down", fmt), _to_decimal(interval.ub, n, "up", fmt)
+
+
+def outward_fields(low: tuple, high: tuple, n: int) -> tuple[str, str, str]:
+    """What interval_to_decimal and bracket_notation give for the float
+    interval from low to high, each bound a sign and its canonical pair
+    (m, e) or None for an infinity: lo, hi and bracket, with no value built."""
+    if n < 1:
+        raise ValueError("need at least one digit")
+    lo, lo_lead = _decimal_text(*low, n, "down")
+    hi, hi_lead = _decimal_text(*high, n, "up")
+    return lo, hi, _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
+
+
+def exact_field(sign: int, pair: tuple | None) -> str:
+    """plain_decimal of float_to_exact_decimal for a bound as outward_fields takes it."""
+    return _decimal_text(sign, pair, None, "")[0]
+
+
+def _decimal_text(sign: int, pair: tuple | None, n: int | None, direction: str) -> tuple:
+    """Positional text and lead of a bound, rounded toward the named
+    direction to n digits, or whole when n is None."""
+    if pair is None:
+        return _infinity_text(sign), None
+    m, e = pair
+    if not m:
+        return _positional(sign, "", 0)
+    return _positional(sign, *_outward_digits(sign, m, e, n, direction))
 
 
 def plain_decimal(d: DecimalScientific | DecimalInfinity) -> str:
@@ -221,13 +238,11 @@ def _above(a: DecimalScientific | DecimalInfinity, b: DecimalScientific | Decima
 def bracket_notation(
     lo: DecimalScientific | DecimalInfinity, hi: DecimalScientific | DecimalInfinity
 ) -> BracketRendering:
-    """Shared-prefix rendering of a decimal interval.
-
-    When the bounds agree in sign, exponent, and opening digit, the common
-    positional prefix is factored out and only the differing tails sit in
-    the brackets; equal bounds leave the brackets empty. Any disagreement,
-    and any infinite bound, falls back to the plain [lo,hi] pair.
-    """
+    """Shared-prefix rendering of a decimal interval: when the bounds agree
+    in sign, exponent, and opening digit, the common positional prefix is
+    factored out and only the differing tails sit in the brackets; equal
+    bounds leave the brackets empty. Any disagreement, and any infinite
+    bound, falls back to the plain [lo,hi] pair."""
     if _above(lo, hi):
         raise ValueError("bounds out of order")
     (lo_text, lo_lead), (hi_text, hi_lead) = _text_and_lead(lo), _text_and_lead(hi)
@@ -261,18 +276,14 @@ def _shared_prefix_length(a: str, b: str) -> int:
 
 
 def hex_significand_rendering(f: FloatValue, fmt: FloatFormat) -> str:
-    """Power-of-two exponent with the trailing significand bits in base 16.
-
-    A normal value prints as 2^(e) * 1.<digits> and a subnormal as
-    2^(emin) * 0.<digits>, the t = p - 1 trailing bits filling (t + 3) // 4
-    hex digits: a binary32 opens with a digit 0-7 and five more, as in
-    2^(-2) * 1.2aaaab, and a binary64 has exactly thirteen. Zero prints
-    as 0 and the infinities as inf and -inf.
-    """
+    """Power-of-two exponent with the trailing significand bits in base 16:
+    2^(e) * 1.<digits> for a normal and 2^(emin) * 0.<digits> for a
+    subnormal, the t = p - 1 trailing bits in (t + 3) // 4 hex digits (a
+    binary32 has a digit 0-7 and five more, as in 2^(-2) * 1.2aaaab, a
+    binary64 thirteen). Zero prints as 0 and the infinities as inf and -inf."""
     if f.kind == KIND_INFINITE:
         return _infinity_text(f.sign)
-    m, e = decompose(f, fmt)
-    return _hex(f.sign, m, e, fmt)
+    return _hex(f.sign, *decompose(f, fmt), fmt)
 
 
 def _hex(sign: int, m: int, e: int, fmt: FloatFormat) -> str:
@@ -287,31 +298,22 @@ def _hex(sign: int, m: int, e: int, fmt: FloatFormat) -> str:
 
 
 def hex_significand_bracket(interval: FloatInterval, fmt: FloatFormat) -> str:
-    """Bracket form of an interval's hex significands.
-
-    The shared prefix factors out only when both bounds carry the same
-    power of two: 2^(-2) * 1.2aaaa[a,b]. A degenerate interval shows empty
-    brackets; bounds in different binades, and any infinite bound, fall
-    back to the plain pair, as in bracket_notation.
-    """
+    """Bracket form of an interval's hex significands: the shared prefix
+    factors out only when both bounds carry the same power of two, as in
+    2^(-2) * 1.2aaaa[a,b], and a degenerate interval shows empty brackets;
+    bounds in different binades, and any infinite bound, fall back to the
+    plain pair, as in bracket_notation."""
     lo, hi = (hex_significand_rendering(f, fmt) for f in (interval.lb, interval.ub))
-    # a finite bound's lead is its text before the point
-    lo_lead, hi_lead = (
-        None if f.kind == KIND_INFINITE else text.rsplit(".", 1)[0]
-        for f, text in ((interval.lb, lo), (interval.ub, hi))
-    )
+    # a finite bound's lead is its text before the point; an infinity has none
+    lo_lead, hi_lead = (None if t.endswith("inf") else t.rsplit(".", 1)[0] for t in (lo, hi))
     return _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
 
 
 def enclosure_fields(interval: FloatInterval, fmt: FloatFormat) -> tuple[str, str, str, str, str]:
     """The text of an enclosure: each bound's hex significand and exact
-    decimal, then the bracket of the pair.
-
-    The fields are those that hex_significand_rendering, and bracket_notation
-    over float_to_exact_decimal, give for the same interval. Each finite
-    bound is checked against fmt once and written straight from its pair,
-    with no decimal value in between.
-    """
+    decimal, as hex_significand_rendering and float_to_exact_decimal give
+    them, then their bracket_notation; each finite bound is checked against
+    fmt once and written straight from its pair."""
     return _fields(*(
         _bound_texts(f.sign, None if f.kind == KIND_INFINITE else decompose(f, fmt), fmt)
         for f in (interval.lb, interval.ub)

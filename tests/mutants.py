@@ -76,9 +76,7 @@ MUTANTS = [
     ),
     Mutant(
         "carry-keeps-exponent", "render.py",
-        '            return _decimal_scientific(sign, "1", exponent + 1)\n',
-        '            return _decimal_scientific(sign, "1", exponent)\n',
-        LIBMPDEC,
+        '            return "1", exponent + 1\n', '            return "1", exponent\n', LIBMPDEC,
     ),
     Mutant(
         "prefix-bytes-off-by-one", "render.py",
@@ -89,7 +87,7 @@ MUTANTS = [
     # trusted constructors given what the checked ones refuse
     Mutant(
         "trailing-zero-outward", "render.py",
-        'digits.rstrip("0"), exponent)', "digits, exponent)", TRUSTED,
+        '    return digits.rstrip("0"), exponent\n', "    return digits, exponent\n", TRUSTED,
     ),
     Mutant(
         "trailing-zero-exact-decimal", "render.py",
@@ -120,10 +118,8 @@ MUTANTS = [
         "KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL", "KIND_NORMAL", TRUSTED,
     ),
     Mutant(
-        "wrong-kind-from-bits", "floatkit.py",
-        "    return _float_value(KIND_NORMAL, sign, m, e)\n",
-        "    return _float_value(KIND_SUBNORMAL, sign, m, e)\n",
-        TRUSTED,
+        "normal-pattern-without-leading-bit", "floatkit.py",
+        "(field > 0) << t | trailing", "trailing", TRUSTED,
     ),
     # the grid packer, the step and the float order
     Mutant(
@@ -182,15 +178,21 @@ MUTANTS = [
     ),
     Mutant(
         "lower-containment-unchecked", "cli.py",
-        "                if oracle.compare_decimal_float(lo, interval.lb) > 0:\n",
-        "                if False:\n",
+        "            if oracle.positional_order(fields[0], *lb) not in (-1, 0):\n",
+        "            if False:\n",
         CONTAINMENT,
     ),
     Mutant(
         "upper-containment-unchecked", "cli.py",
-        "                if oracle.compare_decimal_float(hi, interval.ub) < 0:\n",
-        "                if False:\n",
+        "            if oracle.positional_order(fields[1], *ub) not in (0, 1):\n",
+        "            if False:\n",
         CONTAINMENT,
+    ),
+    Mutant(
+        "exact-digits-last-digit-and-exponent", "render.py",
+        '    return text.rstrip("0"), len(text) + min(e, 0)\n',
+        '    return text.rstrip("0")[:-1] + "7", len(text) + min(e, 0) - 2\n',
+        ("tests/test_cli.py::TestPrint::test_check_reads_the_printed_text",),
     ),
     *(
         Mutant(
@@ -209,8 +211,8 @@ MUTANTS = [
     # the command line against the host's float and decimal
     Mutant(
         "print-interval-one-digit-more", "cli.py",
-        "        lo, hi = interval_to_decimal(interval, args.digits, fmt)\n",
-        "        lo, hi = interval_to_decimal(interval, args.digits + 1, fmt)\n",
+        "        fields = outward_fields(lb, ub, args.digits)\n",
+        "        fields = outward_fields(lb, ub, args.digits + 1)\n",
         ("tests/test_host_witness.py",),
     ),
     # the command line's standard streams
@@ -246,6 +248,12 @@ MUTANTS = [
         "decimal-cut-one-digit-early", "parse.py",
         '        text = text[:keep] + "5"\n', '        text = text[:keep - 1] + "5"\n',
         ("tests/test_parse.py::TestDecimalCut::test_against_the_oracle",),
+    ),
+    # the pair writers of print and print-interval
+    Mutant(
+        "negative-zero-pattern-unfolded", "floatkit.py",
+        "        return 1, (0, 0)\n", "        return sign, (0, 0)\n",
+        ("tests/test_render.py::TestOutwardFields::test_matches_the_public_route",),
     ),
 ]
 

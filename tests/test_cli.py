@@ -4,6 +4,7 @@ import io
 import os
 import pathlib
 import random
+import struct
 import subprocess
 import sys
 import time
@@ -219,6 +220,70 @@ def test_parse_record_builds_no_float_values(monkeypatch, argv, lines):
     assert calls == []
 
 
+def seeded_pairs(fmt: str, count: int) -> list[tuple[str, str]]:
+    """Ordered pairs of bits:HEX tokens of the format: random patterns, one
+    in four with its successor, among them both zeros, both infinities and
+    the subnormal/normal boundary."""
+    rng = random.Random(f"{fmt}:{count}")
+    width, code, t = (8, "<f", 23) if fmt == "binary32" else (16, "<d", 52)
+    sign, inf = 1 << (4 * width - 1), {8: 0x7F800000, 16: 0x7FF0000000000000}[width]
+    patterns = [0, sign, inf, sign | inf, (1 << t) - 1, 1 << t, sign | 1]
+    while len(patterns) < count:
+        pattern = rng.getrandbits(4 * width)
+        if pattern & inf != inf:
+            patterns.append(pattern)
+
+    def value(pattern):
+        return struct.unpack(code, pattern.to_bytes(width // 2, "little"))[0]
+
+    pairs = []
+    for k, a in enumerate(patterns):
+        b = a + 1 if k % 4 == 0 and (a + 1) & inf != inf else patterns[k - 1]
+        low, high = sorted([a, b], key=value)
+        pairs.append((f"bits:{low:0{width}x}", f"bits:{high:0{width}x}"))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["print", "--format", "binary32"],
+        ["print", "--format", "binary64", "--check"],
+        ["print-interval", "--format", "binary32", "--digits", "3"],
+        ["print-interval", "--format", "binary64", "--digits", "17", "--check"],
+        ["parse", "--format", "binary64"],
+        ["parse-rational"],
+    ],
+    ids=["print", "print-check", "print-interval", "print-interval-check", "parse", "parse-rational"],
+)
+def test_filter_records_build_no_values(monkeypatch, argv):
+    """A filter record goes from its tokens to its text on integer pairs:
+    over 200 seeded lines no float value, float interval or bracket
+    rendering is built, and no decimal value but the one parse_numeral
+    reads from each nonzero numeral of a parse line."""
+    counts = {}
+    for module in (radival.floatkit, radival.parse, render, cli, oracle):
+        for name in ("_float_value", "_float_interval", "_decimal_scientific", "BracketRendering"):
+            if (real := getattr(module, name, None)) is not None:
+
+                def counted(*args, real=real, name=name):
+                    counts[name] = counts.get(name, 0) + 1
+                    return real(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    command, fmt = argv[0], "binary64" if "binary64" in argv else "binary32"
+    if command.startswith("parse"):
+        lines = seeded_lines(command, 200)
+    else:
+        pairs = seeded_pairs(fmt, 200)
+        lines = [low for low, _ in pairs] if command == "print" else [" ".join(p) for p in pairs]
+    status, out, _ = run_cli(argv, "\n".join(lines) + "\n")
+    assert (status, out.count("\n"), out.count("\tERR\t")) == (0, len(lines), 0)
+    # a seeded numeral is zero when its digits are
+    numerals = sum(any(c in "123456789" for c in line.split("e")[0]) for line in lines)
+    assert counts == ({"_decimal_scientific": numerals} if command == "parse" else {})
+
+
 @pytest.mark.parametrize(
     "argv, value, ub_hex",
     [
@@ -340,6 +405,30 @@ class TestPrint:
         status, _, _ = run_cli(["print", "bits:00000001", "--check"])
         assert status == 0
 
+    def test_check_reads_the_printed_text(self, monkeypatch):
+        # a fault in the exact digits, last digit changed and exponent
+        # shifted, prints a wrong numeral that --check reads back
+        real = render._exact_digits
+
+        def faulty(m, e):
+            digits, exponent = real(m, e)
+            return digits[:-1] + "7", exponent - 2
+
+        argv = ["print", "--check"]
+        tokens = ["bits:3dcccccd", "bits:bf400000", "0.5", "bits:00000001"]
+        for token in tokens:
+            assert run_cli([*argv, token])[0] == 0
+        monkeypatch.setattr(render, "_exact_digits", faulty)
+        for token in tokens:
+            status, out, err = run_cli([*argv, token])
+            assert (status, out) == (3, "")
+            assert err == f"check failed: exact decimal differs from the value of {token!r}\n"
+        status, out, err = run_cli(argv, stdin_text="".join(t + "\n" for t in tokens))
+        assert (status, err) == (3, "")
+        assert out == "".join(
+            f"{t}\tERR\texact decimal differs from the value of {t!r}\n" for t in tokens
+        )
+
     def test_batch_mode(self):
         status, out, _ = run_cli(["print"], stdin_text="bits:3f800000\n0.1\n")
         assert status == 0
@@ -371,20 +460,21 @@ class TestPrintInterval:
         "index, step, which", [(0, 1, "lower"), (1, -1, "upper")], ids=["lower", "upper"]
     )
     def test_check_failure_on_containment(self, monkeypatch, index, step, which):
-        # one bound moved a unit of its last digit inward: the exact bounds
-        # -0.5 and 0.75 pass the check as they are and fail it once moved
-        real = cli.interval_to_decimal
+        # one printed bound moved a unit of its last digit inward: the exact
+        # bounds -0.5 and 0.75 pass the check as they are and fail it once moved
+        real = cli.outward_fields
 
-        def one_unit_inward(interval, digits, fmt):
-            bounds = list(real(interval, digits, fmt))
-            d = bounds[index]
+        def one_unit_inward(low, high, digits):
+            fields = list(real(low, high, digits))
+            d = parse_numeral(fields[index])
             text = d.mantissa.text
-            bounds[index] = parse_numeral(f"{d.sign * int(text) + step}e{d.exponent - len(text)}")
-            return tuple(bounds)
+            moved = parse_numeral(f"{d.sign * int(text) + step}e{d.exponent - len(text)}")
+            fields[index] = render.plain_decimal(moved)
+            return tuple(fields)
 
         argv = ["print-interval", "--format", "binary64", "--digits", "17", "--check"]
         assert run_cli([*argv, "-0.5", "0.75"])[0] == 0
-        monkeypatch.setattr(cli, "interval_to_decimal", one_unit_inward)
+        monkeypatch.setattr(cli, "outward_fields", one_unit_inward)
         status, out, err = run_cli([*argv, "-0.5", "0.75"])
         assert (status, out) == (3, "")
         assert err == f"check failed: {which} bound fails containment\n"

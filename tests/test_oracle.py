@@ -259,9 +259,10 @@ def _numerals_near(x: float, rng: random.Random) -> list[str]:
 
 
 def test_decimal_float_comparison_against_fraction():
-    """The oracle's three-way comparison of a decimal with a float agrees
-    with Fraction arithmetic on host values: equal values (an exact bound
-    must pass), zero, both signs, subnormals and numerals of 4400 digits."""
+    """The oracle's reader of positional text, compared with a float,
+    agrees with Fraction arithmetic on host values: equal values (an exact
+    bound must pass), zero, both signs, subnormals and texts of more than
+    4300 digits."""
     rng = random.Random(2007)
     patterns = [0, 1 << 63, 1, (1 << 63) | 1, 0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF]
     patterns += [rng.getrandbits(64) for _ in range(120)]
@@ -280,7 +281,27 @@ def test_decimal_float_comparison_against_fraction():
     for text in longs:
         iv = decimal_to_interval(parse_numeral(text), BINARY64)
         cases += [(text, to_bits(bound, BINARY64)) for bound in (iv.lb, iv.ub)]
+    signs = set()
     for text, bits in cases:
-        d, f = parse_numeral(text), from_bits(bits, BINARY64)
+        positional = format(Decimal(text), "f")
+        f = from_bits(bits, BINARY64)
         a, b = Fraction(Decimal(text)), Fraction(_host_binary64(bits))
-        assert oracle.compare_decimal_float(d, f) == (a > b) - (a < b), (text[:40], hex(bits))
+        order = oracle.positional_order(positional, f.sign, (f.significand, f.exponent))
+        assert order == (a > b) - (a < b), (positional[:40], hex(bits))
+        signs.add((positional[0] == "-", len(positional.replace(".", "")) > 4300))
+    assert signs == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_positional_reader_infinities_and_malformed_text():
+    """An infinity ranks by its sign, as text and as a float; text outside
+    -?digits[.digits], inf and -inf reads as None."""
+    one = (1, (1 << 52, -52))
+    for text, sign, pair, order in [
+        ("inf", 1, None, 0), ("-inf", -1, None, 0), ("inf", -1, None, 1),
+        ("-inf", 1, None, -1), ("inf", *one, 1), ("-inf", *one, -1),
+        ("1", 1, None, -1), ("-1", -1, None, 1), ("0", 1, None, -1),
+        ("1", *one, 0), ("-0", *one, -1), ("1.0", *one, 0), ("-1.5", -1, (3, -1), 0),
+    ]:
+        assert oracle.positional_order(text, sign, pair) == order, (text, sign, pair)
+    for text in ["", "-", ".5", "1.", "+1", "1e5", "0x1", "1_0", "\u0661", " 1", "--1", "Inf", "nan"]:
+        assert oracle.positional_order(text, *one) is None, text

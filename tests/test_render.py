@@ -18,14 +18,17 @@ from radival.digitstring import DigitString, _text_from_int
 from radival.floatkit import (
     BINARY32,
     BINARY64,
+    KIND_INFINITE,
     ZERO,
     DomainError,
     FloatFormat,
     FloatInterval,
     FloatValue,
+    _bits_pair,
     from_bits,
     infinity,
     next_up,
+    to_bits,
 )
 from radival.parse import (
     DECIMAL_ZERO,
@@ -43,11 +46,13 @@ from radival.render import (
     _shared_prefix_length,
     bracket_notation,
     enclosure_fields,
+    exact_field,
     float_to_exact_decimal,
     floor_fields,
     hex_significand_bracket,
     hex_significand_rendering,
     interval_to_decimal,
+    outward_fields,
     plain_decimal,
     truncate_directed,
 )
@@ -963,3 +968,53 @@ class TestFloorFields:
         fields = floor_fields(*_decimal_floor(parse_numeral("0.375"), BINARY64), BINARY64)
         assert fields == ("2^(-2) * 1.8000000000000", "0.375") * 2 + ("0.375[,]",)
         assert calls == [(3 << 51, -54)]
+
+
+def edge_patterns(fmt: FloatFormat) -> list[int]:
+    """Bit patterns of both signs at the edges of the format: zero (the
+    negative zero pattern among them), the smallest subnormal, both sides
+    of the subnormal/normal boundary, the top of a binade whose successor
+    carries into the next one, one, max finite and the infinity."""
+    t, sign = fmt.significand_bits - 1, 1 << (fmt.bit_width - 1)
+    one = to_bits(fmt.one, fmt)
+    magnitudes = [0, 1, 2, (1 << t) - 1, 1 << t, (1 << t) + 1, one - 1, one, one + 1]
+    top = ((1 << fmt.exponent_field_bits) - 1) << t
+    magnitudes += [top - 2, top - 1, top]
+    return [m | s for m in magnitudes for s in (0, sign)]
+
+
+class TestOutwardFields:
+    """outward_fields and exact_field, the print-interval and print records'
+    writers, give what the public value route gives for the same bounds."""
+
+    @pytest.mark.parametrize("fmt", FIVE_FORMATS, ids=FIVE_IDS)
+    def test_matches_the_public_route(self, fmt):
+        rng = random.Random(13 * fmt.bit_width + fmt.significand_bits)
+        patterns = edge_patterns(fmt)
+        count = 20 if fmt is BINARY128 else 150
+        patterns += [rng.getrandbits(fmt.bit_width) for _ in range(count)]
+        bounds = []
+        for pattern in patterns:
+            try:
+                bounds.append((_bits_pair(pattern, fmt), from_bits(pattern, fmt)))
+            except DomainError:
+                continue
+        # every bound alone, with its neighbour in pattern order, and with a random one
+        pairs = [(a, a) for a in bounds]
+        pairs += list(zip(bounds, bounds[1:]))
+        pairs += [(a, rng.choice(bounds)) for a in bounds]
+        for a, b in pairs:
+            (low, lb), (high, ub) = sorted([a, b], key=lambda bound: bound[1])
+            finite = [f for f in (lb, ub) if f.kind != KIND_INFINITE]
+            # one digit past the longer exact expansion prints both bounds exactly
+            past = max((len(float_to_exact_decimal(f, fmt).mantissa) for f in finite), default=0)
+            for n in (1, 17, 40, past + 1):
+                r = bracket_notation(*interval_to_decimal(FloatInterval(lb, ub), n, fmt))
+                expected = r.prefix + r.low_tail, r.prefix + r.high_tail, r.text()
+                assert outward_fields(low, high, n) == expected, (fmt, lb, ub, n)
+        for pair, f in bounds:
+            assert exact_field(*pair) == plain_decimal(float_to_exact_decimal(f, fmt)), f
+
+    def test_budget_below_one(self):
+        with pytest.raises(ValueError):
+            outward_fields((1, (1, 0)), (1, (1, 0)), 0)

@@ -1,10 +1,10 @@
 """The kernels' trusted constructors build only what the checked ones accept.
 
-parse_numeral, float_to_exact_decimal, _round_outward, truncate_directed
-(both through render._step_outward), floatkit._on_grid (the one packer
-behind _enclose, next_up and the subnormal and zero bit patterns of
-from_bits), the normal branch of from_bits and both negations skip the
-constructor checks for values they have just made canonical.
+parse_numeral, float_to_exact_decimal and interval_to_decimal (both
+through render._to_decimal), truncate_directed, floatkit._on_grid (the
+one packer behind _enclose, next_up and every pattern from_bits decodes)
+and both negations skip the constructor checks for values they have just
+made canonical.
 Every value they return here is rebuilt through the public constructors,
 which must accept it unchanged; each float must also be canonical for the
 format it came from.
