@@ -49,10 +49,11 @@ from .floatkit import (
 from .parse import (
     NumeralSyntaxError,
     Rational,
+    _bounds,
     _decimal_floor,
-    _enclose,
     _floor,
-    parse_numeral,
+    _numeral,
+    _ratio,
     rational_to_interval,
 )
 from .render import (
@@ -88,8 +89,9 @@ class CheckFailure(Exception):
     """A --check revalidation disagreed with the emitted result."""
 
 
-def _canonical_fields(interval: FloatInterval) -> list[tuple]:
-    return [(f.kind, f.sign, f.significand, f.exponent) for f in (interval.lb, interval.ub)]
+def _canonical_fields(interval: FloatInterval) -> tuple[tuple, tuple]:
+    """The fields (kind, sign, m, e) of the interval's lower and upper bound."""
+    return interval.lb._key(), interval.ub._key()
 
 
 def _serve(
@@ -125,7 +127,7 @@ def _float_pair(text: str, fmt: FloatFormat) -> tuple[int, tuple[int, int] | Non
         if len(body) != width or not _HEX_DIGITS.fullmatch(body):
             raise NumeralSyntaxError(text, 5, f"need exactly {width} hex digits")
         return _bits_pair(int(body, 16), fmt)
-    sign, m, e, rem = _decimal_floor(parse_numeral(text), fmt)
+    sign, m, e, rem = _decimal_floor(*_numeral(text), fmt)
     if rem:
         raise NotRepresentable(f"{text!r} does not land exactly on the format grid")
     return sign, (m, e)
@@ -133,24 +135,22 @@ def _float_pair(text: str, fmt: FloatFormat) -> tuple[int, tuple[int, int] | Non
 
 def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     """parse and parse-rational: hex and exact decimal of each bound of the
-    enclosure, then the bracket; --check compares that enclosure with the
-    oracle's, field for field, so a pair the format does not use fails too."""
+    enclosure, then the bracket, from the fields the text reads to; --check
+    compares the bounds of that enclosure with the oracle's, field for
+    field, so a pair the format does not use fails too."""
     fmt = _FORMATS[args.format]
-    if args.command == "parse":
-        read, floor = parse_numeral, _decimal_floor
-    else:
-        read, floor = Rational.from_text, lambda r, fmt: _floor(r.sign, r.p, r.q, fmt)
+    read, floor = (_numeral, _decimal_floor) if args.command == "parse" else (_ratio, _floor)
 
     def record(text: str) -> tuple[str, ...]:
-        value = read(text)
-        grid = floor(value, fmt)
+        fields = read(text)
+        grid = floor(*fields, fmt)
         if args.check:
             from .oracle import decimal_reference, rational_reference
 
-            reference = decimal_reference if read is parse_numeral else rational_reference
+            reference = decimal_reference if read is _numeral else rational_reference
             # the message names the input text: str() of an exact value past
             # 4300 digits would raise instead
-            if _canonical_fields(_enclose(*grid, fmt)) != _canonical_fields(reference(value, fmt)):
+            if _canonical_fields(reference(*fields, fmt)) != _bounds(*grid, fmt):
                 raise CheckFailure(f"interval disagrees with the reference enclosure for {text!r}")
         return floor_fields(*grid, fmt)
 
@@ -230,7 +230,7 @@ def _cmd_table(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
         nearest = oracle.nearest_float(value, fmt)
         interval = rational_to_interval(r, fmt)
         if args.check:
-            reference = oracle.rational_reference(r, fmt)
+            reference = oracle.rational_reference(1, 1, i, fmt)
             if _canonical_fields(interval) != _canonical_fields(reference):
                 mismatches.append(f"1/{i}")
         cell = _ROW_OVERRIDES.get(i) or hex_significand_bracket(interval, fmt)
@@ -349,22 +349,24 @@ class _FlushingReader(io.BufferedReader):
 
 
 def _flushing_stdin(stdout: TextIOBase) -> TextIOBase:
-    """sys.stdin, decoded as the interpreter decodes it, on a reader that
-    flushes stdout before each read: the classic stdio rule. A closed
-    stdin reads as empty input."""
+    """sys.stdin, in the interpreter's encoding, on a reader that flushes
+    stdout before each read: the classic stdio rule. A byte the encoding
+    cannot decode becomes a lone surrogate, so it fails its own line, not
+    the run. A closed stdin reads as empty input."""
     if sys.stdin is None:
         return io.StringIO()
     reader = _FlushingReader(io.FileIO(sys.stdin.fileno(), closefd=False), stdout)
     # newline as in the interpreter's own POSIX stdin: a lone \r stays in its line
-    return io.TextIOWrapper(reader, sys.stdin.encoding, sys.stdin.errors, newline="\n")
+    return io.TextIOWrapper(reader, sys.stdin.encoding, "surrogateescape", newline="\n")
 
 
 def main() -> None:
     if sys.stdout is None:
         # stdout closed before launch: no record can be written
         sys.exit(1)
-    # hold up to a chunk of text per write even under PYTHONUNBUFFERED
-    sys.stdout.reconfigure(write_through=False)
+    # hold up to a chunk of text per write even under PYTHONUNBUFFERED; a
+    # line echoed with an undecodable byte writes that byte back
+    sys.stdout.reconfigure(write_through=False, errors="surrogateescape")
     try:
         status = run(sys.argv[1:], _flushing_stdin(sys.stdout))
         # flush inside the try so a closed pipe surfaces here

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .value import Value, _new, slot_setters
+from .value import Value
 
 FRACTION = "fraction"
 INTEGER = "integer"
@@ -42,7 +42,7 @@ class DigitString(Value):
                 raise ValueError("fraction digit string may not end in 0")
             if role == INTEGER and text[0] == "0":
                 raise ValueError("integer digit string may not start with 0")
-        return _digit_string(text, role)
+        return cls._of(text, role)
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -69,18 +69,6 @@ class DigitString(Value):
 
     def __len__(self) -> int:
         return len(self.text)
-
-
-_set_text, _set_role = slot_setters(DigitString)
-
-
-def _digit_string(text: str, role: str) -> DigitString:
-    """DigitString's trusted constructor, for ASCII digits already
-    canonical for the role."""
-    self = _new(DigitString)
-    _set_text(self, text)
-    _set_role(self, role)
-    return self
 
 
 def _digit_text(digits: Iterable[int]) -> str:

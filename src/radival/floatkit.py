@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .value import Value, _new, slot_setters
+from .value import Value
 
 KIND_ZERO = "zero"
 KIND_SUBNORMAL = "subnormal"
@@ -82,7 +82,7 @@ class FloatValue(Value):
                 raise ValueError("infinity carries no significand")
         elif significand <= 0:
             raise ValueError("finite nonzero value needs a positive significand")
-        return _float_value(kind, sign, significand, exponent)
+        return cls._of(kind, sign, significand, exponent)
 
     @property
     def is_zero(self) -> bool:
@@ -113,7 +113,7 @@ class FloatValue(Value):
     def __neg__(self) -> "FloatValue":
         if self.kind == KIND_ZERO:
             return self
-        return _float_value(self.kind, -self.sign, self.significand, self.exponent)
+        return FloatValue(self.kind, -self.sign, self.significand, self.exponent)
 
     def __repr__(self) -> str:
         if self.kind == KIND_ZERO:
@@ -122,9 +122,6 @@ class FloatValue(Value):
             return f"FloatValue({'+' if self.sign > 0 else '-'}inf)"
         body = f"{self.significand}*2^{self.exponent}"
         return f"FloatValue({self.kind} {'' if self.sign > 0 else '-'}{body})"
-
-
-_set_kind, _set_sign, _set_significand, _set_exponent = slot_setters(FloatValue)
 
 
 def _shifted_ge(x: int, k: int, y: int) -> bool:
@@ -142,16 +139,6 @@ def _pair_below(sign: int, pair: tuple | None, other_sign: int, other: tuple | N
     (m, e), (n, f) = pair, other
     # signed significands compared at the common exponent
     return not _shifted_ge(sign * m, e - f, other_sign * n)
-
-
-def _float_value(kind: str, sign: int, m: int, e: int) -> FloatValue:
-    """FloatValue's trusted constructor, for fields already canonical."""
-    self = _new(FloatValue)
-    _set_kind(self, kind)
-    _set_sign(self, sign)
-    _set_significand(self, m)
-    _set_exponent(self, e)
-    return self
 
 
 ZERO = FloatValue(KIND_ZERO, 1, 0, 0)
@@ -197,15 +184,26 @@ def _carry(m: int, e: int, fmt: FloatFormat) -> tuple[int, int] | None:
     return m, e
 
 
-def _on_grid(sign: int, m: int, e: int, fmt: FloatFormat) -> FloatValue:
-    """The format value sign * m * 2^e for a pair _carry takes; m == 0 is zero."""
+def _grid_fields(sign: int, m: int, e: int, fmt: FloatFormat) -> tuple[str, int, int, int]:
+    """The fields (kind, sign, m, e) of the format value sign * m * 2^e, as
+    FloatValue holds them, for a pair _carry takes; m == 0 is zero."""
     if (pair := _carry(m, e, fmt)) is None:
-        return infinity(sign)
+        return KIND_INFINITE, sign, 0, 0
     m, e = pair
     if m == 0:
-        return ZERO
+        return KIND_ZERO, 1, 0, 0
     p = fmt.significand_bits
-    return _float_value(KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e)
+    return KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e
+
+
+def _as_float(fields: tuple[str, int, int, int]) -> FloatValue:
+    """The FloatValue with these fields; zero is ZERO."""
+    return ZERO if fields[0] == KIND_ZERO else FloatValue(*fields)
+
+
+def _on_grid(sign: int, m: int, e: int, fmt: FloatFormat) -> FloatValue:
+    """The format value sign * m * 2^e for a pair _carry takes; m == 0 is ZERO."""
+    return _as_float(_grid_fields(sign, m, e, fmt))
 
 
 def next_up(x: FloatValue, fmt: FloatFormat) -> FloatValue:
@@ -283,22 +281,11 @@ class FloatInterval(Value):
     def __new__(cls, lb: FloatValue, ub: FloatValue) -> FloatInterval:
         if ub < lb:
             raise ValueError(f"bounds out of order: {lb!r} > {ub!r}")
-        return _float_interval(lb, ub)
+        return cls._of(lb, ub)
 
     @property
     def degenerate(self) -> bool:
         return self.lb == self.ub
 
     def __neg__(self) -> "FloatInterval":
-        return _float_interval(-self.ub, -self.lb)
-
-
-_set_lb, _set_ub = slot_setters(FloatInterval)
-
-
-def _float_interval(lb: FloatValue, ub: FloatValue) -> FloatInterval:
-    """FloatInterval's trusted constructor, for bounds known to be in order."""
-    self = _new(FloatInterval)
-    _set_lb(self, lb)
-    _set_ub(self, ub)
-    return self
+        return FloatInterval(-self.ub, -self.lb)

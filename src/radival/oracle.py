@@ -141,29 +141,30 @@ def narrowest_interval_reference(x: Fraction, fmt: FloatFormat) -> FloatInterval
     return _reference(x.numerator, x.denominator, fmt)
 
 
-def rational_reference(r: Rational, fmt: FloatFormat) -> FloatInterval:
-    """Tightest enclosing interval of the ratio, reduced or not."""
-    return _reference(r.sign * r.p, r.q, fmt)
+def rational_reference(sign: int, p: int, q: int, fmt: FloatFormat) -> FloatInterval:
+    """Tightest enclosing interval of sign * p/q, for the fields of a
+    Rational, reduced or not."""
+    return _reference(sign * p, q, fmt)
 
 
-def decimal_reference(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:
-    """Tightest enclosing interval of the decimal's exact value, with
-    exponents far outside the format settled before any power of ten is
-    built.
+def decimal_reference(sign: int, digits: str, exponent: int, fmt: FloatFormat) -> FloatInterval:
+    """Tightest enclosing interval of sign * 0.digits * 10^exponent, for the
+    fields of a DecimalScientific (its mantissa as text), with exponents far
+    outside the format settled before any power of ten is built.
 
     A nonzero 10^e * 0.m lies in [10^(e-1), 10^e), and 10^10 > 2^33 gives
     10^k >= 2^(3.3k) for every k >= 0. So 3.3(e-1) >= emax + 1 puts the
     magnitude past the top binade, and 3.3e <= least_exponent puts it under
     the smallest subnormal.
     """
-    if d.mantissa.text:
-        if 33 * (d.exponent - 1) >= 10 * (fmt.emax + 1):
+    if digits:
+        if 33 * (exponent - 1) >= 10 * (fmt.emax + 1):
             top = FloatInterval(fmt.max_finite, infinity(1))
-            return -top if d.sign < 0 else top
-        if 33 * d.exponent <= 10 * fmt.least_exponent:
+            return -top if sign < 0 else top
+        if 33 * exponent <= 10 * fmt.least_exponent:
             bottom = FloatInterval(ZERO, fmt.smallest_subnormal)
-            return -bottom if d.sign < 0 else bottom
-    return _reference(*_decimal_ratio(d.sign, d.mantissa.as_text(), d.exponent), fmt)
+            return -bottom if sign < 0 else bottom
+    return _reference(*_decimal_ratio(sign, digits, exponent), fmt)
 
 
 def nearest_float(x: Fraction, fmt: FloatFormat) -> FloatValue:

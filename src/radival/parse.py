@@ -24,7 +24,6 @@ import re
 from .digitstring import (
     FRACTION,
     DigitString,
-    _digit_string,
     _fraction_digits,
     _fraction_int,
     _int_from_digits,
@@ -34,11 +33,11 @@ from .floatkit import (
     DomainError,
     FloatFormat,
     FloatInterval,
-    _float_interval,
-    _on_grid,
+    _as_float,
+    _grid_fields,
     _shifted_ge,
 )
-from .value import Value, _new, slot_setters
+from .value import Value
 
 
 class NumeralSyntaxError(ValueError):
@@ -77,19 +76,6 @@ class DecimalScientific(Value):
         return not self.mantissa.text
 
 
-_set_sign, _set_mantissa, _set_exponent = slot_setters(DecimalScientific)
-
-
-def _decimal_scientific(sign: int, text: str, exponent: int) -> DecimalScientific:
-    """DecimalScientific's trusted constructor, from mantissa digits that
-    are already canonical: ASCII, opening with a nonzero, no trailing 0."""
-    self = _new(DecimalScientific)
-    _set_sign(self, sign)
-    _set_mantissa(self, _digit_string(text, FRACTION))
-    _set_exponent(self, exponent)
-    return self
-
-
 DECIMAL_ZERO = DecimalScientific(1, DigitString("", FRACTION), 0)
 
 
@@ -114,29 +100,28 @@ class Rational(Value):
         """Parse p/q or a bare integer, with an optional leading sign.
 
         An error gives the index in text where the rejected digit run starts."""
-        body = text.strip()
-        sign = 1
-        if body[:1] in ("+", "-"):
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        num, slash, den = body.partition("/")
-        if not num.isascii() or not num.isdigit():
-            # body, and so den, is a tail of text.rstrip()
-            raise NumeralSyntaxError(text, len(text.rstrip()) - len(body), "expected digits")
-        if slash and (not den.isascii() or not den.isdigit()):
-            raise NumeralSyntaxError(text, len(text.rstrip()) - len(den), "expected digits")
-        q = _int_from_digits(den) if slash else 1
-        if q == 0:
-            raise DomainError("zero denominator")
-        # what __new__ checks holds: a sign of +1 or -1, nonnegative terms
-        self = _new(cls)
-        _set_ratio_sign(self, sign)
-        _set_p(self, _int_from_digits(num))
-        _set_q(self, q)
-        return self
+        return cls(*_ratio(text))
 
 
-_set_ratio_sign, _set_p, _set_q = slot_setters(Rational)
+def _ratio(text: str) -> tuple[int, int, int]:
+    """Rational.from_text as the fields (sign, p, q), with no value built."""
+    body = text.strip()
+    sign = 1
+    if body[:1] in ("+", "-"):
+        sign = -1 if body[0] == "-" else 1
+        body = body[1:]
+    num, slash, den = body.partition("/")
+    if not num.isascii() or not num.isdigit():
+        # body, and so den, is a tail of text.rstrip()
+        raise NumeralSyntaxError(text, len(text.rstrip()) - len(body), "expected digits")
+    if slash and (not den.isascii() or not den.isdigit()):
+        raise NumeralSyntaxError(text, len(text.rstrip()) - len(den), "expected digits")
+    q = _int_from_digits(den) if slash else 1
+    if q == 0:
+        raise DomainError("zero denominator")
+    return sign, _int_from_digits(num), q
+
+
 _DIGIT_RUN = re.compile("[0-9]*")
 
 
@@ -147,6 +132,13 @@ def parse_numeral(text: str) -> DecimalScientific:
     of the point once the marker is applied. Leading zeros shift the
     exponent down as they drop; an all-zero mantissa collapses to zero.
     """
+    sign, digits, exponent = _numeral(text)
+    return DecimalScientific(sign, DigitString(digits), exponent) if digits else DECIMAL_ZERO
+
+
+def _numeral(text: str) -> tuple[int, str, int]:
+    """parse_numeral as the fields (sign, mantissa digits, exponent), with
+    no value built; zero is (1, "", 0)."""
     i = 0
     n = len(text)
     sign = 1
@@ -181,10 +173,10 @@ def parse_numeral(text: str) -> DecimalScientific:
     # leading zeros that drop carry none of it
     digits = (int_digits + frac_digits).lstrip("0")
     if not digits:
-        return DECIMAL_ZERO
+        return 1, "", 0
     exponent = marker_exp + len(digits) - len(frac_digits)
     # digits opens with a nonzero, so it is canonical once its trailing zeros go
-    return _decimal_scientific(sign, digits.rstrip("0"), exponent)
+    return sign, digits.rstrip("0"), exponent
 
 
 def _log2_floor(p: int, q: int) -> int:
@@ -278,28 +270,37 @@ def _floor(sign: int, num: int, den: int, fmt: FloatFormat) -> tuple[int, int, i
     return sign, m, e, rem
 
 
+def _bounds(sign: int, m: int, e: int, rem: int, fmt: FloatFormat) -> tuple[tuple, tuple]:
+    """The fields (kind, sign, m, e) of the lower and upper bound of the
+    narrowest enclosing interval of the value with this grid floor."""
+    low = _grid_fields(sign, m, e, fmt)
+    if not rem:
+        return low, low
+    high = _grid_fields(sign, m + 1, e, fmt)
+    return (high, low) if sign < 0 else (low, high)
+
+
 def _enclose(sign: int, m: int, e: int, rem: int, fmt: FloatFormat) -> FloatInterval:
     """The narrowest enclosing interval of the value with this grid floor."""
-    lb = _on_grid(1, m, e, fmt)
-    interval = _float_interval(lb, _on_grid(1, m + 1, e, fmt) if rem else lb)
-    return -interval if sign < 0 else interval
+    lower, upper = _bounds(sign, m, e, rem, fmt)
+    lb = _as_float(lower)
+    return FloatInterval(lb, _as_float(upper) if rem else lb)
 
 
-def _decimal_floor(d: DecimalScientific, fmt: FloatFormat) -> tuple[int, int, int, int]:
-    """The grid floor of the numeral's value, as decimal_to_interval says."""
-    e = d.exponent
+def _decimal_floor(sign: int, text: str, e: int, fmt: FloatFormat) -> tuple[int, int, int, int]:
+    """The grid floor of sign * 0.text * 10^e, a numeral's fields, as
+    decimal_to_interval says."""
     if e > 0 and 3 * (e - 1) >= fmt.emax + 1:
-        return _floor(d.sign, 2 << fmt.emax, 1, fmt)
+        return _floor(sign, 2 << fmt.emax, 1, fmt)
     if e < 0 and 3 * e <= fmt.least_exponent:
-        return _floor(d.sign, 1, 2 << -fmt.least_exponent, fmt)
-    text = d.mantissa.text
+        return _floor(sign, 1, 2 << -fmt.least_exponent, fmt)
     keep = e - fmt.least_exponent
     if len(text) > keep:
         text = text[:keep] + "5"
     # |k| is at most the kept digits plus the format's decimal exponent range
     k = e - len(text)
     N = _int_from_digits(text) if text else 0
-    return _floor(d.sign, N * 10 ** max(k, 0), 10 ** max(-k, 0), fmt)
+    return _floor(sign, N * 10 ** max(k, 0), 10 ** max(-k, 0), fmt)
 
 
 def decimal_to_interval(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:
@@ -315,7 +316,7 @@ def decimal_to_interval(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval
     tail past the 10^L place, nonzero in a canonical mantissa, counts as one
     sticky 5, and the digit work is bounded by the format's exponent range.
     """
-    return _enclose(*_decimal_floor(d, fmt), fmt)
+    return _enclose(*_decimal_floor(d.sign, d.mantissa.text, d.exponent, fmt), fmt)
 
 
 def rational_to_interval(r: Rational, fmt: FloatFormat) -> FloatInterval:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 
-from .digitstring import _text_from_int
+from .digitstring import DigitString, _text_from_int
 from .floatkit import KIND_INFINITE, FloatFormat, FloatInterval, FloatValue, _carry, decompose
-from .parse import DECIMAL_ZERO, DecimalScientific, _decimal_scientific
+from .parse import DECIMAL_ZERO, DecimalScientific
 from .value import Value
 
 # b * log10(2) stays more than 1e-6 away from every integer for
@@ -94,8 +94,8 @@ def truncate_directed(
     if len(text) <= n:
         return d
     # a canonical mantissa never ends in 0, so the dropped tail is nonzero
-    digits = _step_outward(d.sign, text[:n], True, d.exponent, direction)
-    return _decimal_scientific(d.sign, *digits)
+    digits, exponent = _step_outward(d.sign, text[:n], True, d.exponent, direction)
+    return DecimalScientific(d.sign, DigitString(digits), exponent)
 
 
 def _step_outward(
@@ -123,7 +123,8 @@ def _to_decimal(
     m, e = decompose(f, fmt)
     if m == 0:
         return DECIMAL_ZERO
-    return _decimal_scientific(f.sign, *_outward_digits(f.sign, m, e, n, direction))
+    digits, exponent = _outward_digits(f.sign, m, e, n, direction)
+    return DecimalScientific(f.sign, DigitString(digits), exponent)
 
 
 def _outward_digits(sign: int, m: int, e: int, n: int, direction: str) -> tuple[str, int]:

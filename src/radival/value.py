@@ -1,8 +1,9 @@
 """The base of radival's immutable value classes.
 
 A subclass names its fields in _fields and keeps them, with any values it
-derives once, in __slots__. Its __new__ checks the arguments; equality,
-hashing and repr follow the fields, and no field can be assigned later.
+derives once, in __slots__. Its __new__ checks the arguments and ends in
+_of, the one place an instance is filled; equality, hashing and repr
+follow the fields, and no field can be assigned later.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ class Value:
 
     @classmethod
     def _of(cls, *values: object) -> Value:
-        """An instance with its slots set in order, unchecked."""
+        """An instance with its slots set in order: the last step of a
+        __new__, once the arguments are checked."""
         self = _new(cls)
         for name, value in zip(cls.__slots__, values):
             _set_field(self, name, value)
@@ -46,9 +48,3 @@ class Value:
 
     __delattr__ = __setattr__
 
-
-def slot_setters(cls: type) -> tuple:
-    """The setter of each slot of cls, in order. Calling them directly is
-    the fastest way to fill an instance, which the trusted constructors of
-    the values kernels build on every line do, skipping all checks."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)

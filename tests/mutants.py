@@ -43,7 +43,7 @@ PREFIX = (
     "tests/test_render.py::TestBracketNotation",
     "tests/test_render.py::test_shared_prefix_length_against_commonprefix",
 )
-TRUSTED = ("tests/test_trusted.py",)
+CANONICAL = ("tests/test_floatkit.py::TestFormatCanonical",)
 STEP_WALK = ("tests/test_small_formats.py::test_next_up_steps_every_pattern",)
 ORACLE_HYGIENE = ("tests/test_hygiene.py::test_oracle_imports_no_converter_function",)
 ORDER = ("tests/test_render.py::TestBracketNotation::test_order_against_exact_values",)
@@ -84,42 +84,43 @@ MUTANTS = [
         "    return n - (x.bit_length() + 8) // 8\n",
         ("tests/test_render.py::test_shared_prefix_length_against_commonprefix",),
     ),
-    # trusted constructors given what the checked ones refuse
+    # kernel fields the checked constructors refuse, or a value canonical
+    # in no format that only decompose refuses
     Mutant(
         "trailing-zero-outward", "render.py",
-        '    return digits.rstrip("0"), exponent\n', "    return digits, exponent\n", TRUSTED,
+        '    return digits.rstrip("0"), exponent\n', "    return digits, exponent\n",
+        ("tests/test_render.py::TestTruncateDirected::test_trailing_zeros_restrip",),
     ),
     Mutant(
         "trailing-zero-exact-decimal", "render.py",
         '    return text.rstrip("0"), len(text) + min(e, 0)\n',
         "    return text, len(text) + min(e, 0)\n",
-        TRUSTED,
+        ("tests/test_render.py::test_carries_and_trailing_zeros_occur",),
     ),
     Mutant(
         "trailing-zero-parse-numeral", "parse.py",
-        '    return _decimal_scientific(sign, digits.rstrip("0"), exponent)\n',
-        "    return _decimal_scientific(sign, digits, exponent)\n",
-        TRUSTED,
+        '    return sign, digits.rstrip("0"), exponent\n', "    return sign, digits, exponent\n",
+        ("tests/test_parse.py::TestParseNumeral::test_trailing_zeros_drop",),
     ),
     Mutant(
         "reversed-enclosure", "parse.py",
-        "    interval = _float_interval(lb, _on_grid(1, m + 1, e, fmt) if rem else lb)\n",
-        "    interval = _float_interval(_on_grid(1, m + 1, e, fmt) if rem else lb, lb)\n",
-        TRUSTED,
+        "    return (high, low) if sign < 0 else (low, high)\n",
+        "    return (low, high) if sign < 0 else (high, low)\n",
+        ("tests/test_parse.py::TestDecimalToInterval::test_tenth_binary32",),
     ),
     Mutant(
         "reversed-negation", "floatkit.py",
-        "        return _float_interval(-self.ub, -self.lb)\n",
-        "        return _float_interval(-self.lb, -self.ub)\n",
-        TRUSTED,
+        "        return FloatInterval(-self.ub, -self.lb)\n",
+        "        return FloatInterval(-self.lb, -self.ub)\n",
+        ("tests/test_floatkit.py::TestInterval::test_negation_swaps",),
     ),
     Mutant(
         "wrong-kind-on-grid", "floatkit.py",
-        "KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL", "KIND_NORMAL", TRUSTED,
+        "KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL", "KIND_NORMAL", CANONICAL,
     ),
     Mutant(
         "normal-pattern-without-leading-bit", "floatkit.py",
-        "(field > 0) << t | trailing", "trailing", TRUSTED,
+        "(field > 0) << t | trailing", "trailing", CANONICAL,
     ),
     # the grid packer, the step and the float order
     Mutant(
@@ -189,6 +190,12 @@ MUTANTS = [
         CONTAINMENT,
     ),
     Mutant(
+        "check-compares-lower-bound-only", "cli.py",
+        "            if _canonical_fields(reference(*fields, fmt)) != _bounds(*grid, fmt):\n",
+        "            if _canonical_fields(reference(*fields, fmt))[0] != _bounds(*grid, fmt)[0]:\n",
+        ("tests/test_cli.py::TestParse::test_check_compares_both_bounds",),
+    ),
+    Mutant(
         "exact-digits-last-digit-and-exponent", "render.py",
         '    return text.rstrip("0"), len(text) + min(e, 0)\n',
         '    return text.rstrip("0")[:-1] + "7", len(text) + min(e, 0) - 2\n',
@@ -226,7 +233,7 @@ MUTANTS = [
     ),
     Mutant(
         "degenerate-parse-enclosure", "cli.py",
-        "        grid = floor(value, fmt)\n", "        grid = floor(value, fmt)[:3] + (0,)\n",
+        "        grid = floor(*fields, fmt)\n", "        grid = floor(*fields, fmt)[:3] + (0,)\n",
         ("tests/test_host_witness.py::test_parse_encloses_the_host_float",),
     ),
     # the parse records' writer, its carry and the digit cut

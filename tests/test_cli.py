@@ -1,5 +1,6 @@
 """End-to-end command line behaviour through cli.run with captured streams."""
 
+import collections
 import io
 import os
 import pathlib
@@ -13,8 +14,9 @@ import pytest
 
 import radival
 from radival import cli, oracle, render
-from radival.floatkit import ZERO, FloatInterval
+from radival.floatkit import BINARY32, ZERO, FloatInterval, infinity
 from radival.parse import parse_numeral
+from radival.value import Value
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN_TABLE = DATA / "reference_table.txt"
@@ -139,23 +141,36 @@ class TestParse:
 
     def test_check_failure_exit(self, monkeypatch):
         bogus = FloatInterval(ZERO, ZERO)
-        monkeypatch.setattr(oracle, "decimal_reference", lambda v, fmt: bogus)
+        monkeypatch.setattr(oracle, "decimal_reference", lambda *fields: bogus)
         status, _, err = run_cli(["parse", "0.5", "--check"])
         assert status == 3
         assert err.startswith("check failed: ")
 
     def test_check_failure_in_batch(self, monkeypatch):
         bogus = FloatInterval(ZERO, ZERO)
-        monkeypatch.setattr(oracle, "decimal_reference", lambda v, fmt: bogus)
+        monkeypatch.setattr(oracle, "decimal_reference", lambda *fields: bogus)
         status, out, _ = run_cli(["parse", "--check"], stdin_text="0.5\n")
         assert status == 3
         assert "\tERR\t" in out
+
+    @pytest.mark.parametrize("differs", ["lower", "upper"])
+    def test_check_compares_both_bounds(self, monkeypatch, differs):
+        # a reference that differs from the enclosure [1, 1] in one bound
+        # alone fails the check, single-shot and as a filter
+        one = BINARY32.one
+        bogus = FloatInterval(ZERO, one) if differs == "lower" else FloatInterval(one, infinity(1))
+        monkeypatch.setattr(oracle, "decimal_reference", lambda *fields: bogus)
+        status, out, err = run_cli(["parse", "1", "--check"])
+        assert (status, out) == (3, "") and err.startswith("check failed: ")
+        status, out, _ = run_cli(["parse", "--check"], stdin_text="1\n")
+        record = "1\tERR\tinterval disagrees with the reference enclosure for '1'\n"
+        assert (status, out) == (3, record)
 
     def test_check_failure_past_int_text_limit(self, monkeypatch):
         # the failure message must not print the exact value, whose str()
         # past 4300 digits raises and would turn exit 3 into exit 2
         bogus = FloatInterval(ZERO, ZERO)
-        monkeypatch.setattr(oracle, "decimal_reference", lambda v, fmt: bogus)
+        monkeypatch.setattr(oracle, "decimal_reference", lambda *fields: bogus)
         numeral = "0." + "1234567890" * (LONG // 10)
         status, out, err = run_cli(["parse", "--check", numeral])
         assert (status, out) == (3, "")
@@ -187,6 +202,24 @@ def seeded_lines(command: str, count: int) -> list[str]:
     return lines
 
 
+def count_values(monkeypatch) -> collections.Counter:
+    """Count the values built from now on through Value._of, the one fill
+    at the end of every checked constructor: by class name, or under
+    "oracle" for a value built while an oracle function runs."""
+    counts = collections.Counter()
+    fill = Value._of.__func__
+
+    def counted(cls, *values):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_globals.get("__name__") != "radival.oracle":
+            frame = frame.f_back
+        counts["oracle" if frame else cls.__name__] += 1
+        return fill(cls, *values)
+
+    monkeypatch.setattr(Value, "_of", classmethod(counted))
+    return counts
+
+
 @pytest.mark.parametrize(
     "argv, lines",
     [
@@ -197,27 +230,27 @@ def seeded_lines(command: str, count: int) -> list[str]:
 )
 def test_parse_record_builds_no_float_values(monkeypatch, argv, lines):
     """A parse record goes from the grid floor to its text on integer pairs:
-    no float value or interval is built, and no bound is decomposed, for
-    finite, zero, subnormal and infinite bounds alike."""
+    no value is built, and no bound is decomposed, for finite, zero,
+    subnormal and infinite bounds alike."""
     from radival import floatkit
 
     calls = []
-    for name in ("_float_value", "_float_interval", "decompose"):
-        real = getattr(floatkit, name)
+    real = floatkit.decompose
 
-        def counted(*args, real=real):
-            calls.append(real.__name__)
-            return real(*args)
+    def counted(*args):
+        calls.append("decompose")
+        return real(*args)
 
-        # every module that binds the function by name calls the counter
-        for module in (floatkit, cli, render, radival.parse):
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counted)
+    # every module that binds the function by name calls the counter
+    for module in (floatkit, cli, render, radival.parse):
+        if getattr(module, "decompose", None) is real:
+            monkeypatch.setattr(module, "decompose", counted)
+    built = count_values(monkeypatch)
     lines = lines + seeded_lines(argv[0], 200)
     status, out, _ = run_cli(argv, "\n".join(lines) + "\n")
     assert status == 0 and "ERR" not in out
     assert out.count("\n") == len(lines)
-    assert calls == []
+    assert (calls, built) == ([], {})
 
 
 def seeded_pairs(fmt: str, count: int) -> list[tuple[str, str]]:
@@ -253,24 +286,19 @@ def seeded_pairs(fmt: str, count: int) -> list[tuple[str, str]]:
         ["print-interval", "--format", "binary64", "--digits", "17", "--check"],
         ["parse", "--format", "binary64"],
         ["parse-rational"],
+        ["parse", "--format", "binary64", "--check"],
+        ["parse-rational", "--check"],
     ],
-    ids=["print", "print-check", "print-interval", "print-interval-check", "parse", "parse-rational"],
+    ids=[
+        "print", "print-check", "print-interval", "print-interval-check", "parse",
+        "parse-rational", "parse-check", "parse-rational-check",
+    ],
 )
 def test_filter_records_build_no_values(monkeypatch, argv):
     """A filter record goes from its tokens to its text on integer pairs:
-    over 200 seeded lines no float value, float interval or bracket
-    rendering is built, and no decimal value but the one parse_numeral
-    reads from each nonzero numeral of a parse line."""
-    counts = {}
-    for module in (radival.floatkit, radival.parse, render, cli, oracle):
-        for name in ("_float_value", "_float_interval", "_decimal_scientific", "BracketRendering"):
-            if (real := getattr(module, name, None)) is not None:
-
-                def counted(*args, real=real, name=name):
-                    counts[name] = counts.get(name, 0) + 1
-                    return real(*args)
-
-                monkeypatch.setattr(module, name, counted)
+    over 200 seeded lines no value is built, and under --check the oracle
+    builds values only for the enclosures of parse and parse-rational."""
+    counts = count_values(monkeypatch)
     command, fmt = argv[0], "binary64" if "binary64" in argv else "binary32"
     if command.startswith("parse"):
         lines = seeded_lines(command, 200)
@@ -279,9 +307,9 @@ def test_filter_records_build_no_values(monkeypatch, argv):
         lines = [low for low, _ in pairs] if command == "print" else [" ".join(p) for p in pairs]
     status, out, _ = run_cli(argv, "\n".join(lines) + "\n")
     assert (status, out.count("\n"), out.count("\tERR\t")) == (0, len(lines), 0)
-    # a seeded numeral is zero when its digits are
-    numerals = sum(any(c in "123456789" for c in line.split("e")[0]) for line in lines)
-    assert counts == ({"_decimal_scientific": numerals} if command == "parse" else {})
+    by_oracle = counts.pop("oracle", 0)
+    assert counts == {}
+    assert (by_oracle > 0) == (command.startswith("parse") and "--check" in argv)
 
 
 @pytest.mark.parametrize(

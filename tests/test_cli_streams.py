@@ -118,27 +118,31 @@ def _straddling_chunk():
     return pad + "é1\n".encode() + b"1/8\n"
 
 
+# each input with the error handler the interpreter's stdio is set to: the
+# strict one, as under a UTF-8 locale, must not stop the filter at a bad byte
 STDIN_CASES = {
-    "invalid-byte": b"1/3\n1/\xff3\n\xff\n2/5\n",
-    "lone-cr": b"1/3\r2\n1\r/4\n5/6\n",
-    "crlf": b"1/3\r\n-4/9\r\n1/0\r\n",
-    "no-final-newline": b"1/3\n7/11",
-    "blank-lines": b"\n1/3\n\n  \n\t\n5/7\n\n",
-    "straddles-chunk": _straddling_chunk(),
-    "longer-than-a-read": b"1/3\n" + b"9" * 20000 + b"/7\n2/9\n",
+    "invalid-byte": (b"1/3\n1/\xff3\n\xff\n2/5\n", "surrogateescape"),
+    "invalid-byte-strict-stdio": (b"1/3\n\xff\xfe1\n2/5\n", "strict"),
+    "lone-cr": (b"1/3\r2\n1\r/4\n5/6\n", "surrogateescape"),
+    "crlf": (b"1/3\r\n-4/9\r\n1/0\r\n", "surrogateescape"),
+    "no-final-newline": (b"1/3\n7/11", "surrogateescape"),
+    "blank-lines": (b"\n1/3\n\n  \n\t\n5/7\n\n", "surrogateescape"),
+    "straddles-chunk": (_straddling_chunk(), "surrogateescape"),
+    "longer-than-a-read": (b"1/3\n" + b"9" * 20000 + b"/7\n2/9\n", "surrogateescape"),
 }
 
 
-@pytest.mark.parametrize("data", STDIN_CASES.values(), ids=STDIN_CASES.keys())
-def test_filter_reads_stdin_as_run_reads_text(data):
+@pytest.mark.parametrize("data, errors", STDIN_CASES.values(), ids=STDIN_CASES.keys())
+def test_filter_reads_stdin_as_run_reads_text(data, errors):
     """The process decodes and splits its stdin as cli.run splits the
-    same text, decoded with the interpreter's stdin settings."""
+    same text decoded as UTF-8, an undecodable byte becoming a lone
+    surrogate that its line's echo writes back."""
     codec = ("utf-8", "surrogateescape")
     proc = subprocess.run(
         [sys.executable, "-m", "radival.cli", "parse-rational"],
         input=data,
         capture_output=True,
-        env=_env(PYTHONIOENCODING=":".join(codec)),
+        env=_env(PYTHONIOENCODING=f"utf-8:{errors}"),
         timeout=60,
     )
     status, out = _in_process(["parse-rational"], data.decode(*codec))

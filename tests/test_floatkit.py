@@ -33,6 +33,7 @@ from radival.floatkit import (
     next_up,
     to_bits,
 )
+from radival.parse import Rational, decimal_to_interval, parse_numeral, rational_to_interval
 
 b32_patterns = st.integers(0, 2**32 - 1)
 b64_patterns = st.integers(0, 2**64 - 1)
@@ -314,3 +315,80 @@ class TestInterval:
     def test_infinite_bounds_allowed(self):
         FloatInterval(BINARY32.max_finite, infinity(1))
         FloatInterval(infinity(-1), infinity(1))
+
+
+# zero, overflow and underflow of both formats, their edges, and values
+# just under powers of ten
+EDGE_NUMERALS = (
+    "0 -0.000e5 100 0.00100 10 1000 1e400 -1e400 1e-400 -1e-400 1e-45"
+    " 340282356779733661637539395458142568448 4.9406564584124654e-324"
+    " 0.99999999999999999 9.9999999999999999e22 -9999999.999999999"
+).split()
+
+
+def seeded_numerals(rng, count):
+    """Numerals with leading and trailing zeros, both signs, points in any
+    place and exponents that reach past both ends of binary64."""
+    for _ in range(count):
+        digits = "0" * rng.randrange(3) + str(rng.randrange(10 ** rng.randrange(1, 25)))
+        digits += "0" * rng.randrange(4)
+        point = rng.randrange(len(digits) + 1)
+        text = rng.choice(["", "-", "+"]) + digits[:point] + "." + digits[point:]
+        if rng.random() < 0.7:
+            text += f"e{rng.randrange(-340, 340)}"
+        yield text
+
+
+def seeded_patterns(rng, fmt, count):
+    """Bit patterns of both signs: random, subnormal, zero, the top finite
+    value and the floats just below powers of ten."""
+    t = fmt.significand_bits - 1
+    sign = 1 << (fmt.bit_width - 1)
+    top = to_bits(fmt.max_finite, fmt)
+    specials = [0, 1, (1 << t) - 1, 1 << t, top]
+    for k in range(23 if fmt is BINARY64 else 11):
+        ten = to_bits(decimal_to_interval(parse_numeral(f"1e{k}"), fmt).lb, fmt)
+        specials += [ten, ten - 1]
+    for pattern in specials + [rng.randrange(top + 1) for _ in range(count)]:
+        yield pattern
+        yield pattern | sign
+
+
+def assert_canonical(fmt, *values):
+    """Each finite float among the values and the intervals' bounds
+    decomposes for fmt: its kind and pair are the format's."""
+    for value in values:
+        for f in (value.lb, value.ub) if isinstance(value, FloatInterval) else (value,):
+            if f.kind != KIND_INFINITE:
+                decompose(f, fmt)
+
+
+@pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=["binary32", "binary64"])
+class TestFormatCanonical:
+    """Every float the value API returns is canonical for the format it came
+    from. FloatValue checks only what holds in every format, so a subnormal
+    pair given the normal kind, or a normal pattern decoded without its
+    leading bit, builds a value that only decompose refuses."""
+
+    def test_parse_and_enclose_numerals(self, fmt):
+        rng = random.Random(fmt.bit_width + 1)
+        for text in [*EDGE_NUMERALS, *seeded_numerals(rng, 400)]:
+            interval = decimal_to_interval(parse_numeral(text), fmt)
+            assert_canonical(fmt, interval, -interval)
+
+    def test_enclose_ratios(self, fmt):
+        rng = random.Random(fmt.bit_width + 2)
+        ratios = [(0, 1), (1, 3), (1, 1 << 200), (1 << 2000, 3), (1, 1 << 1100)]
+        for _ in range(400):
+            p, q = (rng.getrandbits(rng.randrange(1, 90)) for _ in range(2))
+            ratios.append((p, q | 1))
+        for p, q in ratios:
+            for sign in (1, -1):
+                interval = rational_to_interval(Rational(sign, p, q), fmt)
+                assert_canonical(fmt, interval, -interval)
+
+    def test_bits_and_steps(self, fmt):
+        rng = random.Random(fmt.bit_width + 3)
+        for pattern in seeded_patterns(rng, fmt, 300):
+            f = from_bits(pattern, fmt)
+            assert_canonical(fmt, f, -f, next_up(f, fmt))

@@ -1,8 +1,9 @@
 """Source hygiene that a linter would check: no module imports a name it
 never uses, no function defaults its format, every name the package
 exports resolves, every public definition has a user, no function
-name is defined in two modules, and the oracle imports no converter
-function. Launch hygiene:
+name is defined in two modules, the oracle imports no converter
+function, and every value is filled only at the end of its class's checked
+constructor. Launch hygiene:
 importing the command line loads nothing that only --check needs."""
 
 import ast
@@ -106,6 +107,32 @@ def test_one_definition_per_function_name():
                 homes.setdefault(node.name, []).append(path.name)
     shared = {name: sorted(where) for name, where in homes.items() if len(where) > 1}
     assert shared == {name: ["floatkit.py", "oracle.py"] for name in ORACLE_COPIES}
+
+
+def test_values_are_filled_only_in_checked_constructors():
+    """Every use of Value._of, the one fill of an instance, sits in a
+    __new__, after that class's checks, and only value.py makes a bare
+    instance or takes more than Value from value.py: no second way to
+    build a value skips the checks."""
+    outside = []
+    for path in pathlib.Path(radival.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        checked = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and function.name == "__new__"
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "value":
+                outside += [f"{path.name}:{a.name}" for a in node.names if a.name != "Value"]
+            if not isinstance(node, ast.Attribute):
+                continue
+            fill = node.attr == "_of" and id(node) not in checked
+            bare = node.attr == "__new__" and ast.unparse(node.value) == "object"
+            if fill or bare and path.name != "value.py":
+                outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
 
 
 # what the oracle may take from the package: the format descriptions and

@@ -530,7 +530,7 @@ class TestDecimalCut:
             d = parse_numeral(text)
             cut += len(d.mantissa.text) > d.exponent - fmt.least_exponent
             assert interval_pair(decimal_to_interval(d, fmt)) == interval_pair(
-                oracle.decimal_reference(d, fmt)
+                oracle.decimal_reference(d.sign, d.mantissa.text, d.exponent, fmt)
             ), text
         assert cut > 4 * count
 

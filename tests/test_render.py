@@ -35,6 +35,7 @@ from radival.parse import (
     DecimalScientific,
     _decimal_floor,
     _floor,
+    _numeral,
     decimal_to_interval,
     parse_numeral,
     rational_to_interval,
@@ -315,6 +316,19 @@ class TestIntervalToDecimal:
         lo, hi = interval_to_decimal(iv, n, BINARY32)
         assert oracle.exact_value(lo) <= oracle.float_exact_value(a)
         assert oracle.float_exact_value(b) <= oracle.exact_value(hi)
+
+
+def test_carries_and_trailing_zeros_occur():
+    """Outward rounding carries a run of nines into a fresh leading 1, and an
+    exact decimal whose digit text ends in zeros sheds them: both give the
+    canonical digits and exponent."""
+    below_one = from_bits(0x3FEFFFFFFFFFFFFF, BINARY64)
+    lo, hi = interval_to_decimal(FloatInterval(below_one, below_one), 5, BINARY64)
+    assert (lo.mantissa.text, lo.exponent) == ("99999", 0)
+    assert (hi.mantissa.text, hi.exponent) == ("1", 1)
+    hundred = decimal_to_interval(parse_numeral("100"), BINARY32).lb
+    hundred = float_to_exact_decimal(hundred, BINARY32)
+    assert (hundred.mantissa.text, hundred.exponent) == ("1", 3)
 
 
 def _decimal_exponent_estimate(b: int) -> int:
@@ -921,7 +935,8 @@ class TestFloorFields:
             for text in numerals:
                 d = parse_numeral(text if sign > 0 else "-" + text)
                 expected = enclosure_fields(decimal_to_interval(d, fmt), fmt)
-                assert floor_fields(*_decimal_floor(d, fmt), fmt) == expected, (sign, text)
+                floor = _decimal_floor(d.sign, d.mantissa.text, d.exponent, fmt)
+                assert floor_fields(*floor, fmt) == expected, (sign, text)
 
     @pytest.mark.parametrize(
         "text, fields",
@@ -953,7 +968,7 @@ class TestFloorFields:
     def test_carry_into_the_next_binade(self, text, fields):
         # one unit past the top of a binade, the floor's upper neighbour is
         # the next power of two, or an infinity past max finite
-        assert floor_fields(*_decimal_floor(parse_numeral(text), BINARY32), BINARY32) == fields
+        assert floor_fields(*_decimal_floor(*_numeral(text), BINARY32), BINARY32) == fields
 
     def test_exact_bound_written_once(self, monkeypatch):
         from radival import render
@@ -965,7 +980,7 @@ class TestFloorFields:
             return real(m, e)
 
         monkeypatch.setattr(render, "_exact_digits", counted)
-        fields = floor_fields(*_decimal_floor(parse_numeral("0.375"), BINARY64), BINARY64)
+        fields = floor_fields(*_decimal_floor(*_numeral("0.375"), BINARY64), BINARY64)
         assert fields == ("2^(-2) * 1.8000000000000", "0.375") * 2 + ("0.375[,]",)
         assert calls == [(3 << 51, -54)]
 

@@ -101,7 +101,9 @@ def test_enclosure_of_host_repr(fmt, code, shift):
             continue
         numeral = parse_numeral(repr(host))
         interval = decimal_to_interval(numeral, fmt)
-        assert interval == oracle.decimal_reference(numeral, fmt)
+        assert interval == oracle.decimal_reference(
+            numeral.sign, numeral.mantissa.text, numeral.exponent, fmt
+        )
         f = from_bits(pattern, fmt)
         assert interval.lb <= f <= interval.ub
 
