@@ -41,7 +41,6 @@ from .floatkit import (
     BINARY64,
     DomainError,
     FloatFormat,
-    FloatInterval,
     NotRepresentable,
     _bits_pair,
     _pair_below,
@@ -51,16 +50,17 @@ from .parse import (
     Rational,
     _bounds,
     _decimal_floor,
+    _enclose,
     _floor,
     _numeral,
     _ratio,
-    rational_to_interval,
 )
 from .render import (
     exact_field,
     floor_fields,
     hex_significand_bracket,
     hex_significand_rendering,
+    numeral_fields,
     outward_fields,
 )
 
@@ -87,11 +87,6 @@ class _Parser(argparse.ArgumentParser):
 
 class CheckFailure(Exception):
     """A --check revalidation disagreed with the emitted result."""
-
-
-def _canonical_fields(interval: FloatInterval) -> tuple[tuple, tuple]:
-    """The fields (kind, sign, m, e) of the interval's lower and upper bound."""
-    return interval.lb._key(), interval.ub._key()
 
 
 def _serve(
@@ -139,20 +134,25 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
     compares the bounds of that enclosure with the oracle's, field for
     field, so a pair the format does not use fails too."""
     fmt = _FORMATS[args.format]
-    read, floor = (_numeral, _decimal_floor) if args.command == "parse" else (_ratio, _floor)
+    numeral = args.command == "parse"
+    read, floor = (_numeral, _decimal_floor) if numeral else (_ratio, _floor)
+    reference = None
 
     def record(text: str) -> tuple[str, ...]:
+        nonlocal reference
         fields = read(text)
         grid = floor(*fields, fmt)
         if args.check:
-            from .oracle import decimal_reference, rational_reference
+            if reference is None:
+                # bound on the first checked line: a run with none never loads the oracle
+                from . import oracle
 
-            reference = decimal_reference if read is _numeral else rational_reference
+                reference = oracle.decimal_reference if numeral else oracle.rational_reference
             # the message names the input text: str() of an exact value past
             # 4300 digits would raise instead
-            if _canonical_fields(reference(*fields, fmt)) != _bounds(*grid, fmt):
+            if reference(*fields, fmt) != _bounds(*grid, fmt):
                 raise CheckFailure(f"interval disagrees with the reference enclosure for {text!r}")
-        return floor_fields(*grid, fmt)
+        return numeral_fields(fields, grid, fmt) if numeral else floor_fields(*grid, fmt)
 
     layout = "lb = {0} = {1}\nub = {2} = {3}\nbracket = {4}\n"
     return _serve([args.value], record, layout, stdin, stdout)
@@ -225,15 +225,12 @@ def _cmd_table(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
     mismatches = []
     stdout.write("\n".join(_TABLE_HEADER) + "\n")
     for i in range(2, 12):
-        r = Rational(1, 1, i)
-        value = oracle.rational_value(r)
-        nearest = oracle.nearest_float(value, fmt)
-        interval = rational_to_interval(r, fmt)
-        if args.check:
-            reference = oracle.rational_reference(1, 1, i, fmt)
-            if _canonical_fields(interval) != _canonical_fields(reference):
-                mismatches.append(f"1/{i}")
-        cell = _ROW_OVERRIDES.get(i) or hex_significand_bracket(interval, fmt)
+        nearest = oracle.nearest_float(oracle.rational_value(Rational(1, 1, i)), fmt)
+        grid = _floor(1, 1, i, fmt)
+        # the printed interval is the one built from the bounds checked here
+        if args.check and oracle.rational_reference(1, 1, i, fmt) != _bounds(*grid, fmt):
+            mismatches.append(f"1/{i}")
+        cell = _ROW_OVERRIDES.get(i) or hex_significand_bracket(_enclose(*grid, fmt), fmt)
         stdout.write(f"{f'1/{i}':<8}{hex_significand_rendering(nearest, fmt):<26}{cell}\n")
     if mismatches:
         raise CheckFailure(f"computed intervals disagree for {', '.join(mismatches)}")

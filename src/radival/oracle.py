@@ -5,7 +5,9 @@ at the public value maps, and deliberately shares none of the converter's
 code, its grid packer and successor function included; the only common
 ground is the format descriptions and the value types. That keeps
 disagreement meaningful: when a differential test trips, exactly one side
-is wrong.
+is wrong. decimal_reference and rational_reference, the entries --check
+calls per line, answer in the fields (kind, sign, m, e) of the two bounds
+and build no value.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .floatkit import (
     KIND_INFINITE,
     KIND_NORMAL,
     KIND_SUBNORMAL,
+    KIND_ZERO,
     ZERO,
     FloatFormat,
     FloatInterval,
@@ -93,9 +96,13 @@ def _shifted_ge(x: int, k: int, y: int) -> bool:
     return x >= (y << -k)
 
 
-def _reference(num: int, den: int, fmt: FloatFormat) -> FloatInterval:
+_ZERO_FIELDS = (KIND_ZERO, 1, 0, 0)
+
+
+def _reference(num: int, den: int, fmt: FloatFormat) -> tuple[tuple, tuple]:
     """Tightest interval enclosing num/den, for den > 0 and the ratio not
-    necessarily reduced, computed the slow, direct way.
+    necessarily reduced, computed the slow, direct way, as the fields
+    (kind, sign, m, e) of its lower and upper bound.
 
     Reads floor(log2 |num/den|) off the bit lengths, floors the magnitude
     onto the format grid with one division (clamped for subnormals), and
@@ -105,7 +112,7 @@ def _reference(num: int, den: int, fmt: FloatFormat) -> FloatInterval:
     [max finite, +infinity) and its mirror image.
     """
     if num == 0:
-        return FloatInterval(ZERO, ZERO)
+        return _ZERO_FIELDS, _ZERO_FIELDS
     sign = 1 if num > 0 else -1
     a = num * sign
     E = a.bit_length() - den.bit_length()
@@ -114,43 +121,46 @@ def _reference(num: int, den: int, fmt: FloatFormat) -> FloatInterval:
     # now 2^E <= a/den < 2^(E+1)
     p = fmt.significand_bits
     if E > fmt.emax:
-        top = FloatInterval(fmt.max_finite, infinity(1))
-        return -top if sign < 0 else top
-    e = max(E - (p - 1), fmt.least_exponent)
-    if e >= 0:
-        m, rem = divmod(a, den << e)
+        # past the top binade the floor is the top finite value, inexact
+        m, e, rem = (1 << p) - 1, fmt.emax - p + 1, 1
     else:
-        m, rem = divmod(a << -e, den)
-    low = FloatValue(KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e) if m else ZERO
+        e = max(E - (p - 1), fmt.least_exponent)
+        m, rem = divmod(a, den << e) if e >= 0 else divmod(a << -e, den)
+    low = (KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e) if m else _ZERO_FIELDS
     if rem == 0:
-        return FloatInterval(low, low)
+        return low, low
     m += 1
     if m >> p:
         m, e = m >> 1, e + 1
     if e > fmt.emax - p + 1:
-        high = infinity(sign)
+        high = KIND_INFINITE, sign, 0, 0
     else:
-        high = FloatValue(KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e)
-    return FloatInterval(low, high) if sign > 0 else FloatInterval(high, low)
+        high = KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e
+    return (low, high) if sign > 0 else (high, low)
 
 
 def narrowest_interval_reference(x: Fraction, fmt: FloatFormat) -> FloatInterval:
     """Tightest enclosing interval of the rational x."""
     from fractions import Fraction
     x = Fraction(x)
-    return _reference(x.numerator, x.denominator, fmt)
+    bounds = _reference(x.numerator, x.denominator, fmt)
+    lb, ub = (ZERO if f[0] == KIND_ZERO else FloatValue(*f) for f in bounds)
+    return FloatInterval(lb, ub)
 
 
-def rational_reference(sign: int, p: int, q: int, fmt: FloatFormat) -> FloatInterval:
-    """Tightest enclosing interval of sign * p/q, for the fields of a
-    Rational, reduced or not."""
+def rational_reference(sign: int, p: int, q: int, fmt: FloatFormat) -> tuple[tuple, tuple]:
+    """The bound fields of the tightest enclosing interval of sign * p/q,
+    for the fields of a Rational, reduced or not."""
     return _reference(sign * p, q, fmt)
 
 
-def decimal_reference(sign: int, digits: str, exponent: int, fmt: FloatFormat) -> FloatInterval:
-    """Tightest enclosing interval of sign * 0.digits * 10^exponent, for the
-    fields of a DecimalScientific (its mantissa as text), with exponents far
-    outside the format settled before any power of ten is built.
+def decimal_reference(
+    sign: int, digits: str, exponent: int, fmt: FloatFormat
+) -> tuple[tuple, tuple]:
+    """The bound fields of the tightest enclosing interval of
+    sign * 0.digits * 10^exponent, for the fields of a DecimalScientific
+    (its mantissa as text), with exponents far outside the format settled
+    before any power of ten is built.
 
     A nonzero 10^e * 0.m lies in [10^(e-1), 10^e), and 10^10 > 2^33 gives
     10^k >= 2^(3.3k) for every k >= 0. So 3.3(e-1) >= emax + 1 puts the
@@ -158,12 +168,11 @@ def decimal_reference(sign: int, digits: str, exponent: int, fmt: FloatFormat) -
     the smallest subnormal.
     """
     if digits:
+        # a power of two from the same region stands in for the value
         if 33 * (exponent - 1) >= 10 * (fmt.emax + 1):
-            top = FloatInterval(fmt.max_finite, infinity(1))
-            return -top if sign < 0 else top
+            return _reference(sign << (fmt.emax + 1), 1, fmt)
         if 33 * exponent <= 10 * fmt.least_exponent:
-            bottom = FloatInterval(ZERO, fmt.smallest_subnormal)
-            return -bottom if sign < 0 else bottom
+            return _reference(sign, 2 << -fmt.least_exponent, fmt)
     return _reference(*_decimal_ratio(sign, digits, exponent), fmt)
 
 

@@ -329,6 +329,17 @@ def floor_fields(sign: int, m: int, e: int, inexact: int, fmt: FloatFormat) -> t
     return _fields(high, low) if sign < 0 else _fields(low, high)
 
 
+def numeral_fields(numeral: tuple, floor: tuple, fmt: FloatFormat) -> tuple[str, ...]:
+    """floor_fields of a numeral's fields (sign, digits, exponent) and their
+    grid floor. An exact floor is the numeral's value, so the numeral's
+    canonical digits are its one bound's exact decimal and none are made."""
+    sign, m, e, inexact = floor
+    if inexact:
+        return floor_fields(*floor, fmt)
+    bound = _hex(sign, m, e, fmt), *_positional(*numeral)
+    return _fields(bound, bound)
+
+
 def _fields(lb: tuple, ub: tuple) -> tuple[str, str, str, str, str]:
     """The five fields from the texts and leads of both bounds."""
     (lb_hex, lo, lo_lead), (ub_hex, hi, hi_lead) = lb, ub

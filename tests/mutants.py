@@ -191,8 +191,8 @@ MUTANTS = [
     ),
     Mutant(
         "check-compares-lower-bound-only", "cli.py",
-        "            if _canonical_fields(reference(*fields, fmt)) != _bounds(*grid, fmt):\n",
-        "            if _canonical_fields(reference(*fields, fmt))[0] != _bounds(*grid, fmt)[0]:\n",
+        "            if reference(*fields, fmt) != _bounds(*grid, fmt):\n",
+        "            if reference(*fields, fmt)[0] != _bounds(*grid, fmt)[0]:\n",
         ("tests/test_cli.py::TestParse::test_check_compares_both_bounds",),
     ),
     Mutant(
@@ -250,6 +250,27 @@ MUTANTS = [
             "tests/test_render.py::TestFloorFields::test_carry_into_the_next_binade",
             "tests/test_cli.py::test_check_covers_the_carry",
         ),
+    ),
+    Mutant(
+        "oracle-carry-stays-in-binade", "oracle.py",
+        "    if m >> p:\n", "    if False:\n",
+        (
+            "tests/test_oracle.py::test_binade_tops_against_the_converter",
+            "tests/test_cli.py::test_check_covers_the_carry",
+        ),
+    ),
+    # the numeral's own digits as an exact bound's decimal
+    Mutant(
+        "numeral-digits-on-inexact-floor", "render.py",
+        "    if inexact:\n        return floor_fields(*floor, fmt)\n",
+        "    if False:\n        return floor_fields(*floor, fmt)\n",
+        ("tests/test_render.py::TestFloorFields::test_matches_the_public_route",),
+    ),
+    Mutant(
+        "numeral-digits-exponent-off-by-one", "render.py",
+        "    bound = _hex(sign, m, e, fmt), *_positional(*numeral)\n",
+        "    bound = _hex(sign, m, e, fmt), *_positional(*numeral[:2], numeral[2] + 1)\n",
+        ("tests/test_render.py::TestFloorFields::test_matches_the_public_route",),
     ),
     Mutant(
         "decimal-cut-one-digit-early", "parse.py",

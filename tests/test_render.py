@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 import sys
 import time
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
@@ -53,6 +54,7 @@ from radival.render import (
     hex_significand_bracket,
     hex_significand_rendering,
     interval_to_decimal,
+    numeral_fields,
     outward_fields,
     plain_decimal,
     truncate_directed,
@@ -907,9 +909,48 @@ def edge_ratios(fmt: FloatFormat) -> list[tuple[int, int]]:
     return ratios
 
 
+# the host float codes of the two formats the host holds exactly
+HOST_CODES = {BINARY32: "<f", BINARY64: "<d"}
+
+# four spellings each of 0 and of 0.5
+ZERO_SPELLINGS = ("0", "-0.000", "0e5")
+HALF_SPELLINGS = ("0.50000", "000.5", "5000e-4", "5E-1")
+
+
+def host_exact_numerals(fmt: FloatFormat, rng: random.Random) -> tuple[list[str], list[str]]:
+    """Exact decimals of fmt's values as the host writes them (str of the
+    Decimal of the host float): seeded random values of both signs, one in
+    four subnormal, and in both signs the smallest subnormal, max finite
+    and binade edges 2^k. Then over-long numerals: four of those exact
+    decimals with 4,400 random digits and a 7 appended, as in the
+    benchmark's exact-decimals corpus, which no format value equals."""
+    code, t = HOST_CODES[fmt], fmt.significand_bits - 1
+    top = (1 << fmt.exponent_field_bits) - 1
+
+    def host(pattern: int) -> float:
+        return struct.unpack(code, pattern.to_bytes(fmt.bit_width // 8, "little"))[0]
+
+    patterns = [1, (top - 1) << t | ((1 << t) - 1)]
+    for i in range(200):
+        field = 0 if i % 4 == 0 else rng.randrange(1, top)
+        patterns.append(rng.getrandbits(1) << (fmt.bit_width - 1) | field << t | rng.getrandbits(t))
+    values = [host(pattern) for pattern in patterns]
+    L, emin = fmt.least_exponent, fmt.emin
+    edges = {L, L + 1, emin - 1, emin, emin + 1, -1, 0, 1, fmt.emax}
+    values += [math.ldexp(1.0, k) for k in sorted(edges | set(range(L, fmt.emax, 37)))]
+    values += [-x for x in values[:2] + values[len(patterns):]]
+    exact = [str(Decimal(x)) for x in values if x]
+    over_long = []
+    for text in rng.sample(exact, 4):
+        mantissa, marker, exponent = text.partition("E")
+        tail = "".join(rng.choices("0123456789", k=4400)) + "7"
+        over_long.append(mantissa + ("" if "." in mantissa else ".") + tail + marker + exponent)
+    return exact, over_long
+
+
 class TestFloorFields:
-    """floor_fields, the parse records' writer, gives what enclosure_fields
-    gives for the public enclosure of the same value."""
+    """floor_fields and numeral_fields, the parse records' writers, give
+    what enclosure_fields gives for the public enclosure of the same value."""
 
     @pytest.mark.parametrize("fmt", FIVE_FORMATS, ids=FIVE_IDS)
     def test_matches_the_public_route(self, fmt):
@@ -926,17 +967,33 @@ class TestFloorFields:
                 k = den.bit_length() - 1
                 digits = _text_from_int(num * 5**k)
                 numerals += [f"{digits}e-{k}", f"{digits}1e-{k + 1}"]
+        numerals += ["-" + text for text in numerals]
+        over_long = []
+        if fmt in HOST_CODES:
+            exact, over_long = host_exact_numerals(fmt, rng)
+            numerals += [*exact, *over_long, *ZERO_SPELLINGS, *HALF_SPELLINGS]
         for sign in (1, -1):
             for num, den in ratios:
                 r = Rational(sign, num, den)
                 expected = enclosure_fields(rational_to_interval(r, fmt), fmt)
                 floor = _floor(sign, num, den, fmt)
                 assert floor_fields(*floor, fmt) == expected, (sign, num, den)
-            for text in numerals:
-                d = parse_numeral(text if sign > 0 else "-" + text)
-                expected = enclosure_fields(decimal_to_interval(d, fmt), fmt)
-                floor = _decimal_floor(d.sign, d.mantissa.text, d.exponent, fmt)
-                assert floor_fields(*floor, fmt) == expected, (sign, text)
+        exact_floors = 0
+        for text in numerals:
+            expected = enclosure_fields(decimal_to_interval(parse_numeral(text), fmt), fmt)
+            floor = _decimal_floor(*_numeral(text), fmt)
+            assert floor_fields(*floor, fmt) == expected, text
+            assert numeral_fields(_numeral(text), floor, fmt) == expected, text
+            exact_floors += not floor[3]
+        # both routes of numeral_fields run: exact floors are one numeral in 3 to 14
+        assert exact_floors > len(numerals) // 20
+        for text in over_long:
+            # the cut appends a sticky 5, so the floor is never exact
+            assert _decimal_floor(*_numeral(text), fmt)[3], text
+        for text in HALF_SPELLINGS if fmt in HOST_CODES else ():
+            floor = _decimal_floor(*_numeral(text), fmt)
+            fields = numeral_fields(_numeral(text), floor, fmt)
+            assert (fields[1], fields[3], fields[4]) == ("0.5", "0.5", "0.5[,]"), text
 
     @pytest.mark.parametrize(
         "text, fields",
