@@ -9,9 +9,10 @@ from radival import (
     Rational,
     as_py_float,
     decimal_to_interval,
-    enclosure_fields,
+    float_to_exact_decimal,
     hex_significand_bracket,
     parse_numeral,
+    plain_decimal,
     rational_to_interval,
     to_bits,
 )
@@ -20,7 +21,9 @@ from radival import (
 def show(title, interval, fmt):
     width = fmt.bit_width // 4
     # the exact decimal of each bound, as the parse command prints it
-    _, lo_text, _, hi_text, _ = enclosure_fields(interval, fmt)
+    lo_text, hi_text = (
+        plain_decimal(float_to_exact_decimal(f, fmt)) for f in (interval.lb, interval.ub)
+    )
     print(f"  {title}")
     if interval.degenerate:
         print(f"    exactly representable: bits {to_bits(interval.lb, fmt):0{width}x}")

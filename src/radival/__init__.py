@@ -53,7 +53,6 @@ from .render import (
     BracketRendering,
     DecimalInfinity,
     bracket_notation,
-    enclosure_fields,
     float_to_exact_decimal,
     hex_significand_bracket,
     hex_significand_rendering,
@@ -93,7 +92,6 @@ __all__ = [
     "decompose",
     "div2",
     "double_integer",
-    "enclosure_fields",
     "float_to_exact_decimal",
     "from_bits",
     "hex_significand_bracket",

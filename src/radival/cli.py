@@ -42,8 +42,8 @@ from .floatkit import (
     DomainError,
     FloatFormat,
     NotRepresentable,
-    _bits_pair,
-    _pair_below,
+    _below,
+    _bits_fields,
 )
 from .parse import (
     NumeralSyntaxError,
@@ -56,8 +56,8 @@ from .parse import (
     _ratio,
 )
 from .render import (
+    enclosure_fields,
     exact_field,
-    floor_fields,
     hex_significand_bracket,
     hex_significand_rendering,
     numeral_fields,
@@ -113,19 +113,19 @@ def _serve(
     return status
 
 
-def _float_pair(text: str, fmt: FloatFormat) -> tuple[int, tuple[int, int] | None]:
-    """The sign and canonical pair (m, e), or None for an infinity, of a
-    float written as bits:HEX or as a literal exactly on the format grid."""
+def _float_fields(text: str, fmt: FloatFormat) -> tuple[str, int, int, int]:
+    """The fields (kind, sign, m, e) of a float written as bits:HEX or as a
+    literal exactly on the format grid, whose enclosure has equal bounds."""
     if text.startswith("bits:"):
         body = text[5:]
         width = fmt.bit_width // 4
         if len(body) != width or not _HEX_DIGITS.fullmatch(body):
             raise NumeralSyntaxError(text, 5, f"need exactly {width} hex digits")
-        return _bits_pair(int(body, 16), fmt)
-    sign, m, e, rem = _decimal_floor(*_numeral(text), fmt)
-    if rem:
+        return _bits_fields(int(body, 16), fmt)
+    lower, upper = _bounds(*_decimal_floor(*_numeral(text), fmt), fmt)
+    if lower != upper:
         raise NotRepresentable(f"{text!r} does not land exactly on the format grid")
-    return sign, (m, e)
+    return lower
 
 
 def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
@@ -141,7 +141,7 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
     def record(text: str) -> tuple[str, ...]:
         nonlocal reference
         fields = read(text)
-        grid = floor(*fields, fmt)
+        bounds = _bounds(*floor(*fields, fmt), fmt)
         if args.check:
             if reference is None:
                 # bound on the first checked line: a run with none never loads the oracle
@@ -150,9 +150,9 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
                 reference = oracle.decimal_reference if numeral else oracle.rational_reference
             # the message names the input text: str() of an exact value past
             # 4300 digits would raise instead
-            if reference(*fields, fmt) != _bounds(*grid, fmt):
+            if reference(*fields, fmt) != bounds:
                 raise CheckFailure(f"interval disagrees with the reference enclosure for {text!r}")
-        return numeral_fields(fields, grid, fmt) if numeral else floor_fields(*grid, fmt)
+        return numeral_fields(fields, *bounds, fmt) if numeral else enclosure_fields(*bounds, fmt)
 
     layout = "lb = {0} = {1}\nub = {2} = {3}\nbracket = {4}\n"
     return _serve([args.value], record, layout, stdin, stdout)
@@ -160,15 +160,20 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
 
 def _cmd_print(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     fmt = _FORMATS[args.format]
-    if args.check:
-        from . import oracle
+    order = None
 
     def record(text: str) -> tuple[str]:
-        sign, pair = _float_pair(text, fmt)
-        field = exact_field(sign, pair)
-        # the oracle reads the printed text back: it must be the float's value
-        if args.check and oracle.positional_order(field, sign, pair) != 0:
-            raise CheckFailure(f"exact decimal differs from the value of {text!r}")
+        nonlocal order
+        bound = _float_fields(text, fmt)
+        field = exact_field(bound)
+        if args.check:
+            if order is None:
+                from . import oracle
+
+                order = oracle.positional_order
+            # the oracle reads the printed text back: it must be the float's value
+            if order(field, bound) != 0:
+                raise CheckFailure(f"exact decimal differs from the value of {text!r}")
         return (field,)
 
     return _serve([args.value], record, "{0}\n", stdin, stdout)
@@ -176,25 +181,29 @@ def _cmd_print(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
 
 def _cmd_print_interval(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     fmt = _FORMATS[args.format]
-    if args.check:
-        from . import oracle
+    order = None
 
     def record(low: str, high: str | None = None) -> tuple[str, str, str]:
+        nonlocal order
         if high is None:
             # a filter line: both values on it, separated by blanks
             parts = low.split()
             if len(parts) != 2:
                 raise NumeralSyntaxError(low, 0, "expected two values")
             low, high = parts
-        lb, ub = _float_pair(low, fmt), _float_pair(high, fmt)
-        if _pair_below(*ub, *lb):
+        lb, ub = _float_fields(low, fmt), _float_fields(high, fmt)
+        if _below(ub, lb):
             raise DomainError(f"bounds out of order: {low!r} > {high!r}")
         fields = outward_fields(lb, ub, args.digits)
         if args.check:
+            if order is None:
+                from . import oracle
+
+                order = oracle.positional_order
             # the oracle reads each printed bound back (None if it cannot): lo <= lb, hi >= ub
-            if oracle.positional_order(fields[0], *lb) not in (-1, 0):
+            if order(fields[0], lb) not in (-1, 0):
                 raise CheckFailure("lower bound fails containment")
-            if oracle.positional_order(fields[1], *ub) not in (0, 1):
+            if order(fields[1], ub) not in (0, 1):
                 raise CheckFailure("upper bound fails containment")
         return fields
 

@@ -38,7 +38,7 @@ class FloatFormat(Value):
     _fields = ("significand_bits", "emin", "emax")
     __slots__ = _fields + (
         "least_exponent", "exponent_field_bits", "bit_width",
-        "max_finite", "smallest_subnormal", "one",
+        "max_finite", "smallest_subnormal",
     )
 
     def __new__(cls, significand_bits: int, emin: int, emax: int) -> FloatFormat:
@@ -52,8 +52,7 @@ class FloatFormat(Value):
         width = 1 + field_bits + p - 1  # sign + exponent field + trailing significand field
         top = FloatValue(KIND_NORMAL, 1, (1 << p) - 1, emax - p + 1)
         bottom = FloatValue(KIND_SUBNORMAL, 1, 1, least)
-        one = FloatValue(KIND_NORMAL, 1, 1 << (p - 1), 1 - p)
-        return cls._of(p, emin, emax, least, field_bits, width, top, bottom, one)
+        return cls._of(p, emin, emax, least, field_bits, width, top, bottom)
 
 
 @functools.total_ordering
@@ -106,9 +105,10 @@ class FloatValue(Value):
     def __lt__(self, other: "FloatValue") -> bool:
         if not isinstance(other, FloatValue):
             return NotImplemented
-        a = None if self.kind == KIND_INFINITE else (self.significand, self.exponent)
-        b = None if other.kind == KIND_INFINITE else (other.significand, other.exponent)
-        return _pair_below(self.sign, a, other.sign, b)
+        return _below(
+            (self.kind, self.sign, self.significand, self.exponent),
+            (other.kind, other.sign, other.significand, other.exponent),
+        )
 
     def __neg__(self) -> "FloatValue":
         if self.kind == KIND_ZERO:
@@ -131,12 +131,15 @@ def _shifted_ge(x: int, k: int, y: int) -> bool:
     return x >= (y << -k)
 
 
-def _pair_below(sign: int, pair: tuple | None, other_sign: int, other: tuple | None) -> bool:
-    """Whether sign * m * 2^e of the pair (m, e), or None for an infinity, lies below the other."""
-    if pair is None or other is None:
+def _below(a: tuple, b: tuple) -> bool:
+    """Whether the float with the fields a = (kind, sign, m, e) lies below
+    the one with the fields b."""
+    (kind, sign, m, e), (other_kind, other_sign, n, f) = a, b
+    if kind == KIND_INFINITE or other_kind == KIND_INFINITE:
         # an infinity ranks by its sign against 0 for any finite value
-        return (sign if pair is None else 0) < (other_sign if other is None else 0)
-    (m, e), (n, f) = pair, other
+        return (sign if kind == KIND_INFINITE else 0) < (
+            other_sign if other_kind == KIND_INFINITE else 0
+        )
     # signed significands compared at the common exponent
     return not _shifted_ge(sign * m, e - f, other_sign * n)
 
@@ -172,38 +175,27 @@ def decompose(f: FloatValue, fmt: FloatFormat) -> tuple[int, int]:
     return m, e
 
 
-def _carry(m: int, e: int, fmt: FloatFormat) -> tuple[int, int] | None:
-    """The canonical pair of m * 2^e, on the format's grid or one unit past
-    the top of its binade: that unit carries into the next binade, and past
-    the top finite value into an infinity, which has no pair (None)."""
-    p = fmt.significand_bits
-    if m == 1 << p:
-        m, e = m >> 1, e + 1
-        if e > fmt.emax - p + 1:
-            return None
-    return m, e
+_ZERO_FIELDS = (KIND_ZERO, 1, 0, 0)
 
 
 def _grid_fields(sign: int, m: int, e: int, fmt: FloatFormat) -> tuple[str, int, int, int]:
     """The fields (kind, sign, m, e) of the format value sign * m * 2^e, as
-    FloatValue holds them, for a pair _carry takes; m == 0 is zero."""
-    if (pair := _carry(m, e, fmt)) is None:
-        return KIND_INFINITE, sign, 0, 0
-    m, e = pair
-    if m == 0:
-        return KIND_ZERO, 1, 0, 0
+    FloatValue holds them, for m * 2^e on the format's grid or one unit past
+    the top of its binade: that unit carries into the next binade, and past
+    the top finite value into an infinity. m == 0 is zero."""
     p = fmt.significand_bits
+    if m == 1 << p:
+        m, e = m >> 1, e + 1
+        if e > fmt.emax - p + 1:
+            return KIND_INFINITE, sign, 0, 0
+    if m == 0:
+        return _ZERO_FIELDS
     return KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e
 
 
 def _as_float(fields: tuple[str, int, int, int]) -> FloatValue:
     """The FloatValue with these fields; zero is ZERO."""
     return ZERO if fields[0] == KIND_ZERO else FloatValue(*fields)
-
-
-def _on_grid(sign: int, m: int, e: int, fmt: FloatFormat) -> FloatValue:
-    """The format value sign * m * 2^e for a pair _carry takes; m == 0 is ZERO."""
-    return _as_float(_grid_fields(sign, m, e, fmt))
 
 
 def next_up(x: FloatValue, fmt: FloatFormat) -> FloatValue:
@@ -218,12 +210,12 @@ def next_up(x: FloatValue, fmt: FloatFormat) -> FloatValue:
         return fmt.smallest_subnormal
     m, e = decompose(x, fmt)
     if x.sign > 0:
-        return _on_grid(1, m + 1, e, fmt)
+        return _as_float(_grid_fields(1, m + 1, e, fmt))
     # negative: one step toward zero; at the bottom of a binade the step
     # lands in the binade below, which has twice the resolution
     if m == 1 << (fmt.significand_bits - 1) and e > fmt.least_exponent:
         m, e = m << 1, e - 1
-    return _on_grid(-1, m - 1, e, fmt)
+    return _as_float(_grid_fields(-1, m - 1, e, fmt))
 
 
 def to_bits(x: FloatValue, fmt: FloatFormat) -> int:
@@ -244,13 +236,11 @@ def to_bits(x: FloatValue, fmt: FloatFormat) -> int:
 def from_bits(pattern: int, fmt: FloatFormat) -> FloatValue:
     """Decode an interchange pattern; NaN patterns are a domain error and
     the negative zero pattern folds onto the unsigned zero."""
-    sign, pair = _bits_pair(pattern, fmt)
-    return infinity(sign) if pair is None else _on_grid(sign, *pair, fmt)
+    return _as_float(_bits_fields(pattern, fmt))
 
 
-def _bits_pair(pattern: int, fmt: FloatFormat) -> tuple[int, tuple[int, int] | None]:
-    """from_bits as a sign and canonical pair (m, e), or None for an infinity;
-    -0 folds onto (1, (0, 0))."""
+def _bits_fields(pattern: int, fmt: FloatFormat) -> tuple[str, int, int, int]:
+    """from_bits as the fields (kind, sign, m, e), with no value built."""
     t, top = fmt.significand_bits - 1, (1 << fmt.exponent_field_bits) - 1
     if not 0 <= pattern < 1 << fmt.bit_width:
         raise ValueError(f"pattern out of range for a {fmt.bit_width}-bit format")
@@ -259,11 +249,12 @@ def _bits_pair(pattern: int, fmt: FloatFormat) -> tuple[int, tuple[int, int] | N
     if field == top:
         if trailing:
             raise DomainError("NaN patterns have no value")
-        return sign, None
+        return KIND_INFINITE, sign, 0, 0
     if not field | trailing:
-        return 1, (0, 0)
+        return _ZERO_FIELDS
     # the inverse of to_bits: a subnormal has field 0 and no leading bit
-    return sign, ((field > 0) << t | trailing, max(field, 1) - fmt.emax - t)
+    kind = KIND_NORMAL if field else KIND_SUBNORMAL
+    return kind, sign, (field > 0) << t | trailing, max(field, 1) - fmt.emax - t
 
 
 def as_py_float(x: FloatValue) -> float:

@@ -70,20 +70,22 @@ def float_exact_value(f: FloatValue) -> Fraction:
 _POSITIONAL = re.compile(r"(-?)(?:([0-9]+)(?:\.([0-9]+))?|inf)")
 
 
-def positional_order(text: str, sign: int, pair: tuple | None) -> int | None:
+def positional_order(text: str, bound: tuple) -> int | None:
     """-1, 0 or 1 as positional text (-?digits[.digits], inf or -inf; else
-    None) lies below, at or above the float sign * m * 2^e of the pair
-    (m, e), or None for an infinity: one cross-multiplication of ratios,
-    and an infinity ranks by its sign against 0 for any finite value."""
+    None) lies below, at or above the float with the fields bound = (kind,
+    sign, m, e): one cross-multiplication of ratios, and an infinity ranks
+    by its sign against 0 for any finite value."""
     match = _POSITIONAL.fullmatch(text)
     if match is None:
         return None
     minus, whole, fraction = match.groups("")
-    if not whole or pair is None:
-        x, y = 0 if whole else -1 if minus else 1, sign if pair is None else 0
+    kind, sign, m, e = bound
+    infinite = kind == KIND_INFINITE
+    if not whole or infinite:
+        x, y = 0 if whole else -1 if minus else 1, sign if infinite else 0
     else:
         num, den = _decimal_ratio(-1 if minus else 1, whole + fraction, len(whole))
-        fnum, fden = _float_ratio(sign, *pair)
+        fnum, fden = _float_ratio(sign, m, e)
         x, y = num * fden, fnum * den
     return (x > y) - (x < y)
 

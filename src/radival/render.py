@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .digitstring import DigitString, _text_from_int
-from .floatkit import KIND_INFINITE, FloatFormat, FloatInterval, FloatValue, _carry, decompose
+from .floatkit import KIND_INFINITE, FloatFormat, FloatInterval, FloatValue, decompose
 from .parse import DECIMAL_ZERO, DecimalScientific
 from .value import Value
 
@@ -139,9 +139,11 @@ def _outward_digits(sign: int, m: int, e: int, n: int, direction: str) -> tuple[
     were dropped, and only then does rounding away from zero add one.
     The exact expansion has at most E - min(e, 0) digits, so a larger
     budget gives that expansion itself."""
+    if n is None:
+        return _exact_digits(m, e)
     exponent = math.ceil((m.bit_length() + e) * _LOG10_2)
     # n > max(E, E - e), tested without calls on the per-bound path
-    if n is None or n > exponent and n > exponent - e:
+    if n > exponent and n > exponent - e:
         return _exact_digits(m, e)
     num, den = (m << e, 1) if e >= 0 else (m, 1 << -e)
     shift = n - exponent
@@ -171,26 +173,26 @@ def interval_to_decimal(
 
 def outward_fields(low: tuple, high: tuple, n: int) -> tuple[str, str, str]:
     """What interval_to_decimal and bracket_notation give for the float
-    interval from low to high, each bound a sign and its canonical pair
-    (m, e) or None for an infinity: lo, hi and bracket, with no value built."""
+    interval from low to high, each bound the fields (kind, sign, m, e) of
+    a format value: lo, hi and bracket, with no value built."""
     if n < 1:
         raise ValueError("need at least one digit")
-    lo, lo_lead = _decimal_text(*low, n, "down")
-    hi, hi_lead = _decimal_text(*high, n, "up")
+    lo, lo_lead = _decimal_text(low, n, "down")
+    hi, hi_lead = _decimal_text(high, n, "up")
     return lo, hi, _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
 
 
-def exact_field(sign: int, pair: tuple | None) -> str:
+def exact_field(bound: tuple) -> str:
     """plain_decimal of float_to_exact_decimal for a bound as outward_fields takes it."""
-    return _decimal_text(sign, pair, None, "")[0]
+    return _decimal_text(bound, None, "")[0]
 
 
-def _decimal_text(sign: int, pair: tuple | None, n: int | None, direction: str) -> tuple:
+def _decimal_text(bound: tuple, n: int | None, direction: str) -> tuple:
     """Positional text and lead of a bound, rounded toward the named
     direction to n digits, or whole when n is None."""
-    if pair is None:
+    kind, sign, m, e = bound
+    if kind == KIND_INFINITE:
         return _infinity_text(sign), None
-    m, e = pair
     if not m:
         return _positional(sign, "", 0)
     return _positional(sign, *_outward_digits(sign, m, e, n, direction))
@@ -310,32 +312,23 @@ def hex_significand_bracket(interval: FloatInterval, fmt: FloatFormat) -> str:
     return _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
 
 
-def enclosure_fields(interval: FloatInterval, fmt: FloatFormat) -> tuple[str, str, str, str, str]:
-    """The text of an enclosure: each bound's hex significand and exact
-    decimal, as hex_significand_rendering and float_to_exact_decimal give
-    them, then their bracket_notation; each finite bound is checked against
-    fmt once and written straight from its pair."""
-    return _fields(*(
-        _bound_texts(f.sign, None if f.kind == KIND_INFINITE else decompose(f, fmt), fmt)
-        for f in (interval.lb, interval.ub)
-    ))
+def enclosure_fields(lower: tuple, upper: tuple, fmt: FloatFormat) -> tuple[str, ...]:
+    """The text of the enclosure from lower to upper, each bound the fields
+    (kind, sign, m, e) of a format value as parse._bounds gives them: each
+    bound's hex significand and exact decimal, as hex_significand_rendering
+    and float_to_exact_decimal give them, then their bracket_notation, with
+    no value built. Equal bounds are written once."""
+    low = _bound_texts(lower, fmt)
+    return _fields(low, low if upper == lower else _bound_texts(upper, fmt))
 
 
-def floor_fields(sign: int, m: int, e: int, inexact: int, fmt: FloatFormat) -> tuple[str, ...]:
-    """enclosure_fields of the enclosure with the grid floor (sign, m, e, inexact)
-    from parse, with no float value built; an exact value's one bound is written once."""
-    low = _bound_texts(sign, (m, e), fmt)
-    high = _bound_texts(sign, _carry(m + 1, e, fmt), fmt) if inexact else low
-    return _fields(high, low) if sign < 0 else _fields(low, high)
-
-
-def numeral_fields(numeral: tuple, floor: tuple, fmt: FloatFormat) -> tuple[str, ...]:
-    """floor_fields of a numeral's fields (sign, digits, exponent) and their
-    grid floor. An exact floor is the numeral's value, so the numeral's
+def numeral_fields(numeral: tuple, lower: tuple, upper: tuple, fmt: FloatFormat) -> tuple[str, ...]:
+    """enclosure_fields of the bounds of a numeral's fields (sign, digits,
+    exponent). Equal bounds are the numeral's value, so the numeral's
     canonical digits are its one bound's exact decimal and none are made."""
-    sign, m, e, inexact = floor
-    if inexact:
-        return floor_fields(*floor, fmt)
+    if lower != upper:
+        return enclosure_fields(lower, upper, fmt)
+    _, sign, m, e = lower
     bound = _hex(sign, m, e, fmt), *_positional(*numeral)
     return _fields(bound, bound)
 
@@ -346,12 +339,12 @@ def _fields(lb: tuple, ub: tuple) -> tuple[str, str, str, str, str]:
     return lb_hex, lo, ub_hex, hi, _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
 
 
-def _bound_texts(sign: int, pair: tuple | None, fmt: FloatFormat) -> tuple[str, str, tuple | None]:
-    """Hex and positional text of a bound and its lead, from its sign and
-    canonical pair (m, e), or None for an infinity, which has no lead."""
-    if pair is None:
+def _bound_texts(bound: tuple, fmt: FloatFormat) -> tuple[str, str, tuple | None]:
+    """Hex and positional text of a bound and its lead, from its fields
+    (kind, sign, m, e); an infinity has no lead."""
+    kind, sign, m, e = bound
+    if kind == KIND_INFINITE:
         text = _infinity_text(sign)
         return text, text, None
-    m, e = pair
     digits, exponent = _exact_digits(m, e) if m else ("", 0)
     return (_hex(sign, m, e, fmt), *_positional(sign, digits, exponent))

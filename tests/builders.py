@@ -1,8 +1,9 @@
 """Value builders that only the tests use.
 
-exact_float places sign * m * 2^e on a format's grid, machine_epsilon is
-the gap above 1, and scale_to_unit_interval halves or doubles a ratio onto
-[1/2, 1) the way the paper's rational reader does. None of them sits on a
+exact_float places sign * m * 2^e on a format's grid, float_one is 1 as
+a format value, machine_epsilon is the gap above 1, and
+scale_to_unit_interval halves or doubles a ratio onto [1/2, 1) the way
+the paper's rational reader does. None of them sits on a
 path the library or the command line reaches. BINARY16, BFLOAT16 and
 BINARY128 are IEEE formats the package does not name.
 """
@@ -48,6 +49,12 @@ def exact_float(sign: int, m: int, e: int, fmt: FloatFormat) -> FloatValue:
         raise NotRepresentable(f"{sign * m}*2^{e} exceeds the finite range")
     kind = KIND_NORMAL if m >= (1 << (p - 1)) else KIND_SUBNORMAL
     return FloatValue(kind, sign, m, e)
+
+
+def float_one(fmt: FloatFormat) -> FloatValue:
+    """1 as a format value: the significand 2^(p-1) at the exponent 1 - p."""
+    p = fmt.significand_bits
+    return FloatValue(KIND_NORMAL, 1, 1 << (p - 1), 1 - p)
 
 
 def machine_epsilon(fmt: FloatFormat) -> FloatValue:

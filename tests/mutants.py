@@ -143,8 +143,8 @@ MUTANTS = [
         ("tests/test_floatkit.py::TestOrderingAndEquality",),
     ),
     Mutant(
-        "second-on-grid-in-render", "render.py",
-        "def _hex(", "def _on_grid(sign, m, e, fmt):\n    return None\n\n\ndef _hex(",
+        "second-grid-packer-in-render", "render.py",
+        "def _hex(", "def _grid_fields(sign, m, e, fmt):\n    return None\n\n\ndef _hex(",
         ("tests/test_hygiene.py::test_one_definition_per_function_name",),
     ),
     # the text of enclosures
@@ -179,20 +179,20 @@ MUTANTS = [
     ),
     Mutant(
         "lower-containment-unchecked", "cli.py",
-        "            if oracle.positional_order(fields[0], *lb) not in (-1, 0):\n",
+        "            if order(fields[0], lb) not in (-1, 0):\n",
         "            if False:\n",
         CONTAINMENT,
     ),
     Mutant(
         "upper-containment-unchecked", "cli.py",
-        "            if oracle.positional_order(fields[1], *ub) not in (0, 1):\n",
+        "            if order(fields[1], ub) not in (0, 1):\n",
         "            if False:\n",
         CONTAINMENT,
     ),
     Mutant(
         "check-compares-lower-bound-only", "cli.py",
-        "            if reference(*fields, fmt) != _bounds(*grid, fmt):\n",
-        "            if reference(*fields, fmt)[0] != _bounds(*grid, fmt)[0]:\n",
+        "            if reference(*fields, fmt) != bounds:\n",
+        "            if reference(*fields, fmt)[0] != bounds[0]:\n",
         ("tests/test_cli.py::TestParse::test_check_compares_both_bounds",),
     ),
     Mutant(
@@ -233,16 +233,11 @@ MUTANTS = [
     ),
     Mutant(
         "degenerate-parse-enclosure", "cli.py",
-        "        grid = floor(*fields, fmt)\n", "        grid = floor(*fields, fmt)[:3] + (0,)\n",
+        "        bounds = _bounds(*floor(*fields, fmt), fmt)\n",
+        "        bounds = _bounds(*floor(*fields, fmt)[:3], 0, fmt)\n",
         ("tests/test_host_witness.py::test_parse_encloses_the_host_float",),
     ),
-    # the parse records' writer, its carry and the digit cut
-    Mutant(
-        "writer-keeps-negative-order", "render.py",
-        "    return _fields(high, low) if sign < 0 else _fields(low, high)\n",
-        "    return _fields(low, high)\n",
-        ("tests/test_render.py::TestFloorFields::test_matches_the_public_route",),
-    ),
+    # the grid packer's carry under the parse records' writer, and the digit cut
     Mutant(
         "shared-carry-stays-in-binade", "floatkit.py",
         "        m, e = m >> 1, e + 1\n", "        m, e = m >> 1, e\n",
@@ -262,8 +257,8 @@ MUTANTS = [
     # the numeral's own digits as an exact bound's decimal
     Mutant(
         "numeral-digits-on-inexact-floor", "render.py",
-        "    if inexact:\n        return floor_fields(*floor, fmt)\n",
-        "    if False:\n        return floor_fields(*floor, fmt)\n",
+        "    if lower != upper:\n        return enclosure_fields(lower, upper, fmt)\n",
+        "    if False:\n        return enclosure_fields(lower, upper, fmt)\n",
         ("tests/test_render.py::TestFloorFields::test_matches_the_public_route",),
     ),
     Mutant(
@@ -277,11 +272,23 @@ MUTANTS = [
         '        text = text[:keep] + "5"\n', '        text = text[:keep - 1] + "5"\n',
         ("tests/test_parse.py::TestDecimalCut::test_against_the_oracle",),
     ),
-    # the pair writers of print and print-interval
+    # the bit decoder under the print and print-interval records, and the
+    # order test of their bounds
     Mutant(
         "negative-zero-pattern-unfolded", "floatkit.py",
-        "        return 1, (0, 0)\n", "        return sign, (0, 0)\n",
+        "    if not field | trailing:\n        return _ZERO_FIELDS\n",
+        "    if not field | trailing:\n        return KIND_ZERO, sign, 0, 0\n",
         ("tests/test_render.py::TestOutwardFields::test_matches_the_public_route",),
+    ),
+    Mutant(
+        "subnormal-pattern-exponent-off-by-one", "floatkit.py",
+        "max(field, 1) - fmt.emax - t", "max(field, 0) - fmt.emax - t", CANONICAL,
+    ),
+    Mutant(
+        "order-ranks-infinity-by-kind-alone", "floatkit.py",
+        "        return (sign if kind == KIND_INFINITE else 0) < (\n",
+        "        return (1 if kind == KIND_INFINITE else 0) < (\n",
+        ("tests/test_floatkit.py::TestOrderingAndEquality::test_fields_order_against_fractions",),
     ),
 ]
 

@@ -13,6 +13,7 @@ import time
 import pytest
 
 import radival
+from builders import float_one
 from radival import cli, oracle, render
 from radival.floatkit import BINARY32, ZERO, infinity
 from radival.parse import parse_numeral
@@ -157,7 +158,7 @@ class TestParse:
     def test_check_compares_both_bounds(self, monkeypatch, differs):
         # a reference that differs from the enclosure [1, 1] in one bound
         # alone fails the check, single-shot and as a filter
-        one = BINARY32.one._key()
+        one = float_one(BINARY32)._key()
         bogus = (ZERO._key(), one) if differs == "lower" else (one, infinity(1)._key())
         monkeypatch.setattr(oracle, "decimal_reference", lambda *fields: bogus)
         status, out, err = run_cli(["parse", "1", "--check"])

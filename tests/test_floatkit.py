@@ -7,12 +7,13 @@ under test.
 
 import random
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import BINARY16, exact_float, machine_epsilon
+from builders import BFLOAT16, BINARY16, BINARY128, exact_float, float_one, machine_epsilon
 from radival import oracle
 from radival.floatkit import (
     BINARY32,
@@ -26,6 +27,8 @@ from radival.floatkit import (
     FloatInterval,
     FloatValue,
     NotRepresentable,
+    _below,
+    _bits_fields,
     as_py_float,
     decompose,
     from_bits,
@@ -57,7 +60,7 @@ class TestFormats:
         assert BINARY64.bit_width == 64
 
     def test_named_values(self):
-        assert BINARY32.one == exact_float(1, 1, 0, BINARY32)
+        assert float_one(BINARY32) == exact_float(1, 1, 0, BINARY32)
         assert BINARY32.max_finite.significand == 2**24 - 1
         assert BINARY32.max_finite.exponent == 104
         assert BINARY32.smallest_subnormal.exponent == -149
@@ -127,7 +130,7 @@ class TestOrderingAndEquality:
             -BINARY32.smallest_subnormal,
             ZERO,
             BINARY32.smallest_subnormal,
-            BINARY32.one,
+            float_one(BINARY32),
             BINARY32.max_finite,
             infinity(1),
         ]
@@ -161,7 +164,7 @@ class TestOrderingAndEquality:
         for fmt in (BINARY16, BINARY32, BINARY64):
             t = fmt.significand_bits - 1
             top = to_bits(fmt.max_finite, fmt)
-            patterns = [1, 2, (1 << t) - 1, 1 << t, to_bits(fmt.one, fmt), top]
+            patterns = [1, 2, (1 << t) - 1, 1 << t, to_bits(float_one(fmt), fmt), top]
             for pattern in patterns + [rng.randrange(1, top) for _ in range(12)]:
                 f = from_bits(pattern, fmt)
                 values += [f, -f]
@@ -181,16 +184,46 @@ class TestOrderingAndEquality:
                 if ra == rb:
                     assert hash(a) == hash(b), (a, b)
 
+    @pytest.mark.parametrize(
+        "fmt", [BINARY16, BFLOAT16, BINARY32, BINARY64, BINARY128],
+        ids=["binary16", "bfloat16", "binary32", "binary64", "binary128"],
+    )
+    def test_fields_order_against_fractions(self, fmt):
+        # the fields of both signs of zero, the infinities, subnormals, both
+        # ends of the first, a middle and the top binade, and seeded patterns,
+        # ordered against a rank: an infinity by its sign, a finite value by
+        # its exact Fraction
+        rng = random.Random(2007 + fmt.bit_width + fmt.significand_bits)
+        t, sign = fmt.significand_bits - 1, 1 << (fmt.bit_width - 1)
+        top = ((1 << fmt.exponent_field_bits) - 1) << t
+        middle = (top >> 1) & ~((1 << t) - 1)
+        magnitudes = [0, 1, 2, (1 << t) - 1, 1 << t, (1 << t) + 1, (2 << t) - 1, 2 << t]
+        magnitudes += [middle - 1, middle, middle + 1, top - 2, top - 1, top]
+        magnitudes += [rng.randrange(top) for _ in range(60)]
+        bounds = [_bits_fields(m | s, fmt) for m in magnitudes for s in (0, sign)]
+
+        def rank(fields):
+            kind, sign, m, e = fields
+            if kind == KIND_INFINITE:
+                return sign, 0
+            return 0, sign * m * Fraction(2) ** e
+
+        ranks = [rank(b) for b in bounds]
+        for a, ra in zip(bounds, ranks):
+            for b, rb in zip(bounds, ranks):
+                assert _below(a, b) == (ra < rb), (a, b)
+                assert (not _below(a, b) and not _below(b, a)) == (ra == rb), (a, b)
+
 
 class TestNextUp:
     def test_one_steps_by_epsilon(self):
-        up = next_up(BINARY32.one, BINARY32)
+        up = next_up(float_one(BINARY32), BINARY32)
         assert up.significand == 2**23 + 1
 
     def test_epsilon_is_the_gap_at_one(self):
         eps = machine_epsilon(BINARY32)
         assert (eps.significand, eps.exponent) == (2**23, -46)
-        up = next_up(BINARY32.one, BINARY32)
+        up = next_up(float_one(BINARY32), BINARY32)
         # 1 + eps == next_up(1) exactly
         assert as_py_float(up) == 1.0 + as_py_float(eps)
 
@@ -253,11 +286,11 @@ class TestNextUp:
 
 class TestBits:
     def test_known_patterns(self):
-        assert to_bits(BINARY32.one, BINARY32) == 0x3F800000
+        assert to_bits(float_one(BINARY32), BINARY32) == 0x3F800000
         assert to_bits(exact_float(-1, 1, -1, BINARY32), BINARY32) == 0xBF000000
         assert to_bits(infinity(1), BINARY32) == 0x7F800000
         assert to_bits(BINARY32.smallest_subnormal, BINARY32) == 1
-        assert to_bits(BINARY64.one, BINARY64) == 0x3FF0000000000000
+        assert to_bits(float_one(BINARY64), BINARY64) == 0x3FF0000000000000
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
@@ -300,16 +333,16 @@ class TestBits:
 class TestInterval:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
-            FloatInterval(BINARY32.one, ZERO)
+            FloatInterval(float_one(BINARY32), ZERO)
 
     def test_degenerate(self):
         assert FloatInterval(ZERO, ZERO).degenerate
-        assert not FloatInterval(ZERO, BINARY32.one).degenerate
+        assert not FloatInterval(ZERO, float_one(BINARY32)).degenerate
 
     def test_negation_swaps(self):
-        iv = FloatInterval(ZERO, BINARY32.one)
+        iv = FloatInterval(ZERO, float_one(BINARY32))
         neg = -iv
-        assert neg.lb == -BINARY32.one
+        assert neg.lb == -float_one(BINARY32)
         assert neg.ub is ZERO
 
     def test_infinite_bounds_allowed(self):

@@ -4,7 +4,8 @@ exports resolves, every public definition has a user, no function
 name is defined in two modules, the oracle imports no converter
 function, and every value is filled only at the end of its class's checked
 constructor. Launch hygiene:
-importing the command line loads nothing that only --check needs."""
+importing the command line loads nothing that only --check needs, and a
+--check run that checks no line never loads the oracle."""
 
 import ast
 import os
@@ -261,3 +262,20 @@ def test_check_leaves_fraction_modules_unloaded(argv, stdin):
     result = _python("-c", code, *argv, "--check", stdin=stdin)
     assert (result.returncode, result.stderr) == (0, "['radival.oracle']")
     assert result.stdout != ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["parse"], ["parse-rational"], ["print"], ["print-interval"]],
+    ids=["parse", "parse-rational", "print", "print-interval"],
+)
+def test_check_with_no_line_leaves_the_oracle_unloaded(argv):
+    """A fresh --check filter on empty stdin checks no line, so it never
+    imports the oracle: each record binds it on its first checked line."""
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(repr('radival.oracle' in sys.modules)))\n"
+        "runpy.run_module('radival.cli', run_name='__main__')\n"
+    )
+    result = _python("-c", code, *argv, "--check")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "False")

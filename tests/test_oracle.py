@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import BFLOAT16, BINARY16, BINARY128, exact_float
+from builders import BFLOAT16, BINARY16, BINARY128, exact_float, float_one
 from radival import oracle
 from radival.digitstring import DigitString
 from radival.floatkit import (
     BINARY32,
     BINARY64,
+    KIND_INFINITE,
     KIND_NORMAL,
     KIND_SUBNORMAL,
     ZERO,
@@ -63,7 +64,7 @@ class TestValueMaps:
         assert oracle.rational_value(Rational(1, 6, 14)) == Fraction(3, 7)
 
     def test_float_exact_value(self):
-        assert oracle.float_exact_value(BINARY32.one) == 1
+        assert oracle.float_exact_value(float_one(BINARY32)) == 1
         assert oracle.float_exact_value(exact_float(-1, 3, -2, BINARY32)) == Fraction(-3, 4)
         assert oracle.float_exact_value(BINARY32.smallest_subnormal) == Fraction(1, 2**149)
 
@@ -184,7 +185,7 @@ class TestNearest:
         assert oracle.nearest_float(Fraction(3, 4), BINARY32) == exact_float(1, 3, -2, BINARY32)
 
     def test_tie_goes_to_even(self):
-        one = BINARY32.one
+        one = float_one(BINARY32)
         above = next_up(one, BINARY32)
         midpoint = (oracle.float_exact_value(one) + oracle.float_exact_value(above)) / 2
         assert oracle.nearest_float(midpoint, BINARY32) == one  # even significand wins
@@ -290,7 +291,7 @@ def test_decimal_float_comparison_against_fraction():
         positional = format(Decimal(text), "f")
         f = from_bits(bits, BINARY64)
         a, b = Fraction(Decimal(text)), Fraction(_host_binary64(bits))
-        order = oracle.positional_order(positional, f.sign, (f.significand, f.exponent))
+        order = oracle.positional_order(positional, f._key())
         assert order == (a > b) - (a < b), (positional[:40], hex(bits))
         signs.add((positional[0] == "-", len(positional.replace(".", "")) > 4300))
     assert signs == {(False, False), (True, False), (False, True), (True, True)}
@@ -299,13 +300,15 @@ def test_decimal_float_comparison_against_fraction():
 def test_positional_reader_infinities_and_malformed_text():
     """An infinity ranks by its sign, as text and as a float; text outside
     -?digits[.digits], inf and -inf reads as None."""
-    one = (1, (1 << 52, -52))
-    for text, sign, pair, order in [
-        ("inf", 1, None, 0), ("-inf", -1, None, 0), ("inf", -1, None, 1),
-        ("-inf", 1, None, -1), ("inf", *one, 1), ("-inf", *one, -1),
-        ("1", 1, None, -1), ("-1", -1, None, 1), ("0", 1, None, -1),
-        ("1", *one, 0), ("-0", *one, -1), ("1.0", *one, 0), ("-1.5", -1, (3, -1), 0),
+    one, inf = (KIND_NORMAL, 1, 1 << 52, -52), (KIND_INFINITE, 1, 0, 0)
+    minus_inf = (KIND_INFINITE, -1, 0, 0)
+    for text, bound, order in [
+        ("inf", inf, 0), ("-inf", minus_inf, 0), ("inf", minus_inf, 1),
+        ("-inf", inf, -1), ("inf", one, 1), ("-inf", one, -1),
+        ("1", inf, -1), ("-1", minus_inf, 1), ("0", inf, -1),
+        ("1", one, 0), ("-0", one, -1), ("1.0", one, 0),
+        ("-1.5", (KIND_NORMAL, -1, 3, -1), 0),
     ]:
-        assert oracle.positional_order(text, sign, pair) == order, (text, sign, pair)
+        assert oracle.positional_order(text, bound) == order, (text, bound)
     for text in ["", "-", ".5", "1.", "+1", "1e5", "0x1", "1_0", "\u0661", " 1", "--1", "Inf", "nan"]:
-        assert oracle.positional_order(text, *one) is None, text
+        assert oracle.positional_order(text, one) is None, text

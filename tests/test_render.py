@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import BFLOAT16, BINARY16, BINARY128, exact_float
+from builders import BFLOAT16, BINARY16, BINARY128, exact_float, float_one
 from radival import oracle
 from radival.digitstring import DigitString, _text_from_int
 from radival.floatkit import (
@@ -25,7 +25,7 @@ from radival.floatkit import (
     FloatFormat,
     FloatInterval,
     FloatValue,
-    _bits_pair,
+    _bits_fields,
     from_bits,
     infinity,
     next_up,
@@ -34,6 +34,7 @@ from radival.floatkit import (
 from radival.parse import (
     DECIMAL_ZERO,
     DecimalScientific,
+    _bounds,
     _decimal_floor,
     _floor,
     _numeral,
@@ -50,7 +51,6 @@ from radival.render import (
     enclosure_fields,
     exact_field,
     float_to_exact_decimal,
-    floor_fields,
     hex_significand_bracket,
     hex_significand_rendering,
     interval_to_decimal,
@@ -75,7 +75,7 @@ class TestFloatToExactDecimal:
         assert float_to_exact_decimal(f, BINARY32) == decimal(1, "75", 0)
 
     def test_one(self):
-        assert float_to_exact_decimal(BINARY32.one, BINARY32) == decimal(1, "1", 1)
+        assert float_to_exact_decimal(float_one(BINARY32), BINARY32) == decimal(1, "1", 1)
 
     def test_third_bounds_binary32(self):
         iv = decimal_to_interval(parse_numeral("0.3333333333333"), BINARY32)
@@ -292,7 +292,8 @@ class TestIntervalToDecimal:
         # a budget at or past the exact length gives the exact bounds, in a
         # time that does not grow with the budget; budgets past 4300 digits
         # once failed on CPython's int/str limit
-        values = [ZERO, fmt.one, fmt.smallest_subnormal, -fmt.smallest_subnormal, fmt.max_finite]
+        tiny = fmt.smallest_subnormal
+        values = [ZERO, float_one(fmt), tiny, -tiny, fmt.max_finite]
         for f in values:
             exact = float_to_exact_decimal(f, fmt)
             for n in (max(len(exact.mantissa), 1), 4301, 10**9):
@@ -413,7 +414,7 @@ class TestOutwardRounding:
         assert too_high > 0
 
     def test_budget_below_one(self):
-        iv = FloatInterval(BINARY32.one, BINARY32.one)
+        iv = FloatInterval(float_one(BINARY32), float_one(BINARY32))
         with pytest.raises(ValueError):
             interval_to_decimal(iv, 0, BINARY32)
 
@@ -721,13 +722,13 @@ class TestHexSignificand:
         assert hex_significand_rendering(near, BINARY32) == "2^(-4) * 1.638e39"
 
     def test_powers_of_two(self):
-        assert hex_significand_rendering(BINARY32.one, BINARY32) == "2^(0) * 1.000000"
+        assert hex_significand_rendering(float_one(BINARY32), BINARY32) == "2^(0) * 1.000000"
         half = exact_float(1, 1, -1, BINARY32)
         assert hex_significand_rendering(half, BINARY32) == "2^(-1) * 1.000000"
 
     def test_binary64_grouping(self):
         assert (
-            hex_significand_rendering(BINARY64.one, BINARY64) == "2^(0) * 1.0000000000000"
+            hex_significand_rendering(float_one(BINARY64), BINARY64) == "2^(0) * 1.0000000000000"
         )
         iv = decimal_to_interval(parse_numeral("0.1"), BINARY64)
         assert hex_significand_rendering(iv.lb, BINARY64) == "2^(-4) * 1.9999999999999"
@@ -828,6 +829,11 @@ FIVE_FORMATS = [BINARY16, BFLOAT16, BINARY32, BINARY64, BINARY128]
 FIVE_IDS = ["binary16", "bfloat16", "binary32", "binary64", "binary128"]
 
 
+def written(interval: FloatInterval, fmt: FloatFormat) -> tuple[str, ...]:
+    """enclosure_fields of an interval's bounds, given as the fields FloatValue holds."""
+    return enclosure_fields(interval.lb._key(), interval.ub._key(), fmt)
+
+
 class TestEnclosureFields:
     @pytest.mark.parametrize("fmt", FIVE_FORMATS, ids=FIVE_IDS)
     def test_special_intervals(self, fmt):
@@ -843,10 +849,11 @@ class TestEnclosureFields:
             (ZERO, ZERO): ("0", "0", "0", "0", "0[,]"),
         }
         for (a, b), fields in expected.items():
-            assert enclosure_fields(FloatInterval(a, b), fmt) == fields
+            assert written(FloatInterval(a, b), fmt) == fields
+            assert composed_fields(FloatInterval(a, b), fmt) == fields
         # a zero bound never shares a prefix with a nonzero one
-        assert enclosure_fields(FloatInterval(ZERO, tiny), fmt)[4] == f"[0,{tiny_text}]"
-        assert enclosure_fields(FloatInterval(-tiny, ZERO), fmt)[4] == f"[-{tiny_text},0]"
+        assert written(FloatInterval(ZERO, tiny), fmt)[4] == f"[0,{tiny_text}]"
+        assert written(FloatInterval(-tiny, ZERO), fmt)[4] == f"[-{tiny_text},0]"
 
     @pytest.mark.parametrize("fmt", FIVE_FORMATS, ids=FIVE_IDS)
     def test_matches_the_public_composition(self, fmt):
@@ -878,15 +885,22 @@ class TestEnclosureFields:
             pairs.append((min(a, b), max(a, b)))
         for a, b in pairs:
             interval = FloatInterval(a, b)
-            assert enclosure_fields(interval, fmt) == composed_fields(interval, fmt)
+            assert written(interval, fmt) == composed_fields(interval, fmt)
 
-    def test_bound_off_the_format_grid(self):
-        # a binary64 value is not canonical for binary32, as in the renderers
-        x = decimal_to_interval(parse_numeral("0.1"), BINARY64).lb
+
+def test_bound_off_the_format_grid():
+    # a binary64 value is not canonical for binary32: each renderer that
+    # takes values refuses it rather than print it
+    x = decimal_to_interval(parse_numeral("0.1"), BINARY64).lb
+    for interval in (FloatInterval(x, x), FloatInterval(ZERO, x)):
         with pytest.raises(ValueError):
-            enclosure_fields(FloatInterval(x, x), BINARY32)
+            hex_significand_bracket(interval, BINARY32)
         with pytest.raises(ValueError):
-            enclosure_fields(FloatInterval(ZERO, x), BINARY32)
+            interval_to_decimal(interval, 17, BINARY32)
+    with pytest.raises(ValueError):
+        hex_significand_rendering(x, BINARY32)
+    with pytest.raises(ValueError):
+        float_to_exact_decimal(x, BINARY32)
 
 
 def edge_ratios(fmt: FloatFormat) -> list[tuple[int, int]]:
@@ -949,8 +963,9 @@ def host_exact_numerals(fmt: FloatFormat, rng: random.Random) -> tuple[list[str]
 
 
 class TestFloorFields:
-    """floor_fields and numeral_fields, the parse records' writers, give
-    what enclosure_fields gives for the public enclosure of the same value."""
+    """enclosure_fields and numeral_fields, the parse records' writers, given
+    parse._bounds of a grid floor, give what the public renderers give for
+    the public enclosure of the same value."""
 
     @pytest.mark.parametrize("fmt", FIVE_FORMATS, ids=FIVE_IDS)
     def test_matches_the_public_route(self, fmt):
@@ -975,15 +990,16 @@ class TestFloorFields:
         for sign in (1, -1):
             for num, den in ratios:
                 r = Rational(sign, num, den)
-                expected = enclosure_fields(rational_to_interval(r, fmt), fmt)
-                floor = _floor(sign, num, den, fmt)
-                assert floor_fields(*floor, fmt) == expected, (sign, num, den)
+                expected = composed_fields(rational_to_interval(r, fmt), fmt)
+                bounds = _bounds(*_floor(sign, num, den, fmt), fmt)
+                assert enclosure_fields(*bounds, fmt) == expected, (sign, num, den)
         exact_floors = 0
         for text in numerals:
-            expected = enclosure_fields(decimal_to_interval(parse_numeral(text), fmt), fmt)
+            expected = composed_fields(decimal_to_interval(parse_numeral(text), fmt), fmt)
             floor = _decimal_floor(*_numeral(text), fmt)
-            assert floor_fields(*floor, fmt) == expected, text
-            assert numeral_fields(_numeral(text), floor, fmt) == expected, text
+            bounds = _bounds(*floor, fmt)
+            assert enclosure_fields(*bounds, fmt) == expected, text
+            assert numeral_fields(_numeral(text), *bounds, fmt) == expected, text
             exact_floors += not floor[3]
         # both routes of numeral_fields run: exact floors are one numeral in 3 to 14
         assert exact_floors > len(numerals) // 20
@@ -991,8 +1007,8 @@ class TestFloorFields:
             # the cut appends a sticky 5, so the floor is never exact
             assert _decimal_floor(*_numeral(text), fmt)[3], text
         for text in HALF_SPELLINGS if fmt in HOST_CODES else ():
-            floor = _decimal_floor(*_numeral(text), fmt)
-            fields = numeral_fields(_numeral(text), floor, fmt)
+            bounds = _bounds(*_decimal_floor(*_numeral(text), fmt), fmt)
+            fields = numeral_fields(_numeral(text), *bounds, fmt)
             assert (fields[1], fields[3], fields[4]) == ("0.5", "0.5", "0.5[,]"), text
 
     @pytest.mark.parametrize(
@@ -1025,7 +1041,8 @@ class TestFloorFields:
     def test_carry_into_the_next_binade(self, text, fields):
         # one unit past the top of a binade, the floor's upper neighbour is
         # the next power of two, or an infinity past max finite
-        assert floor_fields(*_decimal_floor(*_numeral(text), BINARY32), BINARY32) == fields
+        bounds = _bounds(*_decimal_floor(*_numeral(text), BINARY32), BINARY32)
+        assert enclosure_fields(*bounds, BINARY32) == fields
 
     def test_exact_bound_written_once(self, monkeypatch):
         from radival import render
@@ -1037,7 +1054,8 @@ class TestFloorFields:
             return real(m, e)
 
         monkeypatch.setattr(render, "_exact_digits", counted)
-        fields = floor_fields(*_decimal_floor(*_numeral("0.375"), BINARY64), BINARY64)
+        bounds = _bounds(*_decimal_floor(*_numeral("0.375"), BINARY64), BINARY64)
+        fields = enclosure_fields(*bounds, BINARY64)
         assert fields == ("2^(-2) * 1.8000000000000", "0.375") * 2 + ("0.375[,]",)
         assert calls == [(3 << 51, -54)]
 
@@ -1048,7 +1066,7 @@ def edge_patterns(fmt: FloatFormat) -> list[int]:
     of the subnormal/normal boundary, the top of a binade whose successor
     carries into the next one, one, max finite and the infinity."""
     t, sign = fmt.significand_bits - 1, 1 << (fmt.bit_width - 1)
-    one = to_bits(fmt.one, fmt)
+    one = to_bits(float_one(fmt), fmt)
     magnitudes = [0, 1, 2, (1 << t) - 1, 1 << t, (1 << t) + 1, one - 1, one, one + 1]
     top = ((1 << fmt.exponent_field_bits) - 1) << t
     magnitudes += [top - 2, top - 1, top]
@@ -1068,7 +1086,7 @@ class TestOutwardFields:
         bounds = []
         for pattern in patterns:
             try:
-                bounds.append((_bits_pair(pattern, fmt), from_bits(pattern, fmt)))
+                bounds.append((_bits_fields(pattern, fmt), from_bits(pattern, fmt)))
             except DomainError:
                 continue
         # every bound alone, with its neighbour in pattern order, and with a random one
@@ -1084,9 +1102,9 @@ class TestOutwardFields:
                 r = bracket_notation(*interval_to_decimal(FloatInterval(lb, ub), n, fmt))
                 expected = r.prefix + r.low_tail, r.prefix + r.high_tail, r.text()
                 assert outward_fields(low, high, n) == expected, (fmt, lb, ub, n)
-        for pair, f in bounds:
-            assert exact_field(*pair) == plain_decimal(float_to_exact_decimal(f, fmt)), f
+        for fields, f in bounds:
+            assert exact_field(fields) == plain_decimal(float_to_exact_decimal(f, fmt)), f
 
     def test_budget_below_one(self):
         with pytest.raises(ValueError):
-            outward_fields((1, (1, 0)), (1, (1, 0)), 0)
+            outward_fields(ZERO._key(), ZERO._key(), 0)

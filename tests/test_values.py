@@ -85,7 +85,6 @@ class TestFormatConstants:
         top, bottom = fmt.max_finite, fmt.smallest_subnormal
         assert top._key() == (KIND_NORMAL, 1, (1 << p) - 1, emax - p + 1)
         assert bottom._key() == (KIND_SUBNORMAL, 1, 1, fmt.least_exponent)
-        assert fmt.one._key() == (KIND_NORMAL, 1, 1 << (p - 1), 1 - p)
         # built with the format, not on each access
         assert fmt.max_finite is top and fmt.smallest_subnormal is bottom
 
