@@ -7,104 +7,70 @@ floats back as exact decimals, rounds interval bounds outward to a digit
 budget, and renders intervals in a shared-prefix bracket notation. All
 arithmetic is exact; an independent integer-ratio oracle cross-checks
 every conversion in the tests and behind the --check flag of the CLI.
-"""
 
-from .digitstring import (
-    FRACTION,
-    INTEGER,
-    DigitString,
-    div2,
-    double_integer,
-    mul2,
-)
-from .floatkit import (
-    BINARY32,
-    BINARY64,
-    KIND_INFINITE,
-    KIND_NORMAL,
-    KIND_SUBNORMAL,
-    KIND_ZERO,
-    ZERO,
-    DomainError,
-    FloatFormat,
-    FloatInterval,
-    FloatValue,
-    NotRepresentable,
-    as_py_float,
-    decompose,
-    from_bits,
-    infinity,
-    next_up,
-    to_bits,
-)
-from .parse import (
-    DECIMAL_ZERO,
-    DecimalScientific,
-    NumeralSyntaxError,
-    Rational,
-    binarize_exponent,
-    decimal_to_interval,
-    mantissa_bits,
-    normalize_mantissa,
-    parse_numeral,
-    rational_to_interval,
-)
-from .render import (
-    BracketRendering,
-    DecimalInfinity,
-    bracket_notation,
-    float_to_exact_decimal,
-    hex_significand_bracket,
-    hex_significand_rendering,
-    interval_to_decimal,
-    plain_decimal,
-    truncate_directed,
-)
+Each name below loads its module on first use (PEP 562), so importing the
+package, or running its command line, loads only what is asked for.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BINARY32",
-    "BINARY64",
-    "BracketRendering",
-    "DECIMAL_ZERO",
-    "DecimalInfinity",
-    "DecimalScientific",
-    "DigitString",
-    "DomainError",
-    "FRACTION",
-    "FloatFormat",
-    "FloatInterval",
-    "FloatValue",
-    "INTEGER",
-    "KIND_INFINITE",
-    "KIND_NORMAL",
-    "KIND_SUBNORMAL",
-    "KIND_ZERO",
-    "NotRepresentable",
-    "NumeralSyntaxError",
-    "Rational",
-    "ZERO",
-    "as_py_float",
-    "binarize_exponent",
-    "bracket_notation",
-    "decimal_to_interval",
-    "decompose",
-    "div2",
-    "double_integer",
-    "float_to_exact_decimal",
-    "from_bits",
-    "hex_significand_bracket",
-    "hex_significand_rendering",
-    "infinity",
-    "interval_to_decimal",
-    "mantissa_bits",
-    "mul2",
-    "next_up",
-    "normalize_mantissa",
-    "parse_numeral",
-    "plain_decimal",
-    "rational_to_interval",
-    "to_bits",
-    "truncate_directed",
-]
+_EXPORTS = {
+    "digitstring": ("FRACTION", "INTEGER", "DigitString", "div2", "double_integer", "mul2"),
+    "floatkit": (
+        "BINARY32",
+        "BINARY64",
+        "KIND_INFINITE",
+        "KIND_NORMAL",
+        "KIND_SUBNORMAL",
+        "KIND_ZERO",
+        "ZERO",
+        "DomainError",
+        "FloatFormat",
+        "FloatInterval",
+        "FloatValue",
+        "NotRepresentable",
+        "as_py_float",
+        "decompose",
+        "from_bits",
+        "infinity",
+        "next_up",
+        "to_bits",
+    ),
+    "kernels": ("NumeralSyntaxError",),
+    "parse": (
+        "DECIMAL_ZERO",
+        "DecimalScientific",
+        "Rational",
+        "binarize_exponent",
+        "decimal_to_interval",
+        "mantissa_bits",
+        "normalize_mantissa",
+        "parse_numeral",
+        "rational_to_interval",
+    ),
+    "render": (
+        "BracketRendering",
+        "DecimalInfinity",
+        "bracket_notation",
+        "float_to_exact_decimal",
+        "hex_significand_bracket",
+        "hex_significand_rendering",
+        "interval_to_decimal",
+        "plain_decimal",
+        "truncate_directed",
+    ),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str) -> object:
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value

@@ -15,6 +15,14 @@ field count never depends on the input), failures marked ERR inline.
 Given values, it prints the same fields in a labelled layout, and a
 failure goes to stderr with the text an ERR field would carry.
 
+Arguments are read by one reader from the table of subcommands below:
+options in any position, spelled out or begun (--fo for --format), as
+--name value or --name=value, -- to end them, and any token that is
+neither -h nor --... a value, so a negative numeral or ratio needs no --.
+Only a help request loads a module (textwrap) to do it, and a filter
+record runs on the kernels alone, so a launch loads neither argparse nor
+the value classes.
+
 Exit codes: 0 success, 1 syntax or arity (or stdout closed before the
 output was written), 2 domain (NaN bits, zero denominators, literals off
 the format grid, disordered bounds), 3 a --check revalidation failed.
@@ -27,14 +35,13 @@ empty input.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import io
 import os
 import re
 import sys
 from collections.abc import Callable
 from io import TextIOBase
+from types import SimpleNamespace
 
 from .floatkit import (
     BINARY32,
@@ -45,21 +52,15 @@ from .floatkit import (
     _below,
     _bits_fields,
 )
-from .parse import (
+from .kernels import (
     NumeralSyntaxError,
-    Rational,
     _bounds,
     _decimal_floor,
-    _enclose,
     _floor,
     _numeral,
     _ratio,
-)
-from .render import (
     enclosure_fields,
     exact_field,
-    hex_significand_bracket,
-    hex_significand_rendering,
     numeral_fields,
     outward_fields,
 )
@@ -68,21 +69,6 @@ _FORMATS = {"binary32": BINARY32, "binary64": BINARY64}
 
 # int(body, 16) alone would also take "0x" and "_"
 _HEX_DIGITS = re.compile("[0-9a-fA-F]*")
-
-# A value that opens with a minus sign and then a digit or a point: argparse
-# reads only plain negative integers and decimals as values, and would take
-# -1e39 or -1/3 for an unknown option.
-_NEGATIVE_VALUE = re.compile(r"-\.?[0-9]")
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reads every negative numeral or ratio as a
-    value, since no option of this program looks like one."""
-
-    def _parse_optional(self, arg_string: str):
-        if _NEGATIVE_VALUE.match(arg_string):
-            return None
-        return super()._parse_optional(arg_string)
 
 
 class CheckFailure(Exception):
@@ -128,12 +114,12 @@ def _float_fields(text: str, fmt: FloatFormat) -> tuple[str, int, int, int]:
     return lower
 
 
-def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
+def _cmd_parse(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     """parse and parse-rational: hex and exact decimal of each bound of the
     enclosure, then the bracket, from the fields the text reads to; --check
     compares the bounds of that enclosure with the oracle's, field for
     field, so a pair the format does not use fails too."""
-    fmt = _FORMATS[args.format]
+    fmt = args.format
     numeral = args.command == "parse"
     read, floor = (_numeral, _decimal_floor) if numeral else (_ratio, _floor)
     reference = None
@@ -155,11 +141,11 @@ def _cmd_parse(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
         return numeral_fields(fields, *bounds, fmt) if numeral else enclosure_fields(*bounds, fmt)
 
     layout = "lb = {0} = {1}\nub = {2} = {3}\nbracket = {4}\n"
-    return _serve([args.value], record, layout, stdin, stdout)
+    return _serve(args.values, record, layout, stdin, stdout)
 
 
-def _cmd_print(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
-    fmt = _FORMATS[args.format]
+def _cmd_print(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
+    fmt = args.format
     order = None
 
     def record(text: str) -> tuple[str]:
@@ -176,11 +162,11 @@ def _cmd_print(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
                 raise CheckFailure(f"exact decimal differs from the value of {text!r}")
         return (field,)
 
-    return _serve([args.value], record, "{0}\n", stdin, stdout)
+    return _serve(args.values, record, "{0}\n", stdin, stdout)
 
 
-def _cmd_print_interval(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
-    fmt = _FORMATS[args.format]
+def _cmd_print_interval(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
+    fmt = args.format
     order = None
 
     def record(low: str, high: str | None = None) -> tuple[str, str, str]:
@@ -207,10 +193,11 @@ def _cmd_print_interval(args: argparse.Namespace, stdin: TextIOBase, stdout: Tex
                 raise CheckFailure("upper bound fails containment")
         return fields
 
-    if args.low is not None and args.high is None:
-        raise NumeralSyntaxError(args.low, 0, "expected two values or none")
+    low, high = args.values
+    if low is not None and high is None:
+        raise NumeralSyntaxError(low, 0, "expected two values or none")
     layout = "lo = {0}\nhi = {1}\nbracket = {2}\n"
-    return _serve([args.low, args.high], record, layout, stdin, stdout)
+    return _serve(args.values, record, layout, stdin, stdout)
 
 
 _TABLE_HEADER = (
@@ -226,9 +213,12 @@ _TABLE_HEADER = (
 _ROW_OVERRIDES = {11: "2^(-4) * 1.3a2e8[c,d]"}
 
 
-def _cmd_table(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
-    # the table's nearest-float column comes from the oracle, check or not
+def _cmd_table(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
+    # the table's nearest-float column comes from the oracle, check or not,
+    # and its cells from the value layer, which no filter record loads
     from . import oracle
+    from .parse import Rational, _enclose
+    from .render import hex_significand_bracket, hex_significand_rendering
 
     fmt = BINARY32
     mismatches = []
@@ -246,72 +236,197 @@ def _cmd_table(args: argparse.Namespace, stdin: TextIOBase, stdout: TextIOBase) 
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=sorted(_FORMATS),
-        default="binary32",
-        help="target format (default binary32)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="revalidate results against the independent reference; exit 3 on disagreement",
-    )
+def _format(text: str) -> FloatFormat:
+    """Value of --format: a format by name."""
+    if text not in _FORMATS:
+        choices = ", ".join(map(repr, _FORMATS))
+        raise ValueError(f"invalid choice: {text!r} (choose from {choices})")
+    return _FORMATS[text]
 
 
 def _digit_budget(text: str) -> int:
-    """Type of --digits: an integer of at least 1."""
+    """Value of --digits: an integer of at least 1."""
     try:
         budget = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if budget < 1:
-        raise argparse.ArgumentTypeError("need at least one digit")
+        raise ValueError("need at least one digit")
     return budget
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="radival",
-        description="exact decimal/binary conversion with narrowest enclosing intervals",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# An option: its name, the name of its value in the help (None for a flag,
+# which is True when given), its default, the reader of its value and its help.
+_FORMAT_OPTION = (
+    "--format", f"{{{','.join(_FORMATS)}}}", BINARY32, _format, "target format (default binary32)"
+)
+_CHECK_OPTION = (
+    "--check", None, False, None,
+    "revalidate results against the independent reference; exit 3 on disagreement",
+)
+_DIGITS_OPTION = ("--digits", "DIGITS", 6, _digit_budget, "digit budget per bound (default 6)")
 
-    for name, what, metavar, about in (
-        ("parse", "narrowest interval enclosing a decimal numeral", "numeral", "decimal numeral"),
-        ("parse-rational", "narrowest interval enclosing p/q", "ratio", "rational like 3/7"),
-        ("print", "exact decimal numeral of a float", "value", "decimal literal or bits:HEX"),
-    ):
-        p = sub.add_parser(name, help=what)
-        p.add_argument("value", nargs="?", metavar=metavar, help=f"{about}; omit to filter stdin")
-        _add_common(p)
-
-    p = sub.add_parser("print-interval", help="outward-rounded decimal interval of a float pair")
-    p.add_argument("low", nargs="?", help="lower bound (literal or bits:HEX)")
-    p.add_argument("high", nargs="?", help="upper bound (literal or bits:HEX)")
-    p.add_argument(
-        "--digits", type=_digit_budget, default=6, help="digit budget per bound (default 6)"
-    )
-    _add_common(p)
-
-    p = sub.add_parser("table", help="print the unit-fraction demonstration table")
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="revalidate the computed intervals against the reference; exit 3 on disagreement",
-    )
-
-    return parser
-
-
-_DISPATCH = {
-    "parse": _cmd_parse,
-    "parse-rational": _cmd_parse,
-    "print": _cmd_print,
-    "print-interval": _cmd_print_interval,
-    "table": _cmd_table,
+# A subcommand: its summary, its values (name and help; any of them may be
+# left out, from the last), its options and the function that runs it.
+_COMMANDS = {
+    "parse": (
+        "narrowest interval enclosing a decimal numeral",
+        (("numeral", "decimal numeral; omit to filter stdin"),),
+        (_FORMAT_OPTION, _CHECK_OPTION),
+        _cmd_parse,
+    ),
+    "parse-rational": (
+        "narrowest interval enclosing p/q",
+        (("ratio", "rational like 3/7; omit to filter stdin"),),
+        (_FORMAT_OPTION, _CHECK_OPTION),
+        _cmd_parse,
+    ),
+    "print": (
+        "exact decimal numeral of a float",
+        (("value", "decimal literal or bits:HEX; omit to filter stdin"),),
+        (_FORMAT_OPTION, _CHECK_OPTION),
+        _cmd_print,
+    ),
+    "print-interval": (
+        "outward-rounded decimal interval of a float pair",
+        (
+            ("low", "lower bound (literal or bits:HEX)"),
+            ("high", "upper bound (literal or bits:HEX)"),
+        ),
+        (_DIGITS_OPTION, _FORMAT_OPTION, _CHECK_OPTION),
+        _cmd_print_interval,
+    ),
+    "table": (
+        "print the unit-fraction demonstration table",
+        (),
+        (
+            (
+                "--check", None, False, None,
+                "revalidate the computed intervals against the reference; exit 3 on disagreement",
+            ),
+        ),
+        _cmd_table,
+    ),
 }
+
+
+class _ArgumentError(Exception):
+    """An argument the reader refuses, and the subcommand (None before one)
+    whose usage goes with the message."""
+
+    def __init__(self, command: str | None, message: str) -> None:
+        super().__init__(message)
+        self.command = command
+
+
+def _option_name(token: str, names: tuple[str, ...], command: str | None) -> str:
+    """The one option name that token spells out in full or begins."""
+    if token in names:
+        return token
+    matches = [name for name in names if name.startswith(token)]
+    if len(matches) == 1:
+        return matches[0]
+    if matches:
+        raise _ArgumentError(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    raise _ArgumentError(command, f"unrecognized arguments: {token}")
+
+
+def _read_arguments(argv: list[str]) -> SimpleNamespace | str:
+    """The subcommand that argv names, with its values (None for each left
+    out) and its options by name, or the help text that argv asks for.
+
+    After the subcommand, a token that is -h or opens with -- is an option,
+    in any position, as --name value or --name=value, its name spelled out
+    or begun; -- alone ends the options. Any other token is a value, so a
+    negative numeral or ratio needs no --. Tokens are read in order: the
+    first argument error raises _ArgumentError, and a help request returns
+    its text, whatever follows it."""
+    head = argv[0] if argv else ""
+    if head == "-h" or head.startswith("--") and head != "--":
+        _option_name(head, ("-h", "--help"), None)
+        return _help(None)
+    if head not in _COMMANDS:
+        if not argv:
+            raise _ArgumentError(None, "the following arguments are required: command")
+        choices = ", ".join(map(repr, _COMMANDS))
+        message = f"argument command: invalid choice: {head!r} (choose from {choices})"
+        raise _ArgumentError(None, message)
+    _, value_names, options, _ = _COMMANDS[head]
+    specs = {option[0]: option for option in options}
+    found = {name[2:]: default for name, _, default, _, _ in options}
+    values = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            values += tokens
+        elif token == "-h":
+            return _help(head)
+        elif not token.startswith("--"):
+            values.append(token)
+        else:
+            name, equals, text = token.partition("=")
+            name = _option_name(name, (*specs, "--help"), head)
+            _, metavar, _, read, _ = specs.get(name, (name, None, None, None, None))
+            if metavar is None:
+                if equals:
+                    message = f"argument {name}: ignored explicit argument {text!r}"
+                    raise _ArgumentError(head, message)
+                if name == "--help":
+                    return _help(head)
+                found[name[2:]] = True
+                continue
+            if not equals:
+                text = next(tokens, None)
+                if text is None:
+                    raise _ArgumentError(head, f"argument {name}: expected one argument")
+            try:
+                found[name[2:]] = read(text)
+            except ValueError as err:
+                raise _ArgumentError(head, f"argument {name}: {err}") from None
+    if len(values) > len(value_names):
+        extra = " ".join(values[len(value_names) :])
+        raise _ArgumentError(head, f"unrecognized arguments: {extra}")
+    values += [None] * (len(value_names) - len(values))
+    return SimpleNamespace(command=head, values=values, **found)
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: radival [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, value_names, options, _ = _COMMANDS[command]
+    parts = [f"[{name} {metavar}]" if metavar else f"[{name}]" for name, metavar, *_ in options]
+    parts += [f"[{name}]" for name, _ in value_names]
+    return f"usage: radival {command} [-h] {' '.join(parts)}"
+
+
+def _help(command: str | None) -> str:
+    """The help text of the subcommand, or of the program for None."""
+    import textwrap
+
+    help_row = ("-h, --help", "show this help message and exit")
+    if command is None:
+        about = "exact decimal/binary conversion with narrowest enclosing intervals"
+        values = [(f"{{{','.join(_COMMANDS)}}}", "")]
+        values += [(f"  {name}", spec[0]) for name, spec in _COMMANDS.items()]
+        options = [help_row]
+    else:
+        about, values, specs, _ = _COMMANDS[command]
+        options = [help_row]
+        for name, metavar, *_, text in specs:
+            options.append((f"{name} {metavar}" if metavar else name, text))
+    lines = [_usage(command), "", about]
+    for title, rows in (("positional arguments", values), ("options", options)):
+        if rows:
+            lines += ["", f"{title}:"]
+        for name, text in rows:
+            # the text starts in column 24, on a line of its own after a long name
+            first = f"  {name:<22}"
+            if len(name) > 20 or not text:
+                lines.append(f"  {name}")
+                first = " " * 24
+            if text:
+                lines.append(textwrap.fill(text, 80, initial_indent=first, subsequent_indent=first))
+    return "\n".join(lines) + "\n"
 
 
 def run(
@@ -323,14 +438,17 @@ def run(
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        with contextlib.redirect_stderr(stderr):
-            args = parser.parse_args(argv)
-    except SystemExit as stop:
-        return 0 if stop.code in (0, None) else 1
+        args = _read_arguments(argv)
+    except _ArgumentError as err:
+        prog = "radival" if err.command is None else f"radival {err.command}"
+        stderr.write(f"{_usage(err.command)}\n{prog}: error: {err}\n")
+        return 1
+    if isinstance(args, str):
+        stdout.write(args)
+        return 0
     try:
-        return _DISPATCH[args.command](args, stdin, stdout)
+        return _COMMANDS[args.command][3](args, stdin, stdout)
     except NumeralSyntaxError as err:
         stderr.write(f"error: {err}\n")
         return 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from .kernels import _int_from_digits, _text_from_int
 from .value import Value
 
 FRACTION = "fraction"
@@ -148,30 +149,6 @@ def double_integer(m: DigitString) -> DigitString:
 # integer, n), value N / 10^n. The conversion modules do their bulk steps
 # on this view; the digit-at-a-time operations above stay the reference
 # behaviour and the tests replay one against the other.
-
-
-def _int_from_digits(text: str) -> int:
-    """Read a nonempty text of ASCII digits of any length as an integer.
-
-    CPython's int() refuses texts past 4300 digits by default, so longer
-    texts split in half and recombine until every piece is under it."""
-    if len(text) <= 4000:
-        return int(text)
-    half = len(text) // 2
-    low = text[half:]
-    return _int_from_digits(text[:half]) * 10 ** len(low) + _int_from_digits(low)
-
-
-def _text_from_int(N: int, width: int = 0) -> str:
-    """Decimal text of N >= 0, padded with leading zeros to width digits.
-
-    CPython's str() refuses integers past 4300 digits by default, so larger
-    ones split at a power of ten about halfway and render each half."""
-    if N.bit_length() <= 13000:
-        return str(N).rjust(width, "0")
-    low = N.bit_length() * 3 // 20
-    high, rest = divmod(N, 10**low)
-    return _text_from_int(high, width - low) + _text_from_int(rest, low)
 
 
 def _fraction_int(m: DigitString) -> tuple[int, int]:

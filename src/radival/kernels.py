@@ -1,0 +1,359 @@
+"""The integer kernels a filter record runs, from its text to its fields.
+
+A record reads its text to fields (a numeral's sign, digits and exponent,
+a ratio's sign, p and q), floors the value onto the format's grid with one
+division, packs the two bounds as the fields (kind, sign, m, e) that
+FloatValue holds, and writes each bound's text from those fields: its hex
+significand, its exact decimal or its n-digit outward rounding, and the
+bracket of both. No value is built on the way. The value classes, the
+staged API and the public renderers in digitstring, parse and render build
+on these functions, so each text rule has one home; this module imports
+only floatkit, so the command line loads none of those modules to run a
+record.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+
+from .floatkit import KIND_INFINITE, DomainError, FloatFormat, _grid_fields, _shifted_ge
+
+
+def _int_from_digits(text: str) -> int:
+    """Read a nonempty text of ASCII digits of any length as an integer.
+
+    CPython's int() refuses texts past 4300 digits by default, so longer
+    texts split in half and recombine until every piece is under it."""
+    if len(text) <= 4000:
+        return int(text)
+    half = len(text) // 2
+    low = text[half:]
+    return _int_from_digits(text[:half]) * 10 ** len(low) + _int_from_digits(low)
+
+
+def _text_from_int(N: int, width: int = 0) -> str:
+    """Decimal text of N >= 0, padded with leading zeros to width digits.
+
+    CPython's str() refuses integers past 4300 digits by default, so larger
+    ones split at a power of ten about halfway and render each half."""
+    if N.bit_length() <= 13000:
+        return str(N).rjust(width, "0")
+    low = N.bit_length() * 3 // 20
+    high, rest = divmod(N, 10**low)
+    return _text_from_int(high, width - low) + _text_from_int(rest, low)
+
+
+class NumeralSyntaxError(ValueError):
+    """Numeral text rejected, with the offending position."""
+
+    def __init__(self, text: str, position: int, why: str):
+        super().__init__(f"{why} at position {position} in {text!r}")
+        self.text = text
+        self.position = position
+
+
+def _ratio(text: str) -> tuple[int, int, int]:
+    """Rational.from_text as the fields (sign, p, q), with no value built."""
+    body = text.strip()
+    sign = 1
+    if body[:1] in ("+", "-"):
+        sign = -1 if body[0] == "-" else 1
+        body = body[1:]
+    num, slash, den = body.partition("/")
+    if not num.isascii() or not num.isdigit():
+        # body, and so den, is a tail of text.rstrip()
+        raise NumeralSyntaxError(text, len(text.rstrip()) - len(body), "expected digits")
+    if slash and (not den.isascii() or not den.isdigit()):
+        raise NumeralSyntaxError(text, len(text.rstrip()) - len(den), "expected digits")
+    q = _int_from_digits(den) if slash else 1
+    if q == 0:
+        raise DomainError("zero denominator")
+    return sign, _int_from_digits(num), q
+
+
+_DIGIT_RUN = re.compile("[0-9]*")
+
+
+def _numeral(text: str) -> tuple[int, str, int]:
+    """parse_numeral as the fields (sign, mantissa digits, exponent), with
+    no value built; zero is (1, "", 0)."""
+    i = 0
+    n = len(text)
+    sign = 1
+    if i < n and text[i] in "+-":
+        sign = -1 if text[i] == "-" else 1
+        i += 1
+    start = i
+    i = _DIGIT_RUN.match(text, i).end()
+    int_digits = text[start:i]
+    frac_digits = ""
+    if i < n and text[i] == ".":
+        start = i + 1
+        i = _DIGIT_RUN.match(text, start).end()
+        frac_digits = text[start:i]
+    if not int_digits and not frac_digits:
+        raise NumeralSyntaxError(text, i, "expected a digit")
+    marker_exp = 0
+    if i < n and text[i] in "eE":
+        i += 1
+        esign = 1
+        if i < n and text[i] in "+-":
+            esign = -1 if text[i] == "-" else 1
+            i += 1
+        start = i
+        i = _DIGIT_RUN.match(text, i).end()
+        if start == i:
+            raise NumeralSyntaxError(text, i, "expected an exponent digit")
+        marker_exp = esign * _int_from_digits(text[start:i])
+    if i != n:
+        raise NumeralSyntaxError(text, i, "unexpected character")
+    # the value is digits * 10^(marker_exp - len(frac_digits)), and the
+    # leading zeros that drop carry none of it
+    digits = (int_digits + frac_digits).lstrip("0")
+    if not digits:
+        return 1, "", 0
+    exponent = marker_exp + len(digits) - len(frac_digits)
+    # digits opens with a nonzero, so it is canonical once its trailing zeros go
+    return sign, digits.rstrip("0"), exponent
+
+
+def _log2_floor(p: int, q: int) -> int:
+    """floor(log2(p/q)) for positive p and q.
+
+    The bit lengths put p/q in (2^(d-1), 2^(d+1)) for their difference d,
+    so one comparison settles which binade it is."""
+    E = p.bit_length() - q.bit_length()
+    if not _shifted_ge(p, -E, q):
+        E -= 1
+    return E
+
+
+def _floor(sign: int, num: int, den: int, fmt: FloatFormat) -> tuple[int, int, int, int]:
+    """The grid floor (sign, m, e, rem) of sign * num/den: one division
+    floors num/den onto the format's grid at its binade (the subnormal grid
+    below the normal range) as m * 2^e, and a nonzero remainder puts the
+    value strictly inside the next ulp. Magnitudes beyond the finite range
+    clamp to the top value and those under the subnormal grid to zero, both
+    with a remainder."""
+    if num == 0:
+        return sign, 0, 0, 0
+    p = fmt.significand_bits
+    E = _log2_floor(num, den)
+    if E > fmt.emax:
+        return sign, (1 << p) - 1, fmt.emax - p + 1, 1
+    e = max(E - (p - 1), fmt.least_exponent)
+    m, rem = divmod(num, den << e) if e >= 0 else divmod(num << -e, den)
+    return sign, m, e, rem
+
+
+def _bounds(sign: int, m: int, e: int, rem: int, fmt: FloatFormat) -> tuple[tuple, tuple]:
+    """The fields (kind, sign, m, e) of the lower and upper bound of the
+    narrowest enclosing interval of the value with this grid floor."""
+    low = _grid_fields(sign, m, e, fmt)
+    if not rem:
+        return low, low
+    high = _grid_fields(sign, m + 1, e, fmt)
+    return (high, low) if sign < 0 else (low, high)
+
+
+def _decimal_floor(sign: int, text: str, e: int, fmt: FloatFormat) -> tuple[int, int, int, int]:
+    """The grid floor of sign * 0.text * 10^e, a numeral's fields, as
+    decimal_to_interval says."""
+    if e > 0 and 3 * (e - 1) >= fmt.emax + 1:
+        return _floor(sign, 2 << fmt.emax, 1, fmt)
+    if e < 0 and 3 * e <= fmt.least_exponent:
+        return _floor(sign, 1, 2 << -fmt.least_exponent, fmt)
+    keep = e - fmt.least_exponent
+    if len(text) > keep:
+        text = text[:keep] + "5"
+    # |k| is at most the kept digits plus the format's decimal exponent range
+    k = e - len(text)
+    N = _int_from_digits(text) if text else 0
+    return _floor(sign, N * 10 ** max(k, 0), 10 ** max(-k, 0), fmt)
+
+
+# b * log10(2) stays more than 1e-6 away from every integer for
+# 0 < |b| < 10^5, far beyond any format's binades, so the float product
+# lands on the same side of each integer as the exact one
+_LOG10_2 = math.log10(2)
+
+_BRACKET = "%s[%s,%s]"
+
+
+def _infinity_text(sign: int) -> str:
+    return "inf" if sign > 0 else "-inf"
+
+
+def _exact_digits(m: int, e: int) -> tuple[str, int]:
+    """Canonical mantissa digits and decimal exponent of m * 2^e, m > 0: one
+    conversion to text of m * 5^-e (m * 2^e is that over 10^-e when e < 0)."""
+    text = _text_from_int(m << e) if e >= 0 else _text_from_int(m * 5**-e)
+    # m > 0, so the text opens with a nonzero digit
+    return text.rstrip("0"), len(text) + min(e, 0)
+
+
+def _step_outward(
+    sign: int, digits: str, inexact: int, exponent: int, direction: str
+) -> tuple[str, int]:
+    """Canonical digits and exponent of sign * 0.digits * 10^exponent, the
+    digits the first n of a value (opening nonzero), rounded toward the named
+    direction: when digits were dropped (inexact nonzero) and the direction
+    points away from zero, trailing nines go and the digit before them rises,
+    and n nines carry to 0.1 * 10^(exponent + 1)."""
+    if inexact and (direction == "up") == (sign > 0):
+        digits = digits.rstrip("9")
+        if not digits:
+            return "1", exponent + 1
+        digits = digits[:-1] + chr(ord(digits[-1]) + 1)
+    return digits.rstrip("0"), exponent
+
+
+def _outward_digits(sign: int, m: int, e: int, n: int, direction: str) -> tuple[str, int]:
+    """Canonical digits and decimal exponent of sign * m * 2^e, m > 0, whole
+    when n is None, else rounded to n digits toward the named direction.
+
+    With x = m * 2^e in [2^(b-1), 2^b), b = bitlen(m) + e, the decimal
+    exponent E of x = 0.d1d2... * 10^E is ceil(b * log10 2) or one less,
+    so one divmod of x * 10^(n-E) by the estimate yields n digits or, when
+    the estimate was one too high, n - 1 of them and a remainder from
+    which one more digit follows. A nonzero final remainder means digits
+    were dropped, and only then does rounding away from zero add one.
+    The exact expansion has at most E - min(e, 0) digits, so a larger
+    budget gives that expansion itself."""
+    if n is None:
+        return _exact_digits(m, e)
+    exponent = math.ceil((m.bit_length() + e) * _LOG10_2)
+    # n > max(E, E - e), tested without calls on the per-bound path
+    if n > exponent and n > exponent - e:
+        return _exact_digits(m, e)
+    num, den = (m << e, 1) if e >= 0 else (m, 1 << -e)
+    shift = n - exponent
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    q, r = divmod(num, den)
+    if q < 10 ** (n - 1):
+        exponent -= 1
+        digit, r = divmod(10 * r, den)
+        q = 10 * q + digit
+    # 10^(n-1) <= q < 10^n, so the text opens with a nonzero digit
+    return _step_outward(sign, _text_from_int(q), r, exponent, direction)
+
+
+def outward_fields(low: tuple, high: tuple, n: int) -> tuple[str, str, str]:
+    """What interval_to_decimal and bracket_notation give for the float
+    interval from low to high, each bound the fields (kind, sign, m, e) of
+    a format value: lo, hi and bracket, with no value built."""
+    if n < 1:
+        raise ValueError("need at least one digit")
+    lo, lo_lead = _decimal_text(low, n, "down")
+    hi, hi_lead = _decimal_text(high, n, "up")
+    return lo, hi, _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
+
+
+def exact_field(bound: tuple) -> str:
+    """plain_decimal of float_to_exact_decimal for a bound as outward_fields takes it."""
+    return _decimal_text(bound, None, "")[0]
+
+
+def _decimal_text(bound: tuple, n: int | None, direction: str) -> tuple:
+    """Positional text and lead of a bound, rounded toward the named
+    direction to n digits, or whole when n is None."""
+    kind, sign, m, e = bound
+    if kind == KIND_INFINITE:
+        return _infinity_text(sign), None
+    if not m:
+        return _positional(sign, "", 0)
+    return _positional(sign, *_outward_digits(sign, m, e, n, direction))
+
+
+def _positional(sign: int, digits: str, e: int) -> tuple[str, tuple[int, int, str]]:
+    """Positional text of sign * 10^e * 0.digits, canonical digits, and its
+    lead, what two finite bounds must share for a bracket prefix: sign,
+    decimal exponent and opening digit. Zero's lead is (sign, 0, "")."""
+    lead = sign, e, digits[:1]
+    if not digits:
+        return "0", lead
+    sign = "" if sign > 0 else "-"
+    if e <= 0:
+        return f"{sign}0.{'0' * -e}{digits}", lead
+    if e >= len(digits):
+        return f"{sign}{digits}{'0' * (e - len(digits))}", lead
+    return f"{sign}{digits[:e]}.{digits[e:]}", lead
+
+
+def _cut(lo_text: str, hi_text: str, lo_lead: object, hi_lead: object) -> tuple[str, str, str]:
+    """Prefix and tails of the bracket of two bounds' texts, the one choice
+    between the prefix form and the plain pair. An infinite bound has the
+    lead None and shares no prefix, even with the same infinity. Bounds
+    with the same lead split at their common prefix, so equal texts go
+    whole into the prefix, and any other pair keeps its texts whole as
+    the tails."""
+    if lo_lead is None or lo_lead != hi_lead:
+        return "", lo_text, hi_text
+    k = len(lo_text) if lo_text == hi_text else _shared_prefix_length(lo_text, hi_text)
+    return lo_text[:k], lo_text[k:], hi_text[k:]
+
+
+def _shared_prefix_length(a: str, b: str) -> int:
+    """Length of the longest common prefix of two ASCII texts.
+
+    Read as big-endian integers, the first n bytes of each differ first in
+    the highest byte their XOR sets, so the bytes below it count what
+    follows the prefix: one XOR at C speed, with no Python step per
+    character.
+    """
+    n = min(len(a), len(b))
+    x = int.from_bytes(a[:n].encode(), "big") ^ int.from_bytes(b[:n].encode(), "big")
+    return n - (x.bit_length() + 7) // 8
+
+
+def _hex(sign: int, m: int, e: int, fmt: FloatFormat) -> str:
+    """Hex significand text of the canonical pair sign * m * 2^e."""
+    if m == 0:
+        return "0"
+    t = fmt.significand_bits - 1
+    sign = "" if sign > 0 else "-"
+    # the leading bit m >> t is 1 for a normal and 0 for a subnormal, whose
+    # exponent e + t is emin
+    return "%s2^(%d) * %d.%0*x" % (sign, e + t, m >> t, (t + 3) // 4, m & ((1 << t) - 1))
+
+
+def enclosure_fields(lower: tuple, upper: tuple, fmt: FloatFormat) -> tuple[str, ...]:
+    """The text of the enclosure from lower to upper, each bound the fields
+    (kind, sign, m, e) of a format value as _bounds gives them: each
+    bound's hex significand and exact decimal, as hex_significand_rendering
+    and float_to_exact_decimal give them, then their bracket_notation, with
+    no value built. Equal bounds are written once."""
+    low = _bound_texts(lower, fmt)
+    return _fields(low, low if upper == lower else _bound_texts(upper, fmt))
+
+
+def numeral_fields(numeral: tuple, lower: tuple, upper: tuple, fmt: FloatFormat) -> tuple[str, ...]:
+    """enclosure_fields of the bounds of a numeral's fields (sign, digits,
+    exponent). Equal bounds are the numeral's value, so the numeral's
+    canonical digits are its one bound's exact decimal and none are made."""
+    if lower != upper:
+        return enclosure_fields(lower, upper, fmt)
+    _, sign, m, e = lower
+    bound = _hex(sign, m, e, fmt), *_positional(*numeral)
+    return _fields(bound, bound)
+
+
+def _fields(lb: tuple, ub: tuple) -> tuple[str, str, str, str, str]:
+    """The five fields from the texts and leads of both bounds."""
+    (lb_hex, lo, lo_lead), (ub_hex, hi, hi_lead) = lb, ub
+    return lb_hex, lo, ub_hex, hi, _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
+
+
+def _bound_texts(bound: tuple, fmt: FloatFormat) -> tuple[str, str, tuple | None]:
+    """Hex and positional text of a bound and its lead, from its fields
+    (kind, sign, m, e); an infinity has no lead."""
+    kind, sign, m, e = bound
+    if kind == KIND_INFINITE:
+        text = _infinity_text(sign)
+        return text, text, None
+    digits, exponent = _exact_digits(m, e) if m else ("", 0)
+    return (_hex(sign, m, e, fmt), *_positional(sign, digits, exponent))

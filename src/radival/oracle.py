@@ -7,7 +7,10 @@ ground is the format descriptions and the value types. That keeps
 disagreement meaningful: when a differential test trips, exactly one side
 is wrong. decimal_reference and rational_reference, the entries --check
 calls per line, answer in the fields (kind, sign, m, e) of the two bounds
-and build no value.
+and build no value. The DecimalScientific and Rational that exact_value and
+rational_value take are read by their fields alone, so parse, whose
+classes they are, is never imported here: a checked line loads no module
+but this one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .floatkit import (
     FloatValue,
     infinity,
 )
-from .parse import DecimalScientific, Rational
 
 
 def _decimal_ratio(sign: int, digits: str, exponent: int) -> tuple[int, int]:

@@ -5,7 +5,9 @@ becomes num/den, its binary exponent comes off the bit lengths, and num/den
 divided onto the format's grid gives the lower bound; a nonzero remainder
 means the value lies strictly inside the next ulp, so the upper bound is
 one step up. Exponents that force overflow or underflow are settled before
-any power of ten is built.
+any power of ten is built. Those steps, from the text to the two bounds'
+fields, live in kernels; this module builds the values and intervals on
+them.
 
 The paper's staged route for a numeral 10^e * 0.m stays as the staged
 API, off that path: binarize_exponent trades the power of ten for a power
@@ -19,34 +21,10 @@ forms on random inputs.
 
 from __future__ import annotations
 
-import re
-
-from .digitstring import (
-    FRACTION,
-    DigitString,
-    _fraction_digits,
-    _fraction_int,
-    _int_from_digits,
-    _require,
-)
-from .floatkit import (
-    DomainError,
-    FloatFormat,
-    FloatInterval,
-    _as_float,
-    _grid_fields,
-    _shifted_ge,
-)
+from .digitstring import FRACTION, DigitString, _fraction_digits, _fraction_int, _require
+from .floatkit import DomainError, FloatFormat, FloatInterval, _as_float
+from .kernels import _bounds, _decimal_floor, _floor, _log2_floor, _numeral, _ratio
 from .value import Value
-
-
-class NumeralSyntaxError(ValueError):
-    """Numeral text rejected, with the offending position."""
-
-    def __init__(self, text: str, position: int, why: str):
-        super().__init__(f"{why} at position {position} in {text!r}")
-        self.text = text
-        self.position = position
 
 
 class DecimalScientific(Value):
@@ -103,28 +81,6 @@ class Rational(Value):
         return cls(*_ratio(text))
 
 
-def _ratio(text: str) -> tuple[int, int, int]:
-    """Rational.from_text as the fields (sign, p, q), with no value built."""
-    body = text.strip()
-    sign = 1
-    if body[:1] in ("+", "-"):
-        sign = -1 if body[0] == "-" else 1
-        body = body[1:]
-    num, slash, den = body.partition("/")
-    if not num.isascii() or not num.isdigit():
-        # body, and so den, is a tail of text.rstrip()
-        raise NumeralSyntaxError(text, len(text.rstrip()) - len(body), "expected digits")
-    if slash and (not den.isascii() or not den.isdigit()):
-        raise NumeralSyntaxError(text, len(text.rstrip()) - len(den), "expected digits")
-    q = _int_from_digits(den) if slash else 1
-    if q == 0:
-        raise DomainError("zero denominator")
-    return sign, _int_from_digits(num), q
-
-
-_DIGIT_RUN = re.compile("[0-9]*")
-
-
 def parse_numeral(text: str) -> DecimalScientific:
     """Parse [sign] digits [. digits] [e [sign] digits] into normalized form.
 
@@ -134,60 +90,6 @@ def parse_numeral(text: str) -> DecimalScientific:
     """
     sign, digits, exponent = _numeral(text)
     return DecimalScientific(sign, DigitString(digits), exponent) if digits else DECIMAL_ZERO
-
-
-def _numeral(text: str) -> tuple[int, str, int]:
-    """parse_numeral as the fields (sign, mantissa digits, exponent), with
-    no value built; zero is (1, "", 0)."""
-    i = 0
-    n = len(text)
-    sign = 1
-    if i < n and text[i] in "+-":
-        sign = -1 if text[i] == "-" else 1
-        i += 1
-    start = i
-    i = _DIGIT_RUN.match(text, i).end()
-    int_digits = text[start:i]
-    frac_digits = ""
-    if i < n and text[i] == ".":
-        start = i + 1
-        i = _DIGIT_RUN.match(text, start).end()
-        frac_digits = text[start:i]
-    if not int_digits and not frac_digits:
-        raise NumeralSyntaxError(text, i, "expected a digit")
-    marker_exp = 0
-    if i < n and text[i] in "eE":
-        i += 1
-        esign = 1
-        if i < n and text[i] in "+-":
-            esign = -1 if text[i] == "-" else 1
-            i += 1
-        start = i
-        i = _DIGIT_RUN.match(text, i).end()
-        if start == i:
-            raise NumeralSyntaxError(text, i, "expected an exponent digit")
-        marker_exp = esign * _int_from_digits(text[start:i])
-    if i != n:
-        raise NumeralSyntaxError(text, i, "unexpected character")
-    # the value is digits * 10^(marker_exp - len(frac_digits)), and the
-    # leading zeros that drop carry none of it
-    digits = (int_digits + frac_digits).lstrip("0")
-    if not digits:
-        return 1, "", 0
-    exponent = marker_exp + len(digits) - len(frac_digits)
-    # digits opens with a nonzero, so it is canonical once its trailing zeros go
-    return sign, digits.rstrip("0"), exponent
-
-
-def _log2_floor(p: int, q: int) -> int:
-    """floor(log2(p/q)) for positive p and q.
-
-    The bit lengths put p/q in (2^(d-1), 2^(d+1)) for their difference d,
-    so one comparison settles which binade it is."""
-    E = p.bit_length() - q.bit_length()
-    if not _shifted_ge(p, -E, q):
-        E -= 1
-    return E
 
 
 def binarize_exponent(m: DigitString, dec_exp: int) -> tuple[DigitString, int]:
@@ -252,55 +154,11 @@ def mantissa_bits(m: DigitString, count: int) -> list[int]:
     return _leading_bits(N, 10**n, count)
 
 
-def _floor(sign: int, num: int, den: int, fmt: FloatFormat) -> tuple[int, int, int, int]:
-    """The grid floor (sign, m, e, rem) of sign * num/den: one division
-    floors num/den onto the format's grid at its binade (the subnormal grid
-    below the normal range) as m * 2^e, and a nonzero remainder puts the
-    value strictly inside the next ulp. Magnitudes beyond the finite range
-    clamp to the top value and those under the subnormal grid to zero, both
-    with a remainder."""
-    if num == 0:
-        return sign, 0, 0, 0
-    p = fmt.significand_bits
-    E = _log2_floor(num, den)
-    if E > fmt.emax:
-        return sign, (1 << p) - 1, fmt.emax - p + 1, 1
-    e = max(E - (p - 1), fmt.least_exponent)
-    m, rem = divmod(num, den << e) if e >= 0 else divmod(num << -e, den)
-    return sign, m, e, rem
-
-
-def _bounds(sign: int, m: int, e: int, rem: int, fmt: FloatFormat) -> tuple[tuple, tuple]:
-    """The fields (kind, sign, m, e) of the lower and upper bound of the
-    narrowest enclosing interval of the value with this grid floor."""
-    low = _grid_fields(sign, m, e, fmt)
-    if not rem:
-        return low, low
-    high = _grid_fields(sign, m + 1, e, fmt)
-    return (high, low) if sign < 0 else (low, high)
-
-
 def _enclose(sign: int, m: int, e: int, rem: int, fmt: FloatFormat) -> FloatInterval:
     """The narrowest enclosing interval of the value with this grid floor."""
     lower, upper = _bounds(sign, m, e, rem, fmt)
     lb = _as_float(lower)
     return FloatInterval(lb, _as_float(upper) if rem else lb)
-
-
-def _decimal_floor(sign: int, text: str, e: int, fmt: FloatFormat) -> tuple[int, int, int, int]:
-    """The grid floor of sign * 0.text * 10^e, a numeral's fields, as
-    decimal_to_interval says."""
-    if e > 0 and 3 * (e - 1) >= fmt.emax + 1:
-        return _floor(sign, 2 << fmt.emax, 1, fmt)
-    if e < 0 and 3 * e <= fmt.least_exponent:
-        return _floor(sign, 1, 2 << -fmt.least_exponent, fmt)
-    keep = e - fmt.least_exponent
-    if len(text) > keep:
-        text = text[:keep] + "5"
-    # |k| is at most the kept digits plus the format's decimal exponent range
-    k = e - len(text)
-    N = _int_from_digits(text) if text else 0
-    return _floor(sign, N * 10 ** max(k, 0), 10 ** max(-k, 0), fmt)
 
 
 def decimal_to_interval(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:

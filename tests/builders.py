@@ -16,8 +16,10 @@ from radival.floatkit import (
     FloatFormat,
     FloatValue,
     NotRepresentable,
+    _shifted_ge,
 )
-from radival.parse import Rational, _log2_floor, _shifted_ge
+from radival.kernels import _log2_floor
+from radival.parse import Rational
 
 BINARY16 = FloatFormat(11, -14, 15)
 BFLOAT16 = FloatFormat(8, -126, 127)

@@ -52,34 +52,34 @@ CONTAINMENT = ("tests/test_cli.py::TestPrintInterval::test_check_failure_on_cont
 MUTANTS = [
     # outward n-digit rounding and the bracket prefix
     Mutant(
-        "no-one-digit-correction", "render.py",
+        "no-one-digit-correction", "kernels.py",
         "    if q < 10 ** (n - 1):\n", "    if False:\n", OUTWARD,
     ),
-    Mutant("no-carry", "render.py", "        if not digits:\n", "        if False:\n", OUTWARD),
+    Mutant("no-carry", "kernels.py", "        if not digits:\n", "        if False:\n", OUTWARD),
     Mutant(
-        "away-from-zero-ignores-sign", "render.py",
+        "away-from-zero-ignores-sign", "kernels.py",
         '    if inexact and (direction == "up") == (sign > 0):\n',
         '    if inexact and direction == "up":\n',
         OUTWARD,
     ),
     Mutant(
-        "floored-exponent-estimate", "render.py",
+        "floored-exponent-estimate", "kernels.py",
         "    exponent = math.ceil((m.bit_length() + e) * _LOG10_2)\n",
         "    exponent = math.floor((m.bit_length() + e) * _LOG10_2)\n",
         OUTWARD,
     ),
     Mutant(
-        "shortened-prefix", "render.py",
+        "shortened-prefix", "kernels.py",
         "else _shared_prefix_length(lo_text, hi_text)\n",
         "else max(_shared_prefix_length(lo_text, hi_text) - 1, 0)\n",
         PREFIX,
     ),
     Mutant(
-        "carry-keeps-exponent", "render.py",
+        "carry-keeps-exponent", "kernels.py",
         '            return "1", exponent + 1\n', '            return "1", exponent\n', LIBMPDEC,
     ),
     Mutant(
-        "prefix-bytes-off-by-one", "render.py",
+        "prefix-bytes-off-by-one", "kernels.py",
         "    return n - (x.bit_length() + 7) // 8\n",
         "    return n - (x.bit_length() + 8) // 8\n",
         ("tests/test_render.py::test_shared_prefix_length_against_commonprefix",),
@@ -87,23 +87,23 @@ MUTANTS = [
     # kernel fields the checked constructors refuse, or a value canonical
     # in no format that only decompose refuses
     Mutant(
-        "trailing-zero-outward", "render.py",
+        "trailing-zero-outward", "kernels.py",
         '    return digits.rstrip("0"), exponent\n', "    return digits, exponent\n",
         ("tests/test_render.py::TestTruncateDirected::test_trailing_zeros_restrip",),
     ),
     Mutant(
-        "trailing-zero-exact-decimal", "render.py",
+        "trailing-zero-exact-decimal", "kernels.py",
         '    return text.rstrip("0"), len(text) + min(e, 0)\n',
         "    return text, len(text) + min(e, 0)\n",
         ("tests/test_render.py::test_carries_and_trailing_zeros_occur",),
     ),
     Mutant(
-        "trailing-zero-parse-numeral", "parse.py",
+        "trailing-zero-parse-numeral", "kernels.py",
         '    return sign, digits.rstrip("0"), exponent\n', "    return sign, digits, exponent\n",
         ("tests/test_parse.py::TestParseNumeral::test_trailing_zeros_drop",),
     ),
     Mutant(
-        "reversed-enclosure", "parse.py",
+        "reversed-enclosure", "kernels.py",
         "    return (high, low) if sign < 0 else (low, high)\n",
         "    return (low, high) if sign < 0 else (high, low)\n",
         ("tests/test_parse.py::TestDecimalToInterval::test_tenth_binary32",),
@@ -143,18 +143,18 @@ MUTANTS = [
         ("tests/test_floatkit.py::TestOrderingAndEquality",),
     ),
     Mutant(
-        "second-grid-packer-in-render", "render.py",
+        "second-grid-packer-in-render", "kernels.py",
         "def _hex(", "def _grid_fields(sign, m, e, fmt):\n    return None\n\n\ndef _hex(",
         ("tests/test_hygiene.py::test_one_definition_per_function_name",),
     ),
     # the text of enclosures
     Mutant(
-        "cut-without-infinity-guard", "render.py",
+        "cut-without-infinity-guard", "kernels.py",
         "    if lo_lead is None or lo_lead != hi_lead:\n", "    if lo_lead != hi_lead:\n",
         ("tests/test_render.py::TestEnclosureFields",),
     ),
     Mutant(
-        "lead-without-exponent", "render.py",
+        "lead-without-exponent", "kernels.py",
         "    lead = sign, e, digits[:1]\n", "    lead = sign, digits[:1]\n",
         ("tests/test_render.py::TestBracketNotation::test_fallback_on_exponent_mismatch",),
     ),
@@ -196,7 +196,7 @@ MUTANTS = [
         ("tests/test_cli.py::TestParse::test_check_compares_both_bounds",),
     ),
     Mutant(
-        "exact-digits-last-digit-and-exponent", "render.py",
+        "exact-digits-last-digit-and-exponent", "kernels.py",
         '    return text.rstrip("0"), len(text) + min(e, 0)\n',
         '    return text.rstrip("0")[:-1] + "7", len(text) + min(e, 0) - 2\n',
         ("tests/test_cli.py::TestPrint::test_check_reads_the_printed_text",),
@@ -204,8 +204,8 @@ MUTANTS = [
     *(
         Mutant(
             f"oracle-imports-{label}", "oracle.py",
-            "from .parse import DecimalScientific, Rational\n",
-            f"from .parse import DecimalScientific, Rational\n{statement}\n",
+            "    infinity,\n)\n",
+            f"    infinity,\n)\n{statement}\n",
             ORACLE_HYGIENE,
         )
         for label, statement in (
@@ -223,6 +223,24 @@ MUTANTS = [
         ("tests/test_host_witness.py",),
     ),
     # the command line's standard streams
+    # the argument reader, and what a launch loads
+    Mutant(
+        "no-prefix-abbreviations", "cli.py",
+        "    matches = [name for name in names if name.startswith(token)]\n",
+        "    matches = [name for name in names if name == token]\n",
+        ("tests/test_cli.py::TestArgumentHandling::test_unique_prefixes",),
+    ),
+    Mutant(
+        "ambiguous-prefix-takes-first-match", "cli.py",
+        "    if len(matches) == 1:\n", "    if matches:\n",
+        ("tests/test_cli.py::TestArgumentHandling::test_ambiguous_prefix",),
+    ),
+    Mutant(
+        "launch-loads-the-value-layer", "cli.py",
+        "from types import SimpleNamespace\n",
+        "from types import SimpleNamespace\n\nfrom . import render\n",
+        ("tests/test_hygiene.py::test_launch_leaves_the_value_layer_unloaded",),
+    ),
     Mutant(
         "read-without-flush", "cli.py", "        self._output.flush()\n", "",
         ("tests/test_cli_streams.py::test_filter_answers_each_line_before_the_next",),
@@ -256,19 +274,19 @@ MUTANTS = [
     ),
     # the numeral's own digits as an exact bound's decimal
     Mutant(
-        "numeral-digits-on-inexact-floor", "render.py",
+        "numeral-digits-on-inexact-floor", "kernels.py",
         "    if lower != upper:\n        return enclosure_fields(lower, upper, fmt)\n",
         "    if False:\n        return enclosure_fields(lower, upper, fmt)\n",
         ("tests/test_render.py::TestFloorFields::test_matches_the_public_route",),
     ),
     Mutant(
-        "numeral-digits-exponent-off-by-one", "render.py",
+        "numeral-digits-exponent-off-by-one", "kernels.py",
         "    bound = _hex(sign, m, e, fmt), *_positional(*numeral)\n",
         "    bound = _hex(sign, m, e, fmt), *_positional(*numeral[:2], numeral[2] + 1)\n",
         ("tests/test_render.py::TestFloorFields::test_matches_the_public_route",),
     ),
     Mutant(
-        "decimal-cut-one-digit-early", "parse.py",
+        "decimal-cut-one-digit-early", "kernels.py",
         '        text = text[:keep] + "5"\n', '        text = text[:keep - 1] + "5"\n',
         ("tests/test_parse.py::TestDecimalCut::test_against_the_oracle",),
     ),

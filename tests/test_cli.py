@@ -14,7 +14,7 @@ import pytest
 
 import radival
 from builders import float_one
-from radival import cli, oracle, render
+from radival import cli, kernels, oracle, render
 from radival.floatkit import BINARY32, ZERO, infinity
 from radival.parse import parse_numeral
 from radival.value import Value
@@ -40,6 +40,18 @@ def run_cli(argv, stdin_text=""):
     out, err = io.StringIO(), io.StringIO()
     status = cli.run(argv, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
     return status, out.getvalue(), err.getvalue()
+
+
+def run_program(argv):
+    """Status, stdout and stderr of `python -m radival.cli` on empty stdin."""
+    src = pathlib.Path(radival.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "radival.cli", *argv],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env,
+    )
+    return result.returncode, result.stdout, result.stderr
 
 
 class TestParse:
@@ -435,7 +447,7 @@ class TestPrint:
     def test_check_reads_the_printed_text(self, monkeypatch):
         # a fault in the exact digits, last digit changed and exponent
         # shifted, prints a wrong numeral that --check reads back
-        real = render._exact_digits
+        real = kernels._exact_digits
 
         def faulty(m, e):
             digits, exponent = real(m, e)
@@ -445,7 +457,7 @@ class TestPrint:
         tokens = ["bits:3dcccccd", "bits:bf400000", "0.5", "bits:00000001"]
         for token in tokens:
             assert run_cli([*argv, token])[0] == 0
-        monkeypatch.setattr(render, "_exact_digits", faulty)
+        monkeypatch.setattr(kernels, "_exact_digits", faulty)
         for token in tokens:
             status, out, err = run_cli([*argv, token])
             assert (status, out) == (3, "")
@@ -695,6 +707,147 @@ class TestArgumentHandling:
         first = run_cli(["table"])
         second = run_cli(["table"])
         assert first == second
+
+    def test_equals_form(self):
+        status, out, err = run_cli(["parse", "--format=binary64", "0.1"])
+        assert (status, err) == (0, "")
+        assert (status, out, err) == run_cli(["parse", "--format", "binary64", "0.1"])
+
+    @pytest.mark.parametrize(
+        "short, full",
+        [
+            (["parse", "--fo", "binary64", "0.1"], ["parse", "--format", "binary64", "0.1"]),
+            (["parse", "0.1", "--ch"], ["parse", "0.1", "--check"]),
+            (
+                ["print-interval", "--dig", "3", "0.25", "0.5"],
+                ["print-interval", "--digits", "3", "0.25", "0.5"],
+            ),
+            (
+                ["print-interval", "--dig=17", "bits:3eaaaaaa", "bits:3eaaaaab", "--fo=binary32"],
+                ["print-interval", "--digits", "17", "bits:3eaaaaaa", "bits:3eaaaaab"],
+            ),
+        ],
+        ids=["format", "check", "digits", "digits-equals"],
+    )
+    def test_unique_prefixes(self, short, full):
+        status, out, err = run_cli(short)
+        assert (status, err) == (0, "")
+        assert (status, out, err) == run_cli(full)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parse", "--bogus", "0.1"],
+            ["parse", "0.1", "--formats", "binary64"],
+            ["parse", "--check=1", "0.1"],
+            ["print-interval", "--digit-budget", "3", "0.25", "0.5"],
+            ["--x", "parse"],
+            ["table", "--format", "binary64"],
+            ["table", "--digits", "3"],
+            ["parse", "0.1", "0.2"],
+            ["parse-rational", "1/3", "1/4"],
+            ["print", "1", "2"],
+            ["print-interval", "1", "2", "3"],
+            ["table", "x"],
+            ["print-interval", "--digits", "x", "0.25", "0.5"],
+            ["print-interval", "0.25", "0.5", "--digits"],
+            ["parse", "--format"],
+            ["parse", "--format="],
+        ],
+        ids=[
+            "unknown", "longer-than-option", "flag-with-value", "unknown-digits", "before-command",
+            "table-format", "table-digits", "extra-numeral", "extra-ratio", "extra-value",
+            "extra-bound", "table-value", "digits-not-int", "digits-missing", "format-missing",
+            "format-empty",
+        ],
+    )
+    def test_argument_errors(self, argv):
+        # each goes to stderr as a usage line and an error line; nothing runs
+        status, out, err = run_cli(argv)
+        assert (status, out) == (1, "")
+        assert err.startswith("usage: radival")
+        assert "error: " in err
+
+    def test_digits_error_names_the_value(self):
+        _, _, err = run_cli(["print-interval", "--digits", "x", "0.25", "0.5"])
+        assert "'x'" in err
+
+    def test_bad_format_name_lists_the_choices(self):
+        status, out, err = run_cli(["parse", "0.1", "--format", "binary128"])
+        assert (status, out) == (1, "")
+        assert err.startswith("usage: radival parse")
+        assert "'binary128'" in err and "binary32" in err and "binary64" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parse", "--format", "binary64", "--format", "binary32", "0.1"],
+            ["print-interval", "--digits", "3", "--digits", "5", "bits:3eaaaaaa", "bits:3eaaaaab"],
+        ],
+        ids=["format", "digits"],
+    )
+    def test_last_repeated_option_wins(self, argv):
+        last = argv[:1] + argv[3:]
+        status, out, err = run_cli(argv)
+        assert (status, err) == (0, "")
+        assert (status, out, err) == run_cli(last)
+
+    # every name each help lists: the subcommands at the top level, and a
+    # subcommand's options, format choices and value names
+    HELP_NAMES = {
+        "": ["--help", "parse", "parse-rational", "print", "print-interval", "table"],
+        "parse": ["--help", "--format", "binary32", "binary64", "--check", "numeral"],
+        "parse-rational": ["--help", "--format", "binary32", "binary64", "--check", "ratio"],
+        "print": ["--help", "--format", "binary32", "binary64", "--check", "value"],
+        "print-interval": [
+            "--help", "--digits", "--format", "binary32", "binary64", "--check", "low", "high",
+        ],
+        "table": ["--help", "--check"],
+    }
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", HELP_NAMES, ids=lambda c: c or "top")
+    def test_help_lists_every_name(self, command, flag):
+        status, out, err = run_program([command, flag] if command else [flag])
+        assert (status, err) == (0, "")
+        assert out.startswith(f"usage: radival {command}".rstrip())
+        assert [name for name in self.HELP_NAMES[command] if name not in out] == []
+        assert "-h" in out
+
+    @pytest.mark.parametrize("argv", [["parse-rational", "-/3"], ["parse-rational", "--", "-/3"]])
+    def test_dash_token_reaches_the_value_reader(self, argv):
+        # a token that is neither -h nor --... is a value, with or without --
+        status, out, err = run_cli(argv)
+        assert (status, out) == (1, "")
+        assert err == "error: expected digits at position 1 in '-/3'\n"
+
+    def test_values_around_options(self):
+        status, out, err = run_cli(["print-interval", "0.25", "--digits", "3", "0.5"])
+        assert (status, err) == (0, "")
+        assert (status, out, err) == run_cli(["print-interval", "--digits", "3", "0.25", "0.5"])
+
+    def test_help_goes_to_the_given_stdout(self):
+        status, out, err = run_cli(["print-interval", "--help"])
+        assert (status, err) == (0, "")
+        assert out == run_program(["print-interval", "--help"])[1]
+
+    def test_ambiguous_prefix(self):
+        # no two options of one subcommand share a prefix, so the reader's
+        # refusal is shown on names of its own
+        names = ("--format", "--forward", "--for")
+        assert cli._option_name("--for", names, "parse") == "--for"
+        assert cli._option_name("--form", names, "parse") == "--format"
+        with pytest.raises(cli._ArgumentError, match="ambiguous option: --fo could match"):
+            cli._option_name("--fo", names, "parse")
+
+    @pytest.mark.parametrize(
+        "argv", [["parse", "0.1", "--help"], ["print-interval", "1", "--he"], ["--he"]]
+    )
+    def test_help_anywhere_runs_nothing(self, argv):
+        status, out, err = run_program(argv)
+        assert (status, err) == (0, "")
+        assert out.startswith("usage: radival")
+        assert "lb = " not in out and "lo = " not in out
 
 
 @pytest.mark.parametrize(

@@ -12,12 +12,11 @@ from radival.digitstring import (
     FRACTION,
     INTEGER,
     DigitString,
-    _int_from_digits,
-    _text_from_int,
     div2,
     double_integer,
     mul2,
 )
+from radival.kernels import _int_from_digits, _text_from_int
 
 fraction_digits = st.lists(st.integers(0, 9), max_size=30).map(DigitString.fraction)
 integer_digits = st.lists(st.integers(0, 9), max_size=30).map(DigitString.integer)

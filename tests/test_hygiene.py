@@ -4,8 +4,11 @@ exports resolves, every public definition has a user, no function
 name is defined in two modules, the oracle imports no converter
 function, and every value is filled only at the end of its class's checked
 constructor. Launch hygiene:
-importing the command line loads nothing that only --check needs, and a
---check run that checks no line never loads the oracle."""
+importing the command line loads nothing that only --check needs, a
+--check run that checks no line never loads the oracle, a filter launch
+loads neither argparse nor the value modules (digitstring, parse,
+render), importing the package loads none of its modules until a name is
+asked for, and a checked line adds the oracle and nothing else."""
 
 import ast
 import os
@@ -279,3 +282,63 @@ def test_check_with_no_line_leaves_the_oracle_unloaded(argv):
     )
     result = _python("-c", code, *argv, "--check")
     assert (result.returncode, result.stdout, result.stderr) == (0, "", "False")
+
+
+# the value layer and argparse, which no filter record needs
+VALUE_LAYER = ("argparse", "radival.digitstring", "radival.parse", "radival.render")
+
+
+@pytest.mark.parametrize("command", ["parse", "parse-rational", "print", "print-interval"])
+def test_launch_leaves_the_value_layer_unloaded(command):
+    """A fresh filter on empty stdin loads neither argparse nor a module of
+    value classes: the records run on the kernels alone."""
+    code = (
+        "import atexit, runpy, sys\n"
+        "names = " + repr(VALUE_LAYER) + "\n"
+        "atexit.register(lambda: sys.stderr.write(repr([m for m in names if m in sys.modules])))\n"
+        "runpy.run_module('radival.cli', run_name='__main__')\n"
+    )
+    result = _python("-c", code, command)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "[]")
+
+
+def test_package_import_loads_no_module():
+    """import radival loads no module of the package; a star import then
+    binds every exported name."""
+    code = (
+        "import sys, radival\n"
+        "print(sorted(m for m in sys.modules if m.startswith('radival.')))\n"
+        "names = {}\n"
+        "exec('from radival import *', names)\n"
+        "print([name for name in radival.__all__ if name not in names])\n"
+    )
+    result = _python("-c", code)
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n[]\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["parse", "--format", "binary64"], "0.1"),
+        (["parse-rational"], "-2/7"),
+        (["print"], "bits:3f800000"),
+        (["print-interval", "--digits", "3"], "0.25 0.5"),
+    ],
+    ids=["parse", "parse-rational", "print", "print-interval"],
+)
+def test_checked_line_adds_only_the_oracle(argv, line):
+    """A fresh filter run on one line, with and without --check, prints the
+    same record, and --check loads radival.oracle and no other module of
+    the package."""
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(repr(sorted(\n"
+        "    m for m in sys.modules if m.startswith('radival.')))))\n"
+        "runpy.run_module('radival.cli', run_name='__main__')\n"
+    )
+    plain = _python("-c", code, *argv, stdin=line + "\n")
+    checked = _python("-c", code, *argv, "--check", stdin=line + "\n")
+    assert (plain.returncode, checked.returncode) == (0, 0)
+    assert checked.stdout == plain.stdout != ""
+    loaded = set(eval(checked.stderr)) - set(eval(plain.stderr))
+    assert loaded == {"radival.oracle"}

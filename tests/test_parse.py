@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import stepwise
 from builders import BFLOAT16, BINARY16, BINARY128, scale_to_unit_interval
 from radival import oracle
-from radival.digitstring import DigitString, _text_from_int, mul2
+from radival.digitstring import DigitString, mul2
 from radival.floatkit import (
     BINARY32,
     BINARY64,
@@ -34,10 +34,10 @@ from radival.floatkit import (
     infinity,
     next_up,
 )
+from radival.kernels import NumeralSyntaxError, _text_from_int
 from radival.parse import (
     DECIMAL_ZERO,
     DecimalScientific,
-    NumeralSyntaxError,
     Rational,
     binarize_exponent,
     decimal_to_interval,

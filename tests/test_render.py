@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from builders import BFLOAT16, BINARY16, BINARY128, exact_float, float_one
 from radival import oracle
-from radival.digitstring import DigitString, _text_from_int
+from radival.digitstring import DigitString
 from radival.floatkit import (
     BINARY32,
     BINARY64,
@@ -31,13 +31,21 @@ from radival.floatkit import (
     next_up,
     to_bits,
 )
-from radival.parse import (
-    DECIMAL_ZERO,
-    DecimalScientific,
+from radival.kernels import (
     _bounds,
     _decimal_floor,
     _floor,
     _numeral,
+    _shared_prefix_length,
+    _text_from_int,
+    enclosure_fields,
+    exact_field,
+    numeral_fields,
+    outward_fields,
+)
+from radival.parse import (
+    DECIMAL_ZERO,
+    DecimalScientific,
     decimal_to_interval,
     parse_numeral,
     rational_to_interval,
@@ -46,16 +54,11 @@ from radival.parse import (
 from radival.render import (
     BracketRendering,
     DecimalInfinity,
-    _shared_prefix_length,
     bracket_notation,
-    enclosure_fields,
-    exact_field,
     float_to_exact_decimal,
     hex_significand_bracket,
     hex_significand_rendering,
     interval_to_decimal,
-    numeral_fields,
-    outward_fields,
     plain_decimal,
     truncate_directed,
 )
@@ -1045,15 +1048,15 @@ class TestFloorFields:
         assert enclosure_fields(*bounds, BINARY32) == fields
 
     def test_exact_bound_written_once(self, monkeypatch):
-        from radival import render
+        from radival import kernels
 
-        real, calls = render._exact_digits, []
+        real, calls = kernels._exact_digits, []
 
         def counted(m, e):
             calls.append((m, e))
             return real(m, e)
 
-        monkeypatch.setattr(render, "_exact_digits", counted)
+        monkeypatch.setattr(kernels, "_exact_digits", counted)
         bounds = _bounds(*_decimal_floor(*_numeral("0.375"), BINARY64), BINARY64)
         fields = enclosure_fields(*bounds, BINARY64)
         assert fields == ("2^(-2) * 1.8000000000000", "0.375") * 2 + ("0.375[,]",)
