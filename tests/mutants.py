@@ -242,6 +242,10 @@ MUTANTS = [
         ("tests/test_hygiene.py::test_launch_leaves_the_value_layer_unloaded",),
     ),
     Mutant(
+        "exit-without-freeze", "cli.py", "    gc.freeze()\n", "",
+        ("tests/test_hygiene.py::test_launch_heap_is_frozen_at_exit",),
+    ),
+    Mutant(
         "read-without-flush", "cli.py", "        self._output.flush()\n", "",
         ("tests/test_cli_streams.py::test_filter_answers_each_line_before_the_next",),
     ),

@@ -176,3 +176,86 @@ def test_filter_writes_in_blocks():
     assert proc.returncode == 0
     assert proc.stdout == _in_process(["parse-rational"], data)[1]
     assert int(proc.stderr) < 1000
+
+
+def _run_cli(argv, data=b""):
+    return subprocess.run(
+        [sys.executable, "-m", "radival.cli", *argv],
+        input=data,
+        capture_output=True,
+        env=_env(),
+        timeout=120,
+    )
+
+
+def test_long_filter_matches_run():
+    """A 20,000-line filter, whose output is far past a pipe's 64 KiB,
+    writes the records cli.run writes and exits 0 with nothing on stderr."""
+    text = "".join(f"{i}/{3 * i + 1}\n" for i in range(1, 20001))
+    proc = _run_cli(["parse-rational"], text.encode())
+    status, out = _in_process(["parse-rational"], text)
+    assert len(out) > 64 * 1024
+    assert (status, proc.returncode, proc.stderr) == (0, 0, b"")
+    assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["parse", "1e"], 1), (["parse-rational", "1/0"], 2)],
+    ids=["syntax", "domain"],
+)
+def test_single_shot_error_exit(argv, code):
+    """A single-shot failure exits with its class's status and writes its
+    error: line, and nothing else, to stderr."""
+    proc = _run_cli(argv)
+    err = io.StringIO()
+    status = cli.run(argv, stdin=io.StringIO(), stdout=io.StringIO(), stderr=err)
+    assert (proc.returncode, status) == (code, code)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == err.getvalue()
+    assert proc.stderr.startswith(b"error: ")
+
+
+def test_check_failure_exits_3():
+    """A process whose oracle disagrees exits 3 with its check failed: line."""
+    child = (
+        "import runpy, sys\n"
+        "from radival import oracle\n"
+        "oracle.decimal_reference = lambda *args: None\n"
+        "sys.argv = ['radival', 'parse', '--check', '0.1']\n"
+        "runpy.run_module('radival.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "check failed: interval disagrees with the reference enclosure for '0.1'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["parse-rational"], "".join(f"{i}/7\n" for i in range(1, 2001))), (["parse", "0.1"], "")],
+    ids=["filter", "single-shot"],
+)
+def test_atexit_handler_sees_every_record(tmp_path, argv, text):
+    """An atexit handler registered before the launch still runs, and by
+    then every record has reached the file stdout writes to."""
+    child = (
+        "import atexit, os, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(str(os.fstat(1).st_size)))\n"
+        f"sys.argv = ['radival', *{argv!r}]\n"
+        "runpy.run_module('radival.cli', run_name='__main__')\n"
+    )
+    with open(tmp_path / "out", "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            input=text.encode(),
+            stdout=out,
+            stderr=subprocess.PIPE,
+            env=_env(),
+            timeout=60,
+        )
+    expected = _in_process(argv, text)[1].encode()
+    assert proc.returncode == 0
+    assert (tmp_path / "out").read_bytes() == expected
+    assert proc.stderr == str(len(expected)).encode()

@@ -8,9 +8,13 @@ importing the command line loads nothing that only --check needs, a
 --check run that checks no line never loads the oracle, a filter launch
 loads neither argparse nor the value modules (digitstring, parse,
 render), importing the package loads none of its modules until a name is
-asked for, and a checked line adds the oracle and nothing else."""
+asked for, a checked line adds the oracle and nothing else, and a launch
+ends with its heap frozen (gc.freeze) whether it succeeds or fails while
+the in-process cli.run freezes nothing."""
 
 import ast
+import gc
+import io
 import os
 import pathlib
 import subprocess
@@ -19,6 +23,7 @@ import sys
 import pytest
 
 import radival
+from radival import cli
 
 MODULES = sorted(
     path
@@ -342,3 +347,37 @@ def test_checked_line_adds_only_the_oracle(argv, line):
     assert checked.stdout == plain.stdout != ""
     loaded = set(eval(checked.stderr)) - set(eval(plain.stderr))
     assert loaded == {"radival.oracle"}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, status",
+    [
+        (["parse-rational"], "1/3\n-2/7\n", 0),
+        (["parse", "--format", "binary64", "--check"], "0.1\n1e400\n", 0),
+        (["parse-rational", "1/0"], "", 2),
+        (["parse", "--digits", "3"], "", 1),
+    ],
+    ids=["filter", "check-filter", "domain-error", "argument-error"],
+)
+def test_launch_heap_is_frozen_at_exit(argv, stdin, status):
+    """main() moves the launch heap to the permanent generation, so the
+    collections at exit do not walk it: an atexit probe in a fresh process
+    sees a nonzero freeze count after a filter, a checked filter, a domain
+    error and an argument error."""
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'\\nfrozen {gc.get_freeze_count() > 0}'))\n"
+        "runpy.run_module('radival.cli', run_name='__main__')\n"
+    )
+    result = _python("-c", code, *argv, stdin=stdin)
+    assert result.returncode == status
+    assert result.stderr.endswith("\nfrozen True")
+
+
+def test_run_freezes_nothing():
+    """cli.run, the in-process entry, leaves the collector as it found it."""
+    before = gc.get_freeze_count()
+    out = io.StringIO()
+    assert cli.run(["parse-rational"], io.StringIO("1/3\n"), out, io.StringIO()) == 0
+    assert out.getvalue() != ""
+    assert gc.get_freeze_count() == before
