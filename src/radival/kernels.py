@@ -5,7 +5,10 @@ a ratio's sign, p and q), floors the value onto the format's grid with one
 division, packs the two bounds as the fields (kind, sign, m, e) that
 FloatValue holds, and writes each bound's text from those fields: its hex
 significand, its exact decimal or its n-digit outward rounding, and the
-bracket of both. No value is built on the way. The value classes, the
+bracket of both. No value is built on the way. Every power these steps
+need is 5^k or 10^k = 5^k * 2^k, taken from one memo of powers of five
+(_pow5) that fills as records ask, so a record raises no power an earlier
+one has raised. The value classes, the
 staged API and the public renderers in digitstring, parse and render build
 on these functions, so each text rule has one home; this module imports
 only floatkit, so the command line loads none of those modules to run a
@@ -17,7 +20,37 @@ from __future__ import annotations
 import math
 import re
 
-from .floatkit import KIND_INFINITE, DomainError, FloatFormat, _grid_fields, _shifted_ge
+from .floatkit import (
+    _ZERO_FIELDS,
+    KIND_INFINITE,
+    KIND_NORMAL,
+    KIND_SUBNORMAL,
+    DomainError,
+    FloatFormat,
+    _grid_fields,
+    _shifted_ge,
+)
+
+# binary64's least exponent, the largest k for which a binary32 or binary64
+# record raises 5^k; the full memo holds about 240 KB. A binary128 power
+# (k up to 16,494, where the memo would grow to about 40 MB) is raised
+# afresh each time instead.
+_POW5_CAP = 1074
+_POW5: dict[int, int] = {}
+
+
+def _pow5(k: int) -> int:
+    """5^k for k >= 0, memoized up to _POW5_CAP; 10^k is _pow5(k) << k.
+
+    The memo is filled only by storing 5^k under k, which gives the same
+    entry whichever thread stores it first."""
+    try:
+        return _POW5[k]
+    except KeyError:
+        if k > _POW5_CAP:
+            return 5**k
+        power = _POW5[k] = 5**k
+        return power
 
 
 def _int_from_digits(text: str) -> int:
@@ -29,7 +62,7 @@ def _int_from_digits(text: str) -> int:
         return int(text)
     half = len(text) // 2
     low = text[half:]
-    return _int_from_digits(text[:half]) * 10 ** len(low) + _int_from_digits(low)
+    return (_int_from_digits(text[:half]) * _pow5(len(low)) << len(low)) + _int_from_digits(low)
 
 
 def _text_from_int(N: int, width: int = 0) -> str:
@@ -40,7 +73,7 @@ def _text_from_int(N: int, width: int = 0) -> str:
     if N.bit_length() <= 13000:
         return str(N).rjust(width, "0")
     low = N.bit_length() * 3 // 20
-    high, rest = divmod(N, 10**low)
+    high, rest = divmod(N, _pow5(low) << low)
     return _text_from_int(high, width - low) + _text_from_int(rest, low)
 
 
@@ -150,7 +183,11 @@ def _floor(sign: int, num: int, den: int, fmt: FloatFormat) -> tuple[int, int, i
 def _bounds(sign: int, m: int, e: int, rem: int, fmt: FloatFormat) -> tuple[tuple, tuple]:
     """The fields (kind, sign, m, e) of the lower and upper bound of the
     narrowest enclosing interval of the value with this grid floor."""
-    low = _grid_fields(sign, m, e, fmt)
+    # a grid floor's m is below 2^p, so unlike the step up it never carries
+    if m:
+        low = KIND_NORMAL if m >> (fmt.significand_bits - 1) else KIND_SUBNORMAL, sign, m, e
+    else:
+        low = _ZERO_FIELDS
     if not rem:
         return low, low
     high = _grid_fields(sign, m + 1, e, fmt)
@@ -170,7 +207,9 @@ def _decimal_floor(sign: int, text: str, e: int, fmt: FloatFormat) -> tuple[int,
     # |k| is at most the kept digits plus the format's decimal exponent range
     k = e - len(text)
     N = _int_from_digits(text) if text else 0
-    return _floor(sign, N * 10 ** max(k, 0), 10 ** max(-k, 0), fmt)
+    if k >= 0:
+        return _floor(sign, N * _pow5(k) << k, 1, fmt)
+    return _floor(sign, N, _pow5(-k) << -k, fmt)
 
 
 # b * log10(2) stays more than 1e-6 away from every integer for
@@ -188,7 +227,7 @@ def _infinity_text(sign: int) -> str:
 def _exact_digits(m: int, e: int) -> tuple[str, int]:
     """Canonical mantissa digits and decimal exponent of m * 2^e, m > 0: one
     conversion to text of m * 5^-e (m * 2^e is that over 10^-e when e < 0)."""
-    text = _text_from_int(m << e) if e >= 0 else _text_from_int(m * 5**-e)
+    text = _text_from_int(m << e) if e >= 0 else _text_from_int(m * _pow5(-e))
     # m > 0, so the text opens with a nonzero digit
     return text.rstrip("0"), len(text) + min(e, 0)
 
@@ -230,11 +269,11 @@ def _outward_digits(sign: int, m: int, e: int, n: int, direction: str) -> tuple[
     num, den = (m << e, 1) if e >= 0 else (m, 1 << -e)
     shift = n - exponent
     if shift >= 0:
-        num *= 10**shift
+        num *= _pow5(shift) << shift
     else:
-        den *= 10**-shift
+        den *= _pow5(-shift) << -shift
     q, r = divmod(num, den)
-    if q < 10 ** (n - 1):
+    if q < _pow5(n - 1) << (n - 1):
         exponent -= 1
         digit, r = divmod(10 * r, den)
         q = 10 * q + digit

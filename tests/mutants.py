@@ -53,7 +53,7 @@ MUTANTS = [
     # outward n-digit rounding and the bracket prefix
     Mutant(
         "no-one-digit-correction", "kernels.py",
-        "    if q < 10 ** (n - 1):\n", "    if False:\n", OUTWARD,
+        "    if q < _pow5(n - 1) << (n - 1):\n", "    if False:\n", OUTWARD,
     ),
     Mutant("no-carry", "kernels.py", "        if not digits:\n", "        if False:\n", OUTWARD),
     Mutant(
@@ -83,6 +83,12 @@ MUTANTS = [
         "    return n - (x.bit_length() + 7) // 8\n",
         "    return n - (x.bit_length() + 8) // 8\n",
         ("tests/test_render.py::test_shared_prefix_length_against_commonprefix",),
+    ),
+    # the memo of powers of five under every kernel
+    Mutant(
+        "pow5-memo-off-by-one", "kernels.py",
+        "        power = _POW5[k] = 5**k\n", "        power = _POW5[k] = 5 ** (k + 1)\n",
+        ("tests/test_render.py::test_pow5_against_direct_powers",),
     ),
     # kernel fields the checked constructors refuse, or a value canonical
     # in no format that only decompose refuses

@@ -2,8 +2,9 @@
 never uses, no function defaults its format, every name the package
 exports resolves, every public definition has a user, no function
 name is defined in two modules, the oracle imports no converter
-function, and every value is filled only at the end of its class's checked
-constructor. Launch hygiene:
+function, every value is filled only at the end of its class's checked
+constructor, and no kernel raises a power outside the memo of powers of
+five (kernels._pow5). Launch hygiene:
 importing the command line loads nothing that only --check needs, a
 --check run that checks no line never loads the oracle, a filter launch
 loads neither argparse nor the value modules (digitstring, parse,
@@ -177,6 +178,25 @@ def test_oracle_imports_no_converter_function():
             allowed = ORACLE_IMPORTS.get(module, set())
             foreign += [f"{module}.{a.name}" for a in node.names if a.name not in allowed]
     assert foreign == []
+
+
+def test_kernels_raise_powers_only_in_the_memo():
+    """Every ** in kernels.py sits in _pow5, so no record raises a power of
+    five or ten that the memo already holds."""
+    tree = ast.parse((pathlib.Path(radival.__file__).parent / "kernels.py").read_text())
+    memo = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_pow5"
+    ]
+    assert len(memo) == 1
+    inside = {id(node) for node in ast.walk(memo[0])}
+    powers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Pow)
+        and id(node) not in inside
+    ]
+    assert powers == []
 
 
 def test_cli_imports_nothing_private_from_render():

@@ -4,6 +4,7 @@ import math
 import random
 import struct
 import sys
+import threading
 import time
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
@@ -32,10 +33,13 @@ from radival.floatkit import (
     to_bits,
 )
 from radival.kernels import (
+    _POW5,
+    _POW5_CAP,
     _bounds,
     _decimal_floor,
     _floor,
     _numeral,
+    _pow5,
     _shared_prefix_length,
     _text_from_int,
     enclosure_fields,
@@ -712,6 +716,47 @@ def test_shared_prefix_length_against_commonprefix():
         pairs.append(tuple(plain_decimal(float_to_exact_decimal(x, BINARY64)) for x in pair))
     for a, b in pairs:
         assert _shared_prefix_length(a, b) == len(commonprefix([a, b])), (a, b)
+
+
+def test_pow5_against_direct_powers():
+    # every k a binary32 or binary64 record reaches, a few past the cap,
+    # and two binary128 depths, which are raised afresh and never stored
+    for k in [*range(1101), 5000, 16494]:
+        assert _pow5(k) == 5**k, k
+    assert _POW5_CAP == 1074
+    assert max(_POW5) <= _POW5_CAP
+
+
+def test_pow5_memo_under_thread_switches():
+    """Eight threads fill a cleared memo at once, each in its own shuffled
+    order, with the interpreter switching threads as often as it can: every
+    power they get, and every entry left, is 5^k."""
+    rng = random.Random(5)
+    orders = [rng.sample(range(_POW5_CAP + 1), _POW5_CAP + 1) for _ in range(8)]
+    results = [None] * len(orders)
+    start = threading.Barrier(len(orders))
+
+    def ask(i):
+        start.wait()
+        results[i] = [(k, _pow5(k)) for k in orders[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _POW5.clear()
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(orders))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for pairs in results:
+        assert len(pairs) == _POW5_CAP + 1
+        assert all(power == 5**k for k, power in pairs)
+    assert sorted(_POW5) == list(range(_POW5_CAP + 1))
+    assert all(power == 5**k for k, power in _POW5.items())
 
 
 class TestHexSignificand:
