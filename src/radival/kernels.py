@@ -5,10 +5,16 @@ a ratio's sign, p and q), floors the value onto the format's grid with one
 division, packs the two bounds as the fields (kind, sign, m, e) that
 FloatValue holds, and writes each bound's text from those fields: its hex
 significand, its exact decimal or its n-digit outward rounding, and the
-bracket of both. No value is built on the way. Every power these steps
-need is 5^k or 10^k = 5^k * 2^k, taken from one memo of powers of five
-(_pow5) that fills as records ask, so a record raises no power an earlier
-one has raised. The value classes, the
+bracket of both. No value is built on the way. A parse record's five
+fields come from one pass of enclosure_fields over the two bounds, which
+calls each text rule where it lives: _hex for the hex layout,
+_exact_digits for a bound's exact digits (one str() of m * 5^-e, split by
+_text_from_int only past CPython's 4300-digit limit), _positional for the
+positional layout and _cut for the bracket, whose shared prefix is found
+in a window of leading bytes that grows only while the bounds agree
+across it. Every power these steps need is 5^k or 10^k = 5^k * 2^k, taken
+from one memo of powers of five (_pow5) that fills as records ask, so a
+record raises no power an earlier one has raised. The value classes, the
 staged API and the public renderers in digitstring, parse and render build
 on these functions, so each text rule has one home; this module imports
 only floatkit, so the command line loads none of those modules to run a
@@ -219,6 +225,9 @@ _LOG10_2 = math.log10(2)
 
 _BRACKET = "%s[%s,%s]"
 
+# the first window _shared_prefix_length compares
+_PREFIX_WINDOW = 32
+
 
 def _infinity_text(sign: int) -> str:
     return "inf" if sign > 0 else "-inf"
@@ -226,10 +235,16 @@ def _infinity_text(sign: int) -> str:
 
 def _exact_digits(m: int, e: int) -> tuple[str, int]:
     """Canonical mantissa digits and decimal exponent of m * 2^e, m > 0: one
-    conversion to text of m * 5^-e (m * 2^e is that over 10^-e when e < 0)."""
-    text = _text_from_int(m << e) if e >= 0 else _text_from_int(m * _pow5(-e))
+    conversion to text of m * 5^-e (m * 2^e is that over 10^-e when e < 0).
+    str() converts it, and _text_from_int only past CPython's 4300-digit
+    limit, where str() raises."""
+    N = m << e if e >= 0 else m * _pow5(-e)
+    try:
+        text = str(N)
+    except ValueError:
+        text = _text_from_int(N)
     # m > 0, so the text opens with a nonzero digit
-    return text.rstrip("0"), len(text) + min(e, 0)
+    return text.rstrip("0"), (len(text) + e if e < 0 else len(text))
 
 
 def _step_outward(
@@ -339,14 +354,21 @@ def _cut(lo_text: str, hi_text: str, lo_lead: object, hi_lead: object) -> tuple[
 def _shared_prefix_length(a: str, b: str) -> int:
     """Length of the longest common prefix of two ASCII texts.
 
-    Read as big-endian integers, the first n bytes of each differ first in
+    Read as big-endian integers, the first w bytes of each differ first in
     the highest byte their XOR sets, so the bytes below it count what
     follows the prefix: one XOR at C speed, with no Python step per
-    character.
+    character. The window w starts at _PREFIX_WINDOW bytes, where two
+    adjacent floats' texts have parted unless a run of zeros leads them,
+    and grows fourfold while the texts agree across it.
     """
-    n = min(len(a), len(b))
-    x = int.from_bytes(a[:n].encode(), "big") ^ int.from_bytes(b[:n].encode(), "big")
-    return n - (x.bit_length() + 7) // 8
+    n = len(a) if len(a) < len(b) else len(b)
+    w = _PREFIX_WINDOW
+    while w < n and a[:w] == b[:w]:
+        w *= 4
+    if w > n:
+        w = n
+    x = int.from_bytes(a[:w].encode(), "big") ^ int.from_bytes(b[:w].encode(), "big")
+    return w - (x.bit_length() + 7) // 8
 
 
 def _hex(sign: int, m: int, e: int, fmt: FloatFormat) -> str:
@@ -365,9 +387,28 @@ def enclosure_fields(lower: tuple, upper: tuple, fmt: FloatFormat) -> tuple[str,
     (kind, sign, m, e) of a format value as _bounds gives them: each
     bound's hex significand and exact decimal, as hex_significand_rendering
     and float_to_exact_decimal give them, then their bracket_notation, with
-    no value built. Equal bounds are written once."""
-    low = _bound_texts(lower, fmt)
-    return _fields(low, low if upper == lower else _bound_texts(upper, fmt))
+    no value built. One pass over both bounds calls each text rule where
+    it lives, with no wrapper between; equal bounds are written once."""
+    kind, sign, m, e = lower
+    if kind == KIND_INFINITE:
+        lb_hex = lo = _infinity_text(sign)
+        lo_lead = None
+    else:
+        digits, exponent = _exact_digits(m, e) if m else ("", 0)
+        lb_hex = _hex(sign, m, e, fmt)
+        lo, lo_lead = _positional(sign, digits, exponent)
+    if upper == lower:
+        ub_hex, hi, hi_lead = lb_hex, lo, lo_lead
+    else:
+        kind, sign, m, e = upper
+        if kind == KIND_INFINITE:
+            ub_hex = hi = _infinity_text(sign)
+            hi_lead = None
+        else:
+            digits, exponent = _exact_digits(m, e) if m else ("", 0)
+            ub_hex = _hex(sign, m, e, fmt)
+            hi, hi_lead = _positional(sign, digits, exponent)
+    return lb_hex, lo, ub_hex, hi, _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
 
 
 def numeral_fields(numeral: tuple, lower: tuple, upper: tuple, fmt: FloatFormat) -> tuple[str, ...]:
@@ -377,22 +418,7 @@ def numeral_fields(numeral: tuple, lower: tuple, upper: tuple, fmt: FloatFormat)
     if lower != upper:
         return enclosure_fields(lower, upper, fmt)
     _, sign, m, e = lower
-    bound = _hex(sign, m, e, fmt), *_positional(*numeral)
-    return _fields(bound, bound)
-
-
-def _fields(lb: tuple, ub: tuple) -> tuple[str, str, str, str, str]:
-    """The five fields from the texts and leads of both bounds."""
-    (lb_hex, lo, lo_lead), (ub_hex, hi, hi_lead) = lb, ub
-    return lb_hex, lo, ub_hex, hi, _BRACKET % _cut(lo, hi, lo_lead, hi_lead)
-
-
-def _bound_texts(bound: tuple, fmt: FloatFormat) -> tuple[str, str, tuple | None]:
-    """Hex and positional text of a bound and its lead, from its fields
-    (kind, sign, m, e); an infinity has no lead."""
-    kind, sign, m, e = bound
-    if kind == KIND_INFINITE:
-        text = _infinity_text(sign)
-        return text, text, None
-    digits, exponent = _exact_digits(m, e) if m else ("", 0)
-    return (_hex(sign, m, e, fmt), *_positional(sign, digits, exponent))
+    bound_hex = _hex(sign, m, e, fmt)
+    sign, digits, exponent = numeral
+    text, lead = _positional(sign, digits, exponent)
+    return bound_hex, text, bound_hex, text, _BRACKET % _cut(text, text, lead, lead)

@@ -80,8 +80,13 @@ MUTANTS = [
     ),
     Mutant(
         "prefix-bytes-off-by-one", "kernels.py",
-        "    return n - (x.bit_length() + 7) // 8\n",
-        "    return n - (x.bit_length() + 8) // 8\n",
+        "    return w - (x.bit_length() + 7) // 8\n",
+        "    return w - (x.bit_length() + 8) // 8\n",
+        ("tests/test_render.py::test_shared_prefix_length_against_commonprefix",),
+    ),
+    Mutant(
+        "prefix-window-never-widens", "kernels.py",
+        "        w *= 4\n", "        break\n",
         ("tests/test_render.py::test_shared_prefix_length_against_commonprefix",),
     ),
     # the memo of powers of five under every kernel
@@ -89,6 +94,16 @@ MUTANTS = [
         "pow5-memo-off-by-one", "kernels.py",
         "        power = _POW5[k] = 5**k\n", "        power = _POW5[k] = 5 ** (k + 1)\n",
         ("tests/test_render.py::test_pow5_against_direct_powers",),
+    ),
+    Mutant(
+        "pow5-memo-grows-a-list", "kernels.py",
+        "_POW5: dict[int, int] = {}\n\n\ndef _pow5(k: int) -> int:\n",
+        "_POW5: list[int] = []\n\n\ndef _pow5(k: int) -> int:\n"
+        "    if k <= _POW5_CAP:\n"
+        "        while len(_POW5) <= k:\n"
+        "            _POW5.append(5 ** len(_POW5))\n"
+        "        return _POW5[k]\n",
+        ("tests/test_hygiene.py::test_pow5_memo_is_written_only_by_its_idempotent_store",),
     ),
     # kernel fields the checked constructors refuse, or a value canonical
     # in no format that only decompose refuses
@@ -99,8 +114,8 @@ MUTANTS = [
     ),
     Mutant(
         "trailing-zero-exact-decimal", "kernels.py",
-        '    return text.rstrip("0"), len(text) + min(e, 0)\n',
-        "    return text, len(text) + min(e, 0)\n",
+        '    return text.rstrip("0"), (len(text) + e if e < 0 else len(text))\n',
+        "    return text, (len(text) + e if e < 0 else len(text))\n",
         ("tests/test_render.py::test_carries_and_trailing_zeros_occur",),
     ),
     Mutant(
@@ -203,8 +218,8 @@ MUTANTS = [
     ),
     Mutant(
         "exact-digits-last-digit-and-exponent", "kernels.py",
-        '    return text.rstrip("0"), len(text) + min(e, 0)\n',
-        '    return text.rstrip("0")[:-1] + "7", len(text) + min(e, 0) - 2\n',
+        '    return text.rstrip("0"), (len(text) + e if e < 0 else len(text))\n',
+        '    return text.rstrip("0")[:-1] + "7", (len(text) + e if e < 0 else len(text)) - 2\n',
         ("tests/test_cli.py::TestPrint::test_check_reads_the_printed_text",),
     ),
     *(
@@ -291,8 +306,8 @@ MUTANTS = [
     ),
     Mutant(
         "numeral-digits-exponent-off-by-one", "kernels.py",
-        "    bound = _hex(sign, m, e, fmt), *_positional(*numeral)\n",
-        "    bound = _hex(sign, m, e, fmt), *_positional(*numeral[:2], numeral[2] + 1)\n",
+        "    text, lead = _positional(sign, digits, exponent)\n",
+        "    text, lead = _positional(sign, digits, exponent + 1)\n",
         ("tests/test_render.py::TestFloorFields::test_matches_the_public_route",),
     ),
     Mutant(

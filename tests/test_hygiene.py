@@ -3,8 +3,9 @@ never uses, no function defaults its format, every name the package
 exports resolves, every public definition has a user, no function
 name is defined in two modules, the oracle imports no converter
 function, every value is filled only at the end of its class's checked
-constructor, and no kernel raises a power outside the memo of powers of
-five (kernels._pow5). Launch hygiene:
+constructor, no kernel raises a power outside the memo of powers of
+five (kernels._pow5), and that memo changes only by its one idempotent
+store. Launch hygiene:
 importing the command line loads nothing that only --check needs, a
 --check run that checks no line never loads the oracle, a filter launch
 loads neither argparse nor the value modules (digitstring, parse,
@@ -197,6 +198,51 @@ def test_kernels_raise_powers_only_in_the_memo():
         and id(node) not in inside
     ]
     assert powers == []
+
+
+# what a dict or a list offers to change itself in place
+MUTATING_METHODS = {
+    "append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
+    "setdefault", "sort", "reverse", "__setitem__", "__delitem__", "__iadd__",
+}
+
+
+def test_pow5_memo_is_written_only_by_its_idempotent_store():
+    """The memo of powers of five changes in one statement only: _pow5's
+    power = _POW5[k] = 5**k, which stores the same entry whichever thread
+    gets there first. The module binds _POW5 once, to an empty dict; no
+    other store, deletion or rebinding touches it, and no method that
+    changes a dict or a list in place is called on it, so no fill can race
+    another into a wrong or duplicated entry."""
+    tree = ast.parse((pathlib.Path(radival.__file__).parent / "kernels.py").read_text())
+    memo = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_pow5"
+    )
+    item_writes, bindings, methods = [], [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            if isinstance(node.value, ast.Name) and node.value.id == "_POW5":
+                item_writes.append(node)
+        elif isinstance(node, ast.Name) and node.id == "_POW5":
+            if not isinstance(node.ctx, ast.Load):
+                bindings.append(node)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "_POW5" and node.attr in MUTATING_METHODS:
+                methods.append((node.lineno, node.attr))
+    assert methods == []
+    [definition] = [
+        node for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "_POW5"
+    ]
+    assert bindings == [definition.target]
+    assert ast.unparse(definition.value) == "{}"
+    [store] = item_writes
+    assert isinstance(store.ctx, ast.Store) and ast.unparse(store) == "_POW5[k]"
+    [statement] = [
+        node for node in ast.walk(memo)
+        if isinstance(node, ast.Assign) and any(target is store for target in node.targets)
+    ]
+    assert ast.unparse(statement.value) == "5 ** k"
 
 
 def test_cli_imports_nothing_private_from_render():

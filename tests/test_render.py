@@ -35,6 +35,7 @@ from radival.floatkit import (
 from radival.kernels import (
     _POW5,
     _POW5_CAP,
+    _PREFIX_WINDOW,
     _bounds,
     _decimal_floor,
     _floor,
@@ -714,6 +715,23 @@ def test_shared_prefix_length_against_commonprefix():
         pair = f, next_up(f, BINARY64)
         pairs.append(tuple(hex_significand_rendering(x, BINARY64) for x in pair))
         pairs.append(tuple(plain_decimal(float_to_exact_decimal(x, BINARY64)) for x in pair))
+    # the window starts at _PREFIX_WINDOW bytes and grows fourfold: prefixes
+    # that end one byte before, at and after each edge, with texts that go
+    # on past it or stop where the prefix does
+    edge = _PREFIX_WINDOW
+    while edge <= 8192:
+        for k in (edge - 1, edge, edge + 1):
+            text = ascii_text(k + 40)
+            other = chr(ord(text[k]) ^ 1)
+            pairs += [(text, text[:k] + other + text[k + 1 :]), (text[:k] + other, text)]
+            pairs += [(text[:k], text), (text, text[:k]), (text[: k + 1], text[: k + 1])]
+        edge *= 4
+    # a value near 1e-300 or 1e-4000 prints its bounds with that many
+    # shared zeros after the point, so the window must keep growing
+    for zeros in (300, 4000):
+        lead = "0." + "0" * zeros
+        pairs += [(lead + "1234", lead + "1235"), ("-" + lead + "98", "-" + lead + "99")]
+        pairs += [(lead + "5", lead + "5"), (lead, lead + "7")]
     for a, b in pairs:
         assert _shared_prefix_length(a, b) == len(commonprefix([a, b])), (a, b)
 
@@ -1106,6 +1124,11 @@ class TestFloorFields:
         fields = enclosure_fields(*bounds, BINARY64)
         assert fields == ("2^(-2) * 1.8000000000000", "0.375") * 2 + ("0.375[,]",)
         assert calls == [(3 << 51, -54)]
+        # unequal bounds convert once each
+        calls.clear()
+        lower, upper = _bounds(*_decimal_floor(*_numeral("0.1"), BINARY32), BINARY32)
+        enclosure_fields(lower, upper, BINARY32)
+        assert calls == [lower[2:], upper[2:]]
 
 
 def edge_patterns(fmt: FloatFormat) -> list[int]:
