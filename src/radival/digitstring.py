@@ -26,10 +26,12 @@ _ROLES = (FRACTION, INTEGER)
 class DigitString(Value):
     """Digits of a pure decimal fraction or an unsigned decimal integer.
 
-    The digits are kept as ASCII text; a tuple or list of ints is accepted
-    too and turned into text on construction."""
+    The tuple (text, role), the digits kept as ASCII text; a tuple or list
+    of ints is accepted too and turned into text on construction. len()
+    counts the digits, while iteration yields the two fields."""
 
-    __slots__ = _fields = ("text", "role")
+    __slots__ = ()
+    _fields = ("text", "role")
 
     def __new__(cls, text: str | Iterable[int], role: str = FRACTION) -> DigitString:
         if not isinstance(text, str):
@@ -43,7 +45,7 @@ class DigitString(Value):
                 raise ValueError("fraction digit string may not end in 0")
             if role == INTEGER and text[0] == "0":
                 raise ValueError("integer digit string may not start with 0")
-        return cls._of(text, role)
+        return cls._of((text, role))
 
     @property
     def digits(self) -> tuple[int, ...]:

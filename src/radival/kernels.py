@@ -3,7 +3,7 @@
 A record reads its text to fields (a numeral's sign, digits and exponent,
 a ratio's sign, p and q), floors the value onto the format's grid with one
 division, packs the two bounds as the fields (kind, sign, m, e) that
-FloatValue holds, and writes each bound's text from those fields: its hex
+a FloatValue is, and writes each bound's text from those fields: its hex
 significand, its exact decimal or its n-digit outward rounding, and the
 bracket of both. No value is built on the way. A parse record's five
 fields come from one pass of enclosure_fields over the two bounds, which
@@ -320,7 +320,8 @@ def _decimal_text(bound: tuple, n: int | None, direction: str) -> tuple:
         return _infinity_text(sign), None
     if not m:
         return _positional(sign, "", 0)
-    return _positional(sign, *_outward_digits(sign, m, e, n, direction))
+    digits, exponent = _outward_digits(sign, m, e, n, direction)
+    return _positional(sign, digits, exponent)
 
 
 def _positional(sign: int, digits: str, e: int) -> tuple[str, tuple[int, int, str]]:

@@ -22,7 +22,6 @@ from .floatkit import (
     KIND_NORMAL,
     KIND_SUBNORMAL,
     KIND_ZERO,
-    ZERO,
     FloatFormat,
     FloatInterval,
     FloatValue,
@@ -30,15 +29,27 @@ from .floatkit import (
 )
 
 
+def _digits_value(digits: str) -> int:
+    """The integer a text of ASCII digits spells, 0 for no digits. Past
+    int()'s 4300-digit default limit, 4000-digit pieces from the right end
+    join in pairs, widths doubling each round: balanced products only."""
+    if len(digits) <= 4000:
+        return int(digits or "0")
+    width = 4000
+    pieces = [int(digits[max(i - width, 0) : i]) for i in range(len(digits), 0, -width)]
+    while len(pieces) > 1:
+        scale = 10**width
+        joined = [low + high * scale for low, high in zip(pieces[::2], pieces[1::2])]
+        # an odd count leaves the top piece, the only short one, to the next round
+        pieces = joined + pieces[2 * len(joined) :]
+        width *= 2
+    return pieces[0]
+
+
 def _decimal_ratio(sign: int, digits: str, exponent: int) -> tuple[int, int]:
     """sign * 0.digits * 10^exponent, the digits ASCII and empty for zero, as
     a signed numerator over a positive denominator, not reduced."""
-    # int() refuses texts past 4300 digits by default; read in chunks
-    N = int(digits[:4000] or "0")
-    for i in range(4000, len(digits), 4000):
-        chunk = digits[i : i + 4000]
-        N = N * 10 ** len(chunk) + int(chunk)
-    N *= sign
+    N = sign * _digits_value(digits)
     scale = exponent - len(digits)
     if scale >= 0:
         return N * 10**scale, 1
@@ -48,7 +59,7 @@ def _decimal_ratio(sign: int, digits: str, exponent: int) -> tuple[int, int]:
 def exact_value(d: DecimalScientific) -> Fraction:
     """Value of a normalized decimal as an exact rational."""
     from fractions import Fraction
-    return Fraction(*_decimal_ratio(d.sign, d.mantissa.as_text(), d.exponent))
+    return Fraction(*_decimal_ratio(d.sign, d.mantissa.text, d.exponent))
 
 
 def rational_value(r: Rational) -> Fraction:
@@ -147,9 +158,8 @@ def narrowest_interval_reference(x: Fraction, fmt: FloatFormat) -> FloatInterval
     """Tightest enclosing interval of the rational x."""
     from fractions import Fraction
     x = Fraction(x)
-    bounds = _reference(x.numerator, x.denominator, fmt)
-    lb, ub = (ZERO if f[0] == KIND_ZERO else FloatValue(*f) for f in bounds)
-    return FloatInterval(lb, ub)
+    lower, upper = _reference(x.numerator, x.denominator, fmt)
+    return FloatInterval(FloatValue(*lower), FloatValue(*upper))
 
 
 def rational_reference(sign: int, p: int, q: int, fmt: FloatFormat) -> tuple[tuple, tuple]:

@@ -22,7 +22,7 @@ forms on random inputs.
 from __future__ import annotations
 
 from .digitstring import FRACTION, DigitString, _fraction_digits, _fraction_int, _require
-from .floatkit import DomainError, FloatFormat, FloatInterval, _as_float
+from .floatkit import DomainError, FloatFormat, FloatInterval, FloatValue
 from .kernels import _bounds, _decimal_floor, _floor, _log2_floor, _numeral, _ratio
 from .value import Value
 
@@ -35,19 +35,21 @@ class DecimalScientific(Value):
     and positive sign.
     """
 
-    __slots__ = _fields = ("sign", "mantissa", "exponent")
+    __slots__ = ()
+    _fields = ("sign", "mantissa", "exponent")
 
     def __new__(cls, sign: int, mantissa: DigitString, exponent: int) -> DecimalScientific:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        text = mantissa.text
         if mantissa.role != FRACTION:
             raise ValueError("mantissa must be a fraction digit string")
-        if mantissa.text:
-            if mantissa.text[0] == "0":
+        if text:
+            if text[0] == "0":
                 raise ValueError("mantissa must open with a nonzero digit")
         elif (sign, exponent) != (1, 0):
             raise ValueError("zero is stored as sign +1, empty mantissa, exponent 0")
-        return cls._of(sign, mantissa, exponent)
+        return cls._of((sign, mantissa, exponent))
 
     @property
     def is_zero(self) -> bool:
@@ -62,7 +64,8 @@ class Rational(Value):
 
     Reduction is not required; conversion tolerates common factors."""
 
-    __slots__ = _fields = ("sign", "p", "q")
+    __slots__ = ()
+    _fields = ("sign", "p", "q")
 
     def __new__(cls, sign: int, p: int, q: int) -> Rational:
         if sign not in (1, -1):
@@ -71,7 +74,7 @@ class Rational(Value):
             raise DomainError("zero denominator")
         if p < 0 or q < 0:
             raise ValueError("p and q must be nonnegative; use the sign")
-        return cls._of(sign, p, q)
+        return cls._of((sign, p, q))
 
     @classmethod
     def from_text(cls, text: str) -> "Rational":
@@ -157,8 +160,8 @@ def mantissa_bits(m: DigitString, count: int) -> list[int]:
 def _enclose(sign: int, m: int, e: int, rem: int, fmt: FloatFormat) -> FloatInterval:
     """The narrowest enclosing interval of the value with this grid floor."""
     lower, upper = _bounds(sign, m, e, rem, fmt)
-    lb = _as_float(lower)
-    return FloatInterval(lb, _as_float(upper) if rem else lb)
+    lb = FloatValue(*lower)
+    return FloatInterval(lb, FloatValue(*upper) if rem else lb)
 
 
 def decimal_to_interval(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval:
@@ -174,9 +177,11 @@ def decimal_to_interval(d: DecimalScientific, fmt: FloatFormat) -> FloatInterval
     tail past the 10^L place, nonzero in a canonical mantissa, counts as one
     sticky 5, and the digit work is bounded by the format's exponent range.
     """
-    return _enclose(*_decimal_floor(d.sign, d.mantissa.text, d.exponent, fmt), fmt)
+    sign, m, e, rem = _decimal_floor(d.sign, d.mantissa.text, d.exponent, fmt)
+    return _enclose(sign, m, e, rem, fmt)
 
 
 def rational_to_interval(r: Rational, fmt: FloatFormat) -> FloatInterval:
     """Narrowest enclosing interval for p/q, never forming a decimal."""
-    return _enclose(*_floor(r.sign, r.p, r.q, fmt), fmt)
+    sign, m, e, rem = _floor(r.sign, r.p, r.q, fmt)
+    return _enclose(sign, m, e, rem, fmt)

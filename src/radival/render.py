@@ -33,12 +33,13 @@ from .value import Value
 class DecimalInfinity(Value):
     """Marker for an interval endpoint beyond the finite range."""
 
-    __slots__ = _fields = ("sign",)
+    __slots__ = ()
+    _fields = ("sign",)
 
     def __new__(cls, sign: int) -> DecimalInfinity:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        return cls._of(sign)
+        return cls._of((sign,))
 
 
 class BracketRendering(Value):
@@ -48,10 +49,11 @@ class BracketRendering(Value):
     gives the final string, and prefix + tail reproduces each bound's
     numeral exactly."""
 
-    __slots__ = _fields = ("prefix", "low_tail", "high_tail")
+    __slots__ = ()
+    _fields = ("prefix", "low_tail", "high_tail")
 
     def __new__(cls, prefix: str, low_tail: str, high_tail: str) -> BracketRendering:
-        return cls._of(prefix, low_tail, high_tail)
+        return cls._of((prefix, low_tail, high_tail))
 
     def text(self) -> str:
         return _BRACKET % (self.prefix, self.low_tail, self.high_tail)
@@ -91,13 +93,14 @@ def _to_decimal(
     f: FloatValue, n: int | None, direction: str, fmt: FloatFormat
 ) -> DecimalScientific | DecimalInfinity:
     """The float as kernels._decimal_text writes it, as a value or infinity marker."""
-    if f.kind == KIND_INFINITE:
-        return DecimalInfinity(f.sign)
+    kind, sign, _, _ = f
+    if kind == KIND_INFINITE:
+        return DecimalInfinity(sign)
     m, e = decompose(f, fmt)
     if m == 0:
         return DECIMAL_ZERO
-    digits, exponent = _outward_digits(f.sign, m, e, n, direction)
-    return DecimalScientific(f.sign, DigitString(digits), exponent)
+    digits, exponent = _outward_digits(sign, m, e, n, direction)
+    return DecimalScientific(sign, DigitString(digits), exponent)
 
 
 def interval_to_decimal(

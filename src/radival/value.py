@@ -1,50 +1,45 @@
 """The base of radival's immutable value classes.
 
-A subclass names its fields in _fields and keeps them, with any values it
-derives once, in __slots__. Its __new__ checks the arguments and ends in
-_of, the one place an instance is filled; equality, hashing and repr
-follow the fields, and no field can be assigned later.
+A value is the tuple of the fields its class names in _fields, each read
+by name through namedtuple's C-level getter. A subclass's __new__ checks
+the arguments and ends in _of, the one place an instance is filled, and
+copy and pickle rebuild through it. A value equals only a value of its
+class with equal fields, never the bare tuple of them, and has no order.
 """
 
 from __future__ import annotations
 
-_new = object.__new__
-_set_field = object.__setattr__
+from collections import _tuplegetter
 
 
-class Value:
+def _unordered(self: Value, other: object) -> bool:
+    raise TypeError(f"no order between {type(self).__name__} and {type(other).__name__}")
+
+
+class Value(tuple):
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    @classmethod
-    def _of(cls, *values: object) -> Value:
-        """An instance with its slots set in order: the last step of a
-        __new__, once the arguments are checked."""
-        self = _new(cls)
-        for name, value in zip(cls.__slots__, values):
-            _set_field(self, name, value)
-        return self
+    def __init_subclass__(cls) -> None:
+        for index, name in enumerate(cls.__dict__.get("_fields", ())):
+            setattr(cls, name, _tuplegetter(index, None))
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    # cls._of(fields) is the instance holding the tuple of fields: the last
+    # step of a __new__, once the arguments are checked
+    _of = classmethod(tuple.__new__)
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return type(self), self._key()  # copy and pickle rebuild through __new__
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"field {name!r} is read-only")
-
-    __delattr__ = __setattr__
-
+        return type(self), tuple(self)  # copy and pickle rebuild through __new__

@@ -159,6 +159,13 @@ MUTANTS = [
         STEP_WALK,
     ),
     Mutant(
+        "float-value-without-significand-check", "floatkit.py",
+        "            if significand <= 0:\n"
+        '                raise ValueError("finite nonzero value needs a positive significand")\n',
+        "            pass\n",
+        ("tests/test_values.py::test_float_value_checks_its_fields",),
+    ),
+    Mutant(
         "unreduced-hash", "floatkit.py",
         "            m, e = m >> shift, e + shift\n", "",
         ("tests/test_floatkit.py::TestOrderingAndEquality",),

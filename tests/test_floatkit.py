@@ -134,10 +134,11 @@ class TestOrderingAndEquality:
             BINARY32.max_finite,
             infinity(1),
         ]
-        for lo, hi in zip(vals, vals[1:]):
-            assert lo < hi
-            assert hi > lo
-            assert lo != hi
+        # all four order operators and both equality operators, on every pair
+        for i, a in enumerate(vals):
+            for j, b in enumerate(vals):
+                assert (a < b, a <= b, a > b, a >= b) == (i < j, i <= j, i > j, i >= j), (a, b)
+                assert (a == b, a != b) == (i == j, i != j), (a, b)
 
     def test_hash_follows_equality(self):
         a = exact_float(1, 1, 0, BINARY32)
@@ -151,8 +152,8 @@ class TestOrderingAndEquality:
         a, b = from_bits(pa, BINARY32), from_bits(pb, BINARY32)
         fa = struct.unpack("<f", struct.pack("<I", pa))[0]
         fb = struct.unpack("<f", struct.pack("<I", pb))[0]
-        assert (a < b) == (fa < fb)
-        assert (a == b) == (fa == fb)
+        assert (a < b, a <= b, a > b, a >= b) == (fa < fb, fa <= fb, fa > fb, fa >= fb)
+        assert (a == b, a != b) == (fa == fb, fa != fb)
 
     def test_order_across_formats(self):
         # values of three formats in both signs: zero, subnormals, one, the

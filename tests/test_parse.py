@@ -530,7 +530,7 @@ class TestDecimalCut:
             d = parse_numeral(text)
             cut += len(d.mantissa.text) > d.exponent - fmt.least_exponent
             iv = decimal_to_interval(d, fmt)
-            assert (iv.lb._key(), iv.ub._key()) == oracle.decimal_reference(
+            assert (tuple(iv.lb), tuple(iv.ub)) == oracle.decimal_reference(
                 d.sign, d.mantissa.text, d.exponent, fmt
             ), text
         assert cut > 4 * count

@@ -896,8 +896,8 @@ FIVE_IDS = ["binary16", "bfloat16", "binary32", "binary64", "binary128"]
 
 
 def written(interval: FloatInterval, fmt: FloatFormat) -> tuple[str, ...]:
-    """enclosure_fields of an interval's bounds, given as the fields FloatValue holds."""
-    return enclosure_fields(interval.lb._key(), interval.ub._key(), fmt)
+    """enclosure_fields of an interval's bounds, given as their bare fields."""
+    return enclosure_fields(tuple(interval.lb), tuple(interval.ub), fmt)
 
 
 class TestEnclosureFields:
@@ -1178,4 +1178,4 @@ class TestOutwardFields:
 
     def test_budget_below_one(self):
         with pytest.raises(ValueError):
-            outward_fields(ZERO._key(), ZERO._key(), 0)
+            outward_fields(tuple(ZERO), tuple(ZERO), 0)

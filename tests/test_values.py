@@ -1,8 +1,10 @@
-"""The value classes: immutable, equal and hashed by their fields, with the
-same repr the former dataclasses printed, and formats whose derived
-constants are computed once."""
+"""The value classes: immutable tuples of their fields, equal and hashed by
+them, with the same repr the former dataclasses printed, rebuilt through
+their checks by copy and pickle, and never equal to their bare fields;
+formats, slotted, with derived constants computed once."""
 
 import copy
+import operator
 import pickle
 
 import pytest
@@ -11,8 +13,11 @@ from radival.digitstring import DigitString
 from radival.floatkit import (
     BINARY32,
     BINARY64,
+    KIND_INFINITE,
     KIND_NORMAL,
     KIND_SUBNORMAL,
+    KIND_ZERO,
+    ZERO,
     FloatFormat,
     FloatInterval,
     FloatValue,
@@ -43,6 +48,7 @@ VALUES = [
     ),
 ]
 IDS = [type(value).__name__ for value, _ in VALUES]
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 
 
 @pytest.mark.parametrize("value, text", VALUES, ids=IDS)
@@ -60,11 +66,88 @@ class TestValueClasses:
             value.extra = 1
 
     def test_copies_are_equal(self, value, text):
-        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in PROTOCOLS]
+        for twin in (copy.copy(value), copy.deepcopy(value), *pickled):
             assert type(twin) is type(value)
             assert twin == value
             assert hash(twin) == hash(value)
             assert repr(twin) == text
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize(
+    "value, field, forged",
+    [(DigitString("125"), b"125", b"120"), (HALF, b"normal", b"nurmal")],
+    ids=["trailing-zero-fraction", "unknown-kind"],
+)
+def test_pickle_rebuilds_through_the_checks(value, field, forged, protocol):
+    # a pickle names the class and its fields, so a field edited in the
+    # bytes meets __new__'s checks on load, in every protocol; a tuple
+    # rebuilt by tuple.__new__ would skip them
+    data = pickle.dumps(value, protocol)
+    assert data.count(field) == 1
+    with pytest.raises(ValueError):
+        pickle.loads(data.replace(field, forged))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        ("nan", 1, 0, 0),
+        (KIND_NORMAL, 0, 1 << 23, -23),
+        (KIND_NORMAL, 1, 0, -23),
+        (KIND_SUBNORMAL, -1, -1, -149),
+        (KIND_ZERO, -1, 0, 0),
+        (KIND_ZERO, 1, 0, 1),
+        (KIND_INFINITE, 1, 1, 0),
+    ],
+)
+def test_float_value_checks_its_fields(fields):
+    with pytest.raises(ValueError):
+        FloatValue(*fields)
+
+
+def test_zero_fields_give_the_one_zero():
+    assert FloatValue(KIND_ZERO, 1, 0, 0) is ZERO
+    assert copy.copy(ZERO) is ZERO and copy.deepcopy(ZERO) is ZERO
+    assert all(pickle.loads(pickle.dumps(ZERO, protocol)) is ZERO for protocol in PROTOCOLS)
+
+
+def test_a_value_is_not_its_bare_fields():
+    # a value is the tuple of its fields, yet equals only a value of its
+    # class: tuple equality would make binary32's 1.0 equal its fields but
+    # not binary64's 1.0, which equals it and shares its hash
+    values = [HALF, ZERO, DigitString("125"), Rational(1, 3, 7), FloatInterval(HALF, HALF)]
+    for value in values:
+        fields = tuple(value)
+        assert value != fields and fields != value
+        assert not (value == fields or fields == value)
+        assert fields not in {value} and value not in {fields}
+        assert fields not in {value: 0} and value not in {fields: 0}
+    wide = FloatValue(KIND_NORMAL, 1, 1 << 52, -53)
+    assert HALF == wide and hash(HALF) == hash(wide)
+    assert tuple(HALF) == (KIND_NORMAL, 1, 1 << 23, -24) != tuple(wide)
+
+
+@pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_only_float_values_have_an_order(compare):
+    # a FloatValue orders against FloatValues alone, not its bare fields,
+    # and the other classes, whose field tuples would order lexicographically,
+    # have no order at all
+    pairs = [(HALF, tuple(HALF)), (tuple(HALF), HALF), (HALF, FloatInterval(HALF, HALF))]
+    pairs += [(Rational(1, 1, 2), Rational(1, 1, 3)), (DigitString("1"), DigitString("2"))]
+    for a, b in pairs:
+        with pytest.raises(TypeError):
+            compare(a, b)
+
+
+def test_tuple_behaviour_of_a_digit_string():
+    # len counts the digits; iteration, like indexing, gives the two fields
+    digits = DigitString("125")
+    assert len(digits) == 3 and len(DigitString("")) == 0
+    assert tuple(digits) == ("125", "fraction") and digits[1] == "fraction"
+    text, role = digits
+    assert (text, role) == (digits.text, digits.role)
 
 
 def test_equality_follows_fields_and_class():
@@ -83,8 +166,8 @@ class TestFormatConstants:
         assert fmt.exponent_field_bits == (emax + 1).bit_length()
         assert fmt.bit_width == fmt.exponent_field_bits + p
         top, bottom = fmt.max_finite, fmt.smallest_subnormal
-        assert top._key() == (KIND_NORMAL, 1, (1 << p) - 1, emax - p + 1)
-        assert bottom._key() == (KIND_SUBNORMAL, 1, 1, fmt.least_exponent)
+        assert tuple(top) == (KIND_NORMAL, 1, (1 << p) - 1, emax - p + 1)
+        assert tuple(bottom) == (KIND_SUBNORMAL, 1, 1, fmt.least_exponent)
         # built with the format, not on each access
         assert fmt.max_finite is top and fmt.smallest_subnormal is bottom
 
