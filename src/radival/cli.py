@@ -21,7 +21,7 @@ options in any position, spelled out or begun (--fo for --format), as
 neither -h nor --... a value, so a negative numeral or ratio needs no --.
 Only a help request loads a module (textwrap) to do it, and a filter
 record runs on the kernels alone, so a launch loads neither argparse nor
-the value classes.
+the value modules (digitstring, parse, render).
 
 Exit codes: 0 success, 1 syntax or arity (or stdout closed before the
 output was written), 2 domain (NaN bits, zero denominators, literals off

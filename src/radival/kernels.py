@@ -1,7 +1,8 @@
 """The integer kernels a filter record runs, from its text to its fields.
 
 A record reads its text to fields (a numeral's sign, digits and exponent,
-a ratio's sign, p and q), floors the value onto the format's grid with one
+a ratio's sign, p and q; a numeral by one match of _NUMERAL, the one home
+of the numeral grammar), floors the value onto the format's grid with one
 division, packs the two bounds as the fields (kind, sign, m, e) that
 a FloatValue is, and writes each bound's text from those fields: its hex
 significand, its exact decimal or its n-digit outward rounding, and the
@@ -111,50 +112,37 @@ def _ratio(text: str) -> tuple[int, int, int]:
     return sign, _int_from_digits(num), q
 
 
-_DIGIT_RUN = re.compile("[0-9]*")
+# The numeral grammar, [sign] digits [. digits] [e [sign] digits] with a
+# digit on a side of the point. Its groups are the sign, the integer and
+# fraction digits, and the exponent's sign and digits, None with no marker.
+_NUMERAL = re.compile(r"([+-]?)([0-9]*)\.?([0-9]*)(?:[eE]([+-]?)([0-9]*))?")
 
 
 def _numeral(text: str) -> tuple[int, str, int]:
     """parse_numeral as the fields (sign, mantissa digits, exponent), with
-    no value built; zero is (1, "", 0)."""
-    i = 0
-    n = len(text)
-    sign = 1
-    if i < n and text[i] in "+-":
-        sign = -1 if text[i] == "-" else 1
-        i += 1
-    start = i
-    i = _DIGIT_RUN.match(text, i).end()
-    int_digits = text[start:i]
-    frac_digits = ""
-    if i < n and text[i] == ".":
-        start = i + 1
-        i = _DIGIT_RUN.match(text, start).end()
-        frac_digits = text[start:i]
+    no value built; zero is (1, "", 0). A refusal sits at a group's end:
+    the fraction digits' when neither digit run holds a digit, the exponent
+    digits' when a marker has none, the match's when it stops short of the
+    text."""
+    match = _NUMERAL.match(text)
+    sign, int_digits, frac_digits, exp_sign, exp_digits = match.groups()
     if not int_digits and not frac_digits:
-        raise NumeralSyntaxError(text, i, "expected a digit")
-    marker_exp = 0
-    if i < n and text[i] in "eE":
-        i += 1
-        esign = 1
-        if i < n and text[i] in "+-":
-            esign = -1 if text[i] == "-" else 1
-            i += 1
-        start = i
-        i = _DIGIT_RUN.match(text, i).end()
-        if start == i:
-            raise NumeralSyntaxError(text, i, "expected an exponent digit")
-        marker_exp = esign * _int_from_digits(text[start:i])
-    if i != n:
-        raise NumeralSyntaxError(text, i, "unexpected character")
+        raise NumeralSyntaxError(text, match.end(3), "expected a digit")
+    if exp_digits == "":
+        raise NumeralSyntaxError(text, match.end(5), "expected an exponent digit")
+    if match.end() != len(text):
+        raise NumeralSyntaxError(text, match.end(), "unexpected character")
     # the value is digits * 10^(marker_exp - len(frac_digits)), and the
     # leading zeros that drop carry none of it
     digits = (int_digits + frac_digits).lstrip("0")
     if not digits:
         return 1, "", 0
+    marker_exp = _int_from_digits(exp_digits) if exp_digits else 0
+    if exp_sign == "-":
+        marker_exp = -marker_exp
     exponent = marker_exp + len(digits) - len(frac_digits)
     # digits opens with a nonzero, so it is canonical once its trailing zeros go
-    return sign, digits.rstrip("0"), exponent
+    return -1 if sign == "-" else 1, digits.rstrip("0"), exponent
 
 
 def _log2_floor(p: int, q: int) -> int:

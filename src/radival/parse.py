@@ -85,7 +85,8 @@ class Rational(Value):
 
 
 def parse_numeral(text: str) -> DecimalScientific:
-    """Parse [sign] digits [. digits] [e [sign] digits] into normalized form.
+    """Parse [sign] digits [. digits] [e [sign] digits] into normalized form,
+    by that grammar's one pattern, kernels._NUMERAL.
 
     "12.5e3" becomes (+, 125, 5): the exponent counts digits that sit left
     of the point once the marker is applied. Leading zeros shift the

@@ -120,7 +120,8 @@ MUTANTS = [
     ),
     Mutant(
         "trailing-zero-parse-numeral", "kernels.py",
-        '    return sign, digits.rstrip("0"), exponent\n', "    return sign, digits, exponent\n",
+        '    return -1 if sign == "-" else 1, digits.rstrip("0"), exponent\n',
+        '    return -1 if sign == "-" else 1, digits, exponent\n',
         ("tests/test_parse.py::TestParseNumeral::test_trailing_zeros_drop",),
     ),
     Mutant(
@@ -303,6 +304,23 @@ MUTANTS = [
             "tests/test_oracle.py::test_binade_tops_against_the_converter",
             "tests/test_cli.py::test_check_covers_the_carry",
         ),
+    ),
+    # the numeral reader: one match of the grammar's pattern, whose group
+    # ends place each refusal
+    Mutant(
+        "numeral-exponent-sign-dropped", "kernels.py",
+        '    if exp_sign == "-":\n', "    if False:\n",
+        ("tests/test_parse.py::TestParseNumeral::test_contract_on_a_seeded_draw",),
+    ),
+    Mutant(
+        "numeral-stray-character-at-fraction-end", "kernels.py",
+        'match.end(), "unexpected character"', 'match.end(3), "unexpected character"',
+        ("tests/test_parse.py::TestParseNumeral::test_errors_carry_position",),
+    ),
+    Mutant(
+        "numeral-missing-digit-at-match-end", "kernels.py",
+        'match.end(3), "expected a digit"', 'match.end(), "expected a digit"',
+        ("tests/test_parse.py::TestParseNumeral::test_errors_carry_position",),
     ),
     # the numeral's own digits as an exact bound's decimal
     Mutant(

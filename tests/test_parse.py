@@ -8,7 +8,10 @@ same bit stream.
 """
 
 import random
+import re
 import time
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +75,15 @@ nonzero_decimals = st.builds(
 )
 
 
+# the numeral grammar as the tests state it, apart from the reader's pattern:
+# a digit before or after the point, then an optional exponent with digits
+NUMERAL_GRAMMAR = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _numeral_or_digit_short(text: str) -> bool:
+    return bool(NUMERAL_GRAMMAR.fullmatch(text) or NUMERAL_GRAMMAR.fullmatch(text + "0"))
+
+
 class TestParseNumeral:
     def test_leading_zeros_shift_exponent(self):
         assert parse_numeral("0.0123") == decimal(1, "123", -1)
@@ -107,6 +119,12 @@ class TestParseNumeral:
             ("abc", 0),
             ("1 ", 1),
             ("--1", 1),
+            ("e5", 0),
+            (".e5", 1),
+            ("+.", 2),
+            ("1ex", 2),
+            ("1e5x", 3),
+            ("1e١", 2),
         ],
     )
     def test_errors_carry_position(self, text, position):
@@ -117,6 +135,44 @@ class TestParseNumeral:
     def test_nonascii_digits_rejected(self):
         with pytest.raises(NumeralSyntaxError):
             parse_numeral("١٢")
+
+    def test_contract_on_a_seeded_draw(self):
+        """The reader's contract, written apart from its pattern: a text
+        is accepted exactly when it fully matches NUMERAL_GRAMMAR, and then
+        has the value Decimal gives it; a refused text is refused at the
+        end of its longest prefix that is a numeral or one digit short of
+        one, with the kind of message that prefix calls for."""
+        rng = random.Random(27)
+        alphabet = "0123456789" * 3 + ".eE+-x ١"
+        kinds = Counter()
+        for _ in range(20_000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+            try:
+                d = parse_numeral(text)
+            except NumeralSyntaxError as err:
+                assert not NUMERAL_GRAMMAR.fullmatch(text), text
+                prefix = max(
+                    (text[:k] for k in range(len(text) + 1) if _numeral_or_digit_short(text[:k])),
+                    key=len,
+                )
+                if NUMERAL_GRAMMAR.fullmatch(prefix):
+                    kind = "unexpected character"
+                elif "e" in prefix.lower():
+                    kind = "expected an exponent digit"
+                else:
+                    kind = "expected a digit"
+                assert err.position == len(prefix), text
+                assert str(err) == f"{kind} at position {len(prefix)} in {text!r}"
+                kinds[kind] += 1
+            else:
+                assert NUMERAL_GRAMMAR.fullmatch(text), text
+                kinds["accepted"] += 1
+                if abs(d.exponent) < 60:
+                    digits = d.mantissa.text
+                    value = d.sign * Fraction(int(digits or "0"), 10 ** len(digits)) * Fraction(10) ** d.exponent
+                    assert value == Fraction(Decimal(text)), text
+        # every rule was exercised
+        assert min(kinds.values()) > 500 and len(kinds) == 4, kinds
 
 
 @pytest.mark.parametrize(
