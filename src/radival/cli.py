@@ -134,8 +134,13 @@ def _cmd_parse(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> 
 
     def record(text: str) -> tuple[str, ...]:
         nonlocal reference
+        # the fields unpacked into locals: a *-splatted call costs about
+        # three times a plain one
         fields = read(text)
-        bounds = _bounds(*floor(*fields, fmt), fmt)
+        sign, a, b = fields
+        # a floor keeps the sign it is given
+        _, m, e, rem = floor(sign, a, b, fmt)
+        lower, upper = _bounds(sign, m, e, rem, fmt)
         if args.check:
             if reference is None:
                 # bound on the first checked line: a run with none never loads the oracle
@@ -144,9 +149,11 @@ def _cmd_parse(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> 
                 reference = oracle.decimal_reference if numeral else oracle.rational_reference
             # the message names the input text: str() of an exact value past
             # 4300 digits would raise instead
-            if reference(*fields, fmt) != bounds:
+            if reference(sign, a, b, fmt) != (lower, upper):
                 raise CheckFailure(f"interval disagrees with the reference enclosure for {text!r}")
-        return numeral_fields(fields, *bounds, fmt) if numeral else enclosure_fields(*bounds, fmt)
+        if numeral:
+            return numeral_fields(fields, lower, upper, fmt)
+        return enclosure_fields(lower, upper, fmt)
 
     layout = "lb = {0} = {1}\nub = {2} = {3}\nbracket = {4}\n"
     return _serve(args.values, record, layout, stdin, stdout)

@@ -10,7 +10,12 @@ calls per line, answer in the fields (kind, sign, m, e) of the two bounds
 and build no value. The DecimalScientific and Rational that exact_value and
 rational_value take are read by their fields alone, so parse, whose
 classes they are, is never imported here: a checked line loads no module
-but this one.
+but this one. positional_order, which reads a printed bound back, reads
+its significant digits and a scale, the zeros after the point of a text
+under 1 counting in the scale alone. Every power of ten a checked line
+needs, but those that join a text past 4,000 digits, is 5^k << k, 5^k
+from the oracle's own memo of powers of five (_five_power), kept apart
+from the converter's.
 """
 
 from __future__ import annotations
@@ -46,14 +51,37 @@ def _digits_value(digits: str) -> int:
     return pieces[0]
 
 
+# binary64's least exponent: the exact decimal of a binary32 or binary64
+# bound has at most this many digits after the point, so reading one back
+# raises no power the memo does not keep; the full memo holds about 240 KB
+_FIVES_CAP = 1074
+_FIVES: dict[int, int] = {}
+
+
+def _five_power(k: int) -> int:
+    """5^k for k >= 0, memoized up to _FIVES_CAP and raised afresh past it.
+
+    The oracle's own memo, apart from the converter's: it is filled only by
+    storing 5^k under k, which gives the same entry whichever thread stores
+    it first."""
+    try:
+        return _FIVES[k]
+    except KeyError:
+        if k > _FIVES_CAP:
+            return 5**k
+        power = _FIVES[k] = 5**k
+        return power
+
+
 def _decimal_ratio(sign: int, digits: str, exponent: int) -> tuple[int, int]:
     """sign * 0.digits * 10^exponent, the digits ASCII and empty for zero, as
-    a signed numerator over a positive denominator, not reduced."""
+    a signed numerator over a positive denominator, not reduced; 10^k is
+    _five_power(k) << k."""
     N = sign * _digits_value(digits)
     scale = exponent - len(digits)
     if scale >= 0:
-        return N * 10**scale, 1
-    return N, 10**-scale
+        return N * _five_power(scale) << scale, 1
+    return N, _five_power(-scale) << -scale
 
 
 def exact_value(d: DecimalScientific) -> Fraction:
@@ -80,26 +108,40 @@ def float_exact_value(f: FloatValue) -> Fraction:
     return Fraction(*_float_ratio(f.sign, f.significand, f.exponent))
 
 
-_POSITIONAL = re.compile(r"(-?)(?:([0-9]+)(?:\.([0-9]+))?|inf)")
+# -?digits[.digits], with the zeros just after the point apart, or inf
+_POSITIONAL = re.compile(r"(-?)(?:([0-9]+)(?:\.(0*)([0-9]+))?|inf)")
 
 
 def positional_order(text: str, bound: tuple) -> int | None:
     """-1, 0 or 1 as positional text (-?digits[.digits], inf or -inf; else
     None) lies below, at or above the float with the fields bound = (kind,
-    sign, m, e): one cross-multiplication of ratios, and an infinity ranks
-    by its sign against 0 for any finite value."""
+    sign, m, e); an infinity ranks by its sign against 0 for any finite
+    value.
+
+    A finite text is read as N / 10^f, f its digits after the point. Under
+    an integer part of "0", N is the digits after the point's zero run
+    alone, so a subnormal's few hundred zeros of padding count only in f.
+    N * 2^-(e+f) is then set against sign * m * 5^f, 5^f from the memo:
+    one product and one shift of whichever side needs it."""
     match = _POSITIONAL.fullmatch(text)
     if match is None:
         return None
-    minus, whole, fraction = match.groups("")
+    minus, whole, zeros, tail = match.groups("")
     kind, sign, m, e = bound
     infinite = kind == KIND_INFINITE
     if not whole or infinite:
         x, y = 0 if whole else -1 if minus else 1, sign if infinite else 0
     else:
-        num, den = _decimal_ratio(-1 if minus else 1, whole + fraction, len(whole))
-        fnum, fden = _float_ratio(sign, m, e)
-        x, y = num * fden, fnum * den
+        f = len(zeros) + len(tail)
+        x = _digits_value(tail if whole == "0" else whole + zeros + tail)
+        if minus:
+            x = -x
+        y = sign * m * _five_power(f)
+        k = -e - f
+        if k >= 0:
+            x <<= k
+        else:
+            y <<= -k
     return (x > y) - (x < y)
 
 

@@ -206,6 +206,23 @@ MUTANTS = [
         "    return (x > y) - (x < y)\n", "    return (x >= y) - (x < y)\n",
         ("tests/test_oracle.py::test_decimal_float_comparison_against_fraction", *CONTAINMENT),
     ),
+    # the oracle's reader of printed text and its own memo of powers of five
+    Mutant(
+        "oracle-memo-off-by-one", "oracle.py",
+        "        power = _FIVES[k] = 5**k\n", "        power = _FIVES[k] = 5 ** (k + 1)\n",
+        ("tests/test_oracle.py::test_decimal_ratio_on_both_sides_of_the_memo_cap",),
+    ),
+    Mutant(
+        "positional-scale-without-zero-run", "oracle.py",
+        "        f = len(zeros) + len(tail)\n", "        f = len(tail)\n",
+        ("tests/test_oracle.py::test_positional_reader_edge_texts",),
+    ),
+    Mutant(
+        "positional-shift-on-wrong-side", "oracle.py",
+        "        if k >= 0:\n            x <<= k\n        else:\n            y <<= -k\n",
+        "        if k >= 0:\n            y <<= k\n        else:\n            x <<= -k\n",
+        ("tests/test_oracle.py::test_positional_reader_against_fraction_on_outward_texts",),
+    ),
     Mutant(
         "lower-containment-unchecked", "cli.py",
         "            if order(fields[0], lb) not in (-1, 0):\n",
@@ -220,8 +237,8 @@ MUTANTS = [
     ),
     Mutant(
         "check-compares-lower-bound-only", "cli.py",
-        "            if reference(*fields, fmt) != bounds:\n",
-        "            if reference(*fields, fmt)[0] != bounds[0]:\n",
+        "            if reference(sign, a, b, fmt) != (lower, upper):\n",
+        "            if reference(sign, a, b, fmt)[0] != lower:\n",
         ("tests/test_cli.py::TestParse::test_check_compares_both_bounds",),
     ),
     Mutant(
@@ -284,8 +301,8 @@ MUTANTS = [
     ),
     Mutant(
         "degenerate-parse-enclosure", "cli.py",
-        "        bounds = _bounds(*floor(*fields, fmt), fmt)\n",
-        "        bounds = _bounds(*floor(*fields, fmt)[:3], 0, fmt)\n",
+        "        lower, upper = _bounds(sign, m, e, rem, fmt)\n",
+        "        lower, upper = _bounds(sign, m, e, 0, fmt)\n",
         ("tests/test_host_witness.py::test_parse_encloses_the_host_float",),
     ),
     # the grid packer's carry under the parse records' writer, and the digit cut

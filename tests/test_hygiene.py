@@ -4,8 +4,9 @@ exports resolves, every public definition has a user, no function
 name is defined in two modules, the oracle imports no converter
 function, every value is filled only at the end of its class's checked
 constructor, no kernel raises a power outside the memo of powers of
-five (kernels._pow5), and that memo changes only by its one idempotent
-store. Launch hygiene:
+five (kernels._pow5), the oracle none outside its own memo
+(oracle._five_power) and its long-text reader, and each memo changes only
+by its one idempotent store. Launch hygiene:
 importing the command line loads nothing that only --check needs, a
 --check run that checks no line never loads the oracle, a filter launch
 loads neither argparse nor the value modules (digitstring, parse,
@@ -184,23 +185,35 @@ def test_oracle_imports_no_converter_function():
     assert foreign == []
 
 
-def test_kernels_raise_powers_only_in_the_memo():
-    """Every ** in kernels.py sits in _pow5, so no record raises a power of
-    five or ten that the memo already holds."""
-    tree = ast.parse((pathlib.Path(radival.__file__).parent / "kernels.py").read_text())
-    memo = [
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_pow5"
+def _powers_outside(module: str, homes: set[str]) -> list[int]:
+    """The lines of the ** in the module that sit outside the named
+    top-level functions, each of which must exist."""
+    tree = ast.parse((pathlib.Path(radival.__file__).parent / module).read_text())
+    functions = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in homes
     ]
-    assert len(memo) == 1
-    inside = {id(node) for node in ast.walk(memo[0])}
-    powers = [
+    assert sorted(node.name for node in functions) == sorted(homes)
+    inside = {id(node) for function in functions for node in ast.walk(function)}
+    return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, (ast.BinOp, ast.AugAssign))
         and isinstance(node.op, ast.Pow)
         and id(node) not in inside
     ]
-    assert powers == []
+
+
+def test_kernels_raise_powers_only_in_the_memo():
+    """Every ** in kernels.py sits in _pow5, so no record raises a power of
+    five or ten that the memo already holds."""
+    assert _powers_outside("kernels.py", {"_pow5"}) == []
+
+
+def test_oracle_raises_powers_only_in_its_memo_and_reader():
+    """Every ** in oracle.py sits in its own memo of powers of five or in
+    _digits_value, which joins pieces of texts past 4300 digits, so no
+    checked line raises a power the oracle's memo already holds."""
+    assert _powers_outside("oracle.py", {"_five_power", "_digits_value"}) == []
 
 
 # what a dict or a list offers to change itself in place
@@ -210,42 +223,54 @@ MUTATING_METHODS = {
 }
 
 
-def test_pow5_memo_is_written_only_by_its_idempotent_store():
-    """The memo of powers of five changes in one statement only: _pow5's
-    power = _POW5[k] = 5**k, which stores the same entry whichever thread
-    gets there first. The module binds _POW5 once, to an empty dict; no
+def _assert_written_only_by_idempotent_store(module: str, function: str, memo: str) -> None:
+    """The memo changes in one statement only, the function's
+    power = memo[k] = 5**k, which stores the same entry whichever thread
+    gets there first. The module binds the memo once, to an empty dict; no
     other store, deletion or rebinding touches it, and no method that
     changes a dict or a list in place is called on it, so no fill can race
     another into a wrong or duplicated entry."""
-    tree = ast.parse((pathlib.Path(radival.__file__).parent / "kernels.py").read_text())
-    memo = next(
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_pow5"
+    tree = ast.parse((pathlib.Path(radival.__file__).parent / module).read_text())
+    home = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
     )
     item_writes, bindings, methods = [], [], []
     for node in ast.walk(tree):
         if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
-            if isinstance(node.value, ast.Name) and node.value.id == "_POW5":
+            if isinstance(node.value, ast.Name) and node.value.id == memo:
                 item_writes.append(node)
-        elif isinstance(node, ast.Name) and node.id == "_POW5":
+        elif isinstance(node, ast.Name) and node.id == memo:
             if not isinstance(node.ctx, ast.Load):
                 bindings.append(node)
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.value.id == "_POW5" and node.attr in MUTATING_METHODS:
+            if node.value.id == memo and node.attr in MUTATING_METHODS:
                 methods.append((node.lineno, node.attr))
     assert methods == []
     [definition] = [
         node for node in tree.body
-        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "_POW5"
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == memo
     ]
     assert bindings == [definition.target]
     assert ast.unparse(definition.value) == "{}"
     [store] = item_writes
-    assert isinstance(store.ctx, ast.Store) and ast.unparse(store) == "_POW5[k]"
+    assert isinstance(store.ctx, ast.Store) and ast.unparse(store) == f"{memo}[k]"
     [statement] = [
-        node for node in ast.walk(memo)
+        node for node in ast.walk(home)
         if isinstance(node, ast.Assign) and any(target is store for target in node.targets)
     ]
     assert ast.unparse(statement.value) == "5 ** k"
+
+
+def test_pow5_memo_is_written_only_by_its_idempotent_store():
+    """The converter's memo of powers of five, kernels._POW5, changes only
+    by _pow5's idempotent store."""
+    _assert_written_only_by_idempotent_store("kernels.py", "_pow5", "_POW5")
+
+
+def test_oracle_memo_is_written_only_by_its_idempotent_store():
+    """The oracle's own memo of powers of five, oracle._FIVES, changes only
+    by _five_power's idempotent store."""
+    _assert_written_only_by_idempotent_store("oracle.py", "_five_power", "_FIVES")
 
 
 def test_cli_imports_nothing_private_from_render():

@@ -3,6 +3,7 @@ the converter."""
 
 import math
 import random
+import re
 import struct
 from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
@@ -20,6 +21,7 @@ from radival.floatkit import (
     KIND_INFINITE,
     KIND_NORMAL,
     KIND_SUBNORMAL,
+    KIND_ZERO,
     ZERO,
     FloatInterval,
     FloatValue,
@@ -28,6 +30,7 @@ from radival.floatkit import (
     next_up,
     to_bits,
 )
+from radival.kernels import exact_field, outward_fields
 from radival.parse import (
     DECIMAL_ZERO,
     DecimalScientific,
@@ -312,3 +315,94 @@ def test_positional_reader_infinities_and_malformed_text():
         assert oracle.positional_order(text, bound) == order, (text, bound)
     for text in ["", "-", ".5", "1.", "+1", "1e5", "0x1", "1_0", "\u0661", " 1", "--1", "Inf", "nan"]:
         assert oracle.positional_order(text, one) is None, text
+
+
+def _text_order(text: str, bound: tuple) -> int:
+    """The order of a positional text against a finite bound, by Fraction."""
+    _, sign, m, e = bound
+    a, b = Fraction(Decimal(text)), sign * m * Fraction(2) ** e
+    return (a > b) - (a < b)
+
+
+@pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=["binary32", "binary64"])
+def test_positional_reader_against_fraction_on_outward_texts(fmt):
+    """The reader agrees with Fraction on the texts --check reads back: each
+    bound of a seeded draw, both signs, rounded outward to 1 and to 17
+    digits and written exactly, read against the bound and both its
+    neighbours. In binary64 the draw holds subnormals whose texts carry 320
+    or more zeros after the point and values whose 1-digit texts are
+    integers with 300 or more trailing zeros."""
+    rng = random.Random(f"positional:{fmt.bit_width}")
+    t = fmt.significand_bits - 1
+    top = (1 << (fmt.bit_width - 1)) - (1 << t)  # the pattern of +infinity
+    patterns = [1, 2, 3, (1 << t) - 1, 1 << t, top - 1, top // 2]
+    patterns += [rng.getrandbits(rng.randint(1, t)) for _ in range(30)]
+    patterns += [rng.randrange(1, top) for _ in range(60)]
+    sign_bit = 1 << (fmt.bit_width - 1)
+    texts, orders = set(), set()
+    for bits in patterns:
+        for pattern in (bits, bits | sign_bit):
+            f = from_bits(pattern, fmt)
+            near = [g for g in (next_up(f, fmt), -next_up(-f, fmt)) if g.kind != KIND_INFINITE]
+            bound = tuple(f)
+            for text in (
+                *outward_fields(bound, bound, 1)[:2],
+                *outward_fields(bound, bound, 17)[:2],
+                exact_field(bound),
+            ):
+                texts.add(text)
+                for other in (bound, *map(tuple, near)):
+                    order = oracle.positional_order(text, other)
+                    assert order == _text_order(text, other), (text[:40], other)
+                    orders.add(order)
+    assert orders == {-1, 0, 1}
+    assert any(text.startswith("-") for text in texts)
+    if fmt is BINARY64:
+        assert any(re.fullmatch(r"-?0\.0{320}[0-9]*", text) for text in texts)
+        assert any(re.fullmatch(r"-?[1-9]0{300,}", text) for text in texts)
+
+
+def test_positional_reader_edge_texts():
+    """Zeros, trailing zeros after the point, leading zeros before it, a
+    zero run after a zero integer part, and texts past 4300 digits (with
+    the zero run long or short, and past the memo's reach), each against
+    bounds below, at and above it, agree with Fraction."""
+    texts = ["0", "-0", "0.000", "1.0", "1.50", "007.50", "0.0001", "-0.0001", "-1.50"]
+    texts += [
+        "0." + "0" * 5000 + "1",
+        "-0." + "0" * 4400 + "3" * 20,
+        "0." + "3" * 5000,
+        "1" + "0" * 4400,
+        "-" + "9" * 4400 + ".5",
+        "0.5" + "0" * 4400,
+    ]
+    bounds = [
+        (KIND_ZERO, 1, 0, 0),
+        (KIND_NORMAL, 1, 1 << 52, -52),
+        (KIND_NORMAL, -1, 1 << 52, -52),
+        (KIND_NORMAL, 1, 3, -1),
+        (KIND_NORMAL, -1, 3, -1),
+        (KIND_NORMAL, 1, 15, -1),
+        (KIND_SUBNORMAL, 1, 1, -1074),
+        (KIND_SUBNORMAL, -1, 1, -1074),
+        (KIND_NORMAL, 1, (1 << 53) - 1, 971),
+        (KIND_NORMAL, -1, (1 << 53) - 1, 971),
+    ]
+    bounds += [tuple(from_bits(bits, BINARY64)) for bits in (0x3F1A36E2EB1C432D, 0x3FD5555555555555)]
+    for text in texts:
+        for bound in bounds:
+            assert oracle.positional_order(text, bound) == _text_order(text, bound), (text[:20], bound)
+
+
+@pytest.mark.parametrize("k", [1073, 1074, 1075, 5000])
+def test_decimal_ratio_on_both_sides_of_the_memo_cap(k):
+    """10^k as a numerator's factor and as the denominator, for scales just
+    under, at and past the memo's cap, agrees with Fraction; the memo never
+    keeps a power past the cap."""
+    digits = "1234567"
+    for sign in (1, -1):
+        num, den = oracle._decimal_ratio(sign, digits, len(digits) + k)
+        assert den == 1 and Fraction(num) == sign * 1234567 * Fraction(10) ** k
+        num, den = oracle._decimal_ratio(sign, digits, len(digits) - k)
+        assert den > 0 and Fraction(num, den) == sign * Fraction(1234567, 10**k)
+    assert max(oracle._FIVES) <= oracle._FIVES_CAP
