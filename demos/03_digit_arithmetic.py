@@ -20,13 +20,13 @@ def main():
     m = DigitString.fraction("7872")
     for _ in range(3):
         doubled, carry = mul2(m)
-        print(f"  2 * 0.{m.as_text()} = {carry}.{doubled.as_text() or '0'}")
+        print(f"  2 * 0.{m.text} = {carry}.{doubled.text or '0'}")
         m = doubled
     print()
     m = DigitString.fraction("5")
     for _ in range(3):
         halved = div2(m)
-        print(f"  0.{m.as_text()} / 2 = 0.{halved.as_text()}")
+        print(f"  0.{m.text} / 2 = 0.{halved.text}")
         m = halved
     print()
 
@@ -34,9 +34,9 @@ def main():
     print("its power of ten for a power of two, then doubles into [0.5, 1):")
     m0 = DigitString.fraction("123")
     m1, bexp = binarize_exponent(m0, -1)
-    print(f"  binarized:  0.{m1.as_text()} * 2^{bexp}")
+    print(f"  binarized:  0.{m1.text} * 2^{bexp}")
     m2, bexp = normalize_mantissa(m1, bexp)
-    print(f"  normalized: 0.{m2.as_text()} * 2^{bexp}")
+    print(f"  normalized: 0.{m2.text} * 2^{bexp}")
     bits = mantissa_bits(m2, 10)
     print(f"  first significand bits: {''.join(map(str, bits))}")
     print()

@@ -86,10 +86,10 @@ class CheckFailure(Exception):
 def _serve(
     values: list[str | None], record: Callable, layout: str, stdin: TextIOBase, stdout: TextIOBase
 ) -> int:
-    """Write the record of the given values in the single-shot layout or,
-    with no values given, filter stdin: one record per nonblank line."""
+    """Write the record of the given values, each stripped as a line is, in
+    the single-shot layout, or with none given filter stdin by nonblank line."""
     if values[0] is not None:
-        stdout.write(layout.format(*record(*values)))
+        stdout.write(layout.format(*record(*[value.strip() for value in values])))
         return 0
     status = 0
     for raw in stdin:
@@ -280,6 +280,7 @@ _CHECK_OPTION = (
     "revalidate results against the independent reference; exit 3 on disagreement",
 )
 _DIGITS_OPTION = ("--digits", "DIGITS", 6, _digit_budget, "digit budget per bound (default 6)")
+_HELP_OPTION = ("--help", None, None, None, "show this help message and exit")
 
 # A subcommand: its summary, its values (name and help; any of them may be
 # left out, from the last), its options and the function that runs it.
@@ -314,12 +315,7 @@ _COMMANDS = {
     "table": (
         "print the unit-fraction demonstration table",
         (),
-        (
-            (
-                "--check", None, False, None,
-                "revalidate the computed intervals against the reference; exit 3 on disagreement",
-            ),
-        ),
+        (_CHECK_OPTION,),
         _cmd_table,
     ),
 }
@@ -358,7 +354,7 @@ def _read_arguments(argv: list[str]) -> SimpleNamespace | str:
     its text, whatever follows it."""
     head = argv[0] if argv else ""
     if head == "-h" or head.startswith("--") and head != "--":
-        _option_name(head, ("-h", "--help"), None)
+        _option_name(head, ("-h", _HELP_OPTION[0]), None)
         return _help(None)
     if head not in _COMMANDS:
         if not argv:
@@ -367,26 +363,25 @@ def _read_arguments(argv: list[str]) -> SimpleNamespace | str:
         message = f"argument command: invalid choice: {head!r} (choose from {choices})"
         raise _ArgumentError(None, message)
     _, value_names, options, _ = _COMMANDS[head]
-    specs = {option[0]: option for option in options}
+    specs = {option[0]: option for option in (*options, _HELP_OPTION)}
+    specs["-h"] = _HELP_OPTION
     found = {name[2:]: default for name, _, default, _, _ in options}
     values = []
     tokens = iter(argv[1:])
     for token in tokens:
         if token == "--":
             values += tokens
-        elif token == "-h":
-            return _help(head)
-        elif not token.startswith("--"):
+        elif token != "-h" and not token.startswith("--"):
             values.append(token)
         else:
             name, equals, text = token.partition("=")
-            name = _option_name(name, (*specs, "--help"), head)
-            _, metavar, _, read, _ = specs.get(name, (name, None, None, None, None))
+            option = specs[_option_name(name, specs, head)]
+            name, metavar, _, read, _ = option
             if metavar is None:
                 if equals:
                     message = f"argument {name}: ignored explicit argument {text!r}"
                     raise _ArgumentError(head, message)
-                if name == "--help":
+                if option is _HELP_OPTION:
                     return _help(head)
                 found[name[2:]] = True
                 continue
@@ -416,19 +411,18 @@ def _usage(command: str | None) -> str:
 
 def _help(command: str | None) -> str:
     """The help text of the subcommand, or of the program for None."""
-    import textwrap
+    from textwrap import fill
 
-    help_row = ("-h, --help", "show this help message and exit")
     if command is None:
         about = "exact decimal/binary conversion with narrowest enclosing intervals"
         values = [(f"{{{','.join(_COMMANDS)}}}", "")]
         values += [(f"  {name}", spec[0]) for name, spec in _COMMANDS.items()]
-        options = [help_row]
+        specs = ()
     else:
         about, values, specs, _ = _COMMANDS[command]
-        options = [help_row]
-        for name, metavar, *_, text in specs:
-            options.append((f"{name} {metavar}" if metavar else name, text))
+    options = [(f"-h, {_HELP_OPTION[0]}", _HELP_OPTION[-1])]
+    for name, metavar, *_, text in specs:
+        options.append((f"{name} {metavar}" if metavar else name, text))
     lines = [_usage(command), "", about]
     for title, rows in (("positional arguments", values), ("options", options)):
         if rows:
@@ -440,7 +434,7 @@ def _help(command: str | None) -> str:
                 lines.append(f"  {name}")
                 first = " " * 24
             if text:
-                lines.append(textwrap.fill(text, 80, initial_indent=first, subsequent_indent=first))
+                lines.append(fill(text, 80, initial_indent=first, subsequent_indent=" " * 24))
     return "\n".join(lines) + "\n"
 
 

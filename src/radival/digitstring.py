@@ -34,8 +34,7 @@ class DigitString(Value):
     _fields = ("text", "role")
 
     def __new__(cls, text: str | Iterable[int], role: str = FRACTION) -> DigitString:
-        if not isinstance(text, str):
-            text = _digit_text(text)
+        text = _digit_text(text)
         if role not in _ROLES:
             raise ValueError(f"unknown role {role!r}")
         if text:
@@ -55,17 +54,12 @@ class DigitString(Value):
     @classmethod
     def fraction(cls, digits: str | Iterable[int]) -> "DigitString":
         """Build a fraction string, dropping trailing zeros."""
-        text = digits if isinstance(digits, str) else _digit_text(digits)
-        return cls(text.rstrip("0"), FRACTION)
+        return cls(_digit_text(digits).rstrip("0"), FRACTION)
 
     @classmethod
     def integer(cls, digits: str | Iterable[int]) -> "DigitString":
         """Build an integer string, dropping leading zeros."""
-        text = digits if isinstance(digits, str) else _digit_text(digits)
-        return cls(text.lstrip("0"), INTEGER)
-
-    def as_text(self) -> str:
-        return self.text
+        return cls(_digit_text(digits).lstrip("0"), INTEGER)
 
     def __str__(self) -> str:
         return self.text or "(empty)"
@@ -74,9 +68,11 @@ class DigitString(Value):
         return len(self.text)
 
 
-def _digit_text(digits: Iterable[int]) -> str:
-    # an int in 0..9 lands on its ASCII digit and any other int off '0'..'9';
-    # an iterator is read once into a list, so an error can name its digits
+def _digit_text(digits: str | Iterable[int]) -> str:
+    # a text passes as it is; an int in 0..9 lands on its ASCII digit and any
+    # other off '0'..'9'; an iterator is read once, so an error can name it
+    if isinstance(digits, str):
+        return digits
     if iter(digits) is digits:
         digits = list(digits)
     try:
@@ -93,14 +89,10 @@ def _require(m: DigitString, role: str) -> None:
         raise ValueError(f"expected a {role} digit string, got {m.role}")
 
 
-def mul2(m: DigitString) -> tuple[DigitString, int]:
-    """Double a fraction: return (digits of 2 * 0.m mod 1, integral carry).
-
-    Worked right to left, each digit doubling and passing its overflow one
-    place up. At most one trailing zero can appear (only a final 5 doubles
-    to 0) and it is dropped to keep the result canonical.
-    """
-    _require(m, FRACTION)
+def _doubled(m: DigitString, role: str) -> tuple[list[int], int]:
+    """The digits of 2 * m, as many as m has, and the carry out of the first,
+    worked right to left with each digit passing its overflow one up."""
+    _require(m, role)
     out = []
     carry = 0
     for d in reversed(m.digits):
@@ -108,9 +100,19 @@ def mul2(m: DigitString) -> tuple[DigitString, int]:
         out.append(dd % 10)
         carry = dd // 10
     out.reverse()
+    return out, carry
+
+
+def mul2(m: DigitString) -> tuple[DigitString, int]:
+    """Double a fraction: return (digits of 2 * 0.m mod 1, integral carry).
+
+    At most one trailing zero can appear (only a final 5 doubles to 0) and
+    it is dropped to keep the result canonical.
+    """
+    out, carry = _doubled(m, FRACTION)
     if out and out[-1] == 0:
         out.pop()
-    return DigitString(tuple(out), FRACTION), carry
+    return DigitString(out, FRACTION), carry
 
 
 def div2(m: DigitString) -> DigitString:
@@ -134,17 +136,8 @@ def div2(m: DigitString) -> DigitString:
 
 def double_integer(m: DigitString) -> DigitString:
     """Double an unsigned integer, growing by one digit on a final carry."""
-    _require(m, INTEGER)
-    out = []
-    carry = 0
-    for d in reversed(m.digits):
-        dd = 2 * d + carry
-        out.append(dd % 10)
-        carry = dd // 10
-    if carry:
-        out.append(carry)
-    out.reverse()
-    return DigitString(tuple(out), INTEGER)
+    out, carry = _doubled(m, INTEGER)
+    return DigitString([carry, *out] if carry else out, INTEGER)
 
 
 # Integer view of a fraction string: d1..dn maps to (d1..dn read as an
@@ -154,12 +147,10 @@ def double_integer(m: DigitString) -> DigitString:
 
 
 def _fraction_int(m: DigitString) -> tuple[int, int]:
-    text = m.text
-    return (_int_from_digits(text) if text else 0, len(text))
+    _require(m, FRACTION)
+    return _int_from_digits(m.text), len(m)
 
 
 def _fraction_digits(N: int, n: int) -> DigitString:
     """The fraction N / 10^n with N < 10^n; trailing zeros drop."""
-    if N == 0:
-        return DigitString("", FRACTION)
     return DigitString.fraction(_text_from_int(N, n))

@@ -153,13 +153,6 @@ class FloatValue(Value):
         return f"FloatValue({kind} {'' if sign > 0 else '-'}{m}*2^{e})"
 
 
-def _shifted_ge(x: int, k: int, y: int) -> bool:
-    # x * 2^k >= y with k of either sign
-    if k >= 0:
-        return (x << k) >= y
-    return x >= (y << -k)
-
-
 def _below(a: tuple, b: tuple) -> bool:
     """Whether the float with the fields a = (kind, sign, m, e), a FloatValue
     or its bare tuple, lies below the one with the fields b."""

@@ -10,7 +10,7 @@ bracket of both. No value is built on the way. A parse record's five
 fields come from one pass of enclosure_fields over the two bounds, which
 calls each text rule where it lives: _hex for the hex layout,
 _exact_digits for a bound's exact digits (one str() of m * 5^-e, split by
-_text_from_int only past CPython's 4300-digit limit), _positional for the
+_text_from_int only past CPython's int/str digit limit), _positional for the
 positional layout and _cut for the bracket, whose shared prefix is found
 in a window of leading bytes that grows only while the bounds agree
 across it. Every power these steps need is 5^k or 10^k = 5^k * 2^k, taken
@@ -35,7 +35,6 @@ from .floatkit import (
     DomainError,
     FloatFormat,
     _grid_fields,
-    _shifted_ge,
 )
 
 # binary64's least exponent, the largest k for which a binary32 or binary64
@@ -61,12 +60,15 @@ def _pow5(k: int) -> int:
 
 
 def _int_from_digits(text: str) -> int:
-    """Read a nonempty text of ASCII digits of any length as an integer.
+    """Read a text of ASCII digits of any length as an integer, 0 if empty.
 
-    CPython's int() refuses texts past 4300 digits by default, so longer
-    texts split in half and recombine until every piece is under it."""
+    A text past 4000 digits, or past the digit limit of CPython's int()
+    (4300 by default, as low as 640), splits in half and recombines."""
     if len(text) <= 4000:
-        return int(text)
+        try:
+            return int(text or "0")
+        except ValueError:
+            pass
     half = len(text) // 2
     low = text[half:]
     return (_int_from_digits(text[:half]) * _pow5(len(low)) << len(low)) + _int_from_digits(low)
@@ -75,9 +77,10 @@ def _int_from_digits(text: str) -> int:
 def _text_from_int(N: int, width: int = 0) -> str:
     """Decimal text of N >= 0, padded with leading zeros to width digits.
 
-    CPython's str() refuses integers past 4300 digits by default, so larger
-    ones split at a power of ten about halfway and render each half."""
-    if N.bit_length() <= 13000:
+    CPython's str() refuses integers past its digit limit, which may be as
+    low as 640 digits, so one past 2126 bits (2^2126 < 10^640) splits at a
+    power of ten about halfway and renders each half."""
+    if N.bit_length() <= 2126:
         return str(N).rjust(width, "0")
     low = N.bit_length() * 3 // 20
     high, rest = divmod(N, _pow5(low) << low)
@@ -96,9 +99,8 @@ class NumeralSyntaxError(ValueError):
 def _ratio(text: str) -> tuple[int, int, int]:
     """Rational.from_text as the fields (sign, p, q), with no value built."""
     body = text.strip()
-    sign = 1
+    sign = -1 if body[:1] == "-" else 1
     if body[:1] in ("+", "-"):
-        sign = -1 if body[0] == "-" else 1
         body = body[1:]
     num, slash, den = body.partition("/")
     if not num.isascii() or not num.isdigit():
@@ -137,7 +139,7 @@ def _numeral(text: str) -> tuple[int, str, int]:
     digits = (int_digits + frac_digits).lstrip("0")
     if not digits:
         return 1, "", 0
-    marker_exp = _int_from_digits(exp_digits) if exp_digits else 0
+    marker_exp = 0 if exp_digits is None else _int_from_digits(exp_digits)
     if exp_sign == "-":
         marker_exp = -marker_exp
     exponent = marker_exp + len(digits) - len(frac_digits)
@@ -149,9 +151,9 @@ def _log2_floor(p: int, q: int) -> int:
     """floor(log2(p/q)) for positive p and q.
 
     The bit lengths put p/q in (2^(d-1), 2^(d+1)) for their difference d,
-    so one comparison settles which binade it is."""
+    so one comparison of p with q * 2^d settles which binade it is."""
     E = p.bit_length() - q.bit_length()
-    if not _shifted_ge(p, -E, q):
+    if (p < q << E) if E >= 0 else (p << -E < q):
         E -= 1
     return E
 
@@ -200,7 +202,7 @@ def _decimal_floor(sign: int, text: str, e: int, fmt: FloatFormat) -> tuple[int,
         text = text[:keep] + "5"
     # |k| is at most the kept digits plus the format's decimal exponent range
     k = e - len(text)
-    N = _int_from_digits(text) if text else 0
+    N = _int_from_digits(text)
     if k >= 0:
         return _floor(sign, N * _pow5(k) << k, 1, fmt)
     return _floor(sign, N, _pow5(-k) << -k, fmt)
@@ -224,7 +226,7 @@ def _infinity_text(sign: int) -> str:
 def _exact_digits(m: int, e: int) -> tuple[str, int]:
     """Canonical mantissa digits and decimal exponent of m * 2^e, m > 0: one
     conversion to text of m * 5^-e (m * 2^e is that over 10^-e when e < 0).
-    str() converts it, and _text_from_int only past CPython's 4300-digit
+    str() converts it, and _text_from_int only past CPython's int/str digit
     limit, where str() raises."""
     N = m << e if e >= 0 else m * _pow5(-e)
     try:
@@ -306,9 +308,7 @@ def _decimal_text(bound: tuple, n: int | None, direction: str) -> tuple:
     kind, sign, m, e = bound
     if kind == KIND_INFINITE:
         return _infinity_text(sign), None
-    if not m:
-        return _positional(sign, "", 0)
-    digits, exponent = _outward_digits(sign, m, e, n, direction)
+    digits, exponent = _outward_digits(sign, m, e, n, direction) if m else ("", 0)
     return _positional(sign, digits, exponent)
 
 

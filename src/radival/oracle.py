@@ -13,7 +13,7 @@ classes they are, is never imported here: a checked line loads no module
 but this one. positional_order, which reads a printed bound back, reads
 its significant digits and a scale, the zeros after the point of a text
 under 1 counting in the scale alone. Every power of ten a checked line
-needs, but those that join a text past 4,000 digits, is 5^k << k, 5^k
+needs, but those that join the pieces of a long text, is 5^k << k, 5^k
 from the oracle's own memo of powers of five (_five_power), kept apart
 from the converter's.
 """
@@ -21,6 +21,7 @@ from the converter's.
 from __future__ import annotations
 
 import re
+import sys
 
 from .floatkit import (
     KIND_INFINITE,
@@ -35,12 +36,15 @@ from .floatkit import (
 
 
 def _digits_value(digits: str) -> int:
-    """The integer a text of ASCII digits spells, 0 for no digits. Past
-    int()'s 4300-digit default limit, 4000-digit pieces from the right end
-    join in pairs, widths doubling each round: balanced products only."""
+    """The integer a text of ASCII digits spells, 0 for no digits. Past 4000
+    digits, or past a lower int() digit limit, pieces of the lesser width
+    from the right end join in pairs, widths doubling: balanced products."""
     if len(digits) <= 4000:
-        return int(digits or "0")
-    width = 4000
+        try:
+            return int(digits or "0")
+        except ValueError:
+            pass
+    width = min(sys.get_int_max_str_digits() or 4000, 4000)
     pieces = [int(digits[max(i - width, 0) : i]) for i in range(len(digits), 0, -width)]
     while len(pieces) > 1:
         scale = 10**width
@@ -95,17 +99,13 @@ def rational_value(r: Rational) -> Fraction:
     return Fraction(r.sign * r.p, r.q)
 
 
-def _float_ratio(sign: int, m: int, e: int) -> tuple[int, int]:
-    """The value sign * m * 2^e as a signed numerator over a power of two."""
-    return (sign * m << e, 1) if e >= 0 else (sign * m, 1 << -e)
-
-
 def float_exact_value(f: FloatValue) -> Fraction:
     """A finite float is the rational sign * m * 2^e, exactly."""
     from fractions import Fraction
-    if f.kind == KIND_INFINITE:
+    kind, sign, m, e = f
+    if kind == KIND_INFINITE:
         raise ValueError("an infinity has no rational value")
-    return Fraction(*_float_ratio(f.sign, f.significand, f.exponent))
+    return Fraction(sign * m << e) if e >= 0 else Fraction(sign * m, 1 << -e)
 
 
 # -?digits[.digits], with the zeros just after the point apart, or inf
@@ -146,8 +146,7 @@ def positional_order(text: str, bound: tuple) -> int | None:
 
 
 def _shifted_ge(x: int, k: int, y: int) -> bool:
-    # x * 2^k >= y with k of either sign; a copy of the converter's helper,
-    # kept on purpose so the oracle shares no code with what it checks
+    # x * 2^k >= y with k of either sign
     if k >= 0:
         return (x << k) >= y
     return x >= (y << -k)

@@ -110,7 +110,6 @@ def binarize_exponent(m: DigitString, dec_exp: int) -> tuple[DigitString, int]:
     A positive decimal exponent requires a mantissa with no leading zeros
     (or an empty one); negative exponents take any fraction string.
     """
-    _require(m, FRACTION)
     if dec_exp > 0 and m.text[:1] == "0":
         raise ValueError("positive exponents need a mantissa without leading zeros")
     N, n = _fraction_int(m)
@@ -153,7 +152,6 @@ def fraction_bits(p: int, q: int, count: int) -> list[int]:
 
 def mantissa_bits(m: DigitString, count: int) -> list[int]:
     """First `count` binary fraction digits of the fraction 0.m."""
-    _require(m, FRACTION)
     N, n = _fraction_int(m)
     return _leading_bits(N, 10**n, count)
 

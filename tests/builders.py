@@ -16,9 +16,9 @@ from radival.floatkit import (
     FloatFormat,
     FloatValue,
     NotRepresentable,
-    _shifted_ge,
 )
 from radival.kernels import _log2_floor
+from radival.oracle import _shifted_ge
 from radival.parse import Rational
 
 BINARY16 = FloatFormat(11, -14, 15)

@@ -369,6 +369,23 @@ MUTANTS = [
         "subnormal-pattern-exponent-off-by-one", "floatkit.py",
         "max(field, 1) - fmt.emax - t", "max(field, 0) - fmt.emax - t", CANONICAL,
     ),
+    # the binade of a ratio, and the doubling loop of a digit string
+    *(
+        Mutant(
+            f"log2-floor-{label}", "kernels.py", old, old.replace(" < ", " <= "),
+            ("tests/test_parse.py::TestScale::test_worked_examples",),
+        )
+        for label, old in (
+            ("exact-power-drops-a-binade", "(p < q << E)"),
+            ("exact-power-below-one-drops-a-binade", "(p << -E < q)"),
+        )
+    ),
+    Mutant(
+        "double-integer-drops-its-carry", "digitstring.py",
+        "    return DigitString([carry, *out] if carry else out, INTEGER)\n",
+        "    return DigitString(out, INTEGER)\n",
+        ("tests/test_digitstring.py::TestDoubleInteger::test_carry_grows",),
+    ),
     Mutant(
         "order-ranks-infinity-by-kind-alone", "floatkit.py",
         "        return (sign if kind == KIND_INFINITE else 0) < (\n",

@@ -86,8 +86,8 @@ def test_criterion_02_exact_decimals_of_third_bounds():
         lo = float_to_exact_decimal(iv.lb, BINARY32)
         hi = float_to_exact_decimal(iv.ub, BINARY32)
         elapsed = time.perf_counter() - start
-        assert lo.mantissa.as_text() == "333333313465118408203125"
-        assert hi.mantissa.as_text() == "3333333432674407958984375"
+        assert lo.mantissa.text == "333333313465118408203125"
+        assert hi.mantissa.text == "3333333432674407958984375"
         assert lo.exponent == 0 and hi.exponent == 0
         assert elapsed < 1.0
 
@@ -216,7 +216,7 @@ def test_criterion_08_outward_truncation():
 
 
 def _digit_value(ds):
-    text = ds.as_text()
+    text = ds.text
     return Fraction(int(text or "0"), 10 ** len(text))
 
 
@@ -239,8 +239,8 @@ def test_criterion_09_digit_string_identities():
             assert _digit_value(halved) == v / 2
 
             whole = DigitString.integer(raw)
-            n = int(whole.as_text() or "0")
-            assert int(double_integer(whole).as_text() or "0") == 2 * n
+            n = int(whole.text or "0")
+            assert int(double_integer(whole).text or "0") == 2 * n
             checks += 3
 
 

@@ -211,6 +211,57 @@ class TestParse:
         assert len(fields) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, padded",
+    [
+        (["parse", "0.1"], ["parse", " 0.1"]),
+        (["parse", "--check", "-2.5e-3"], ["parse", "--check", "\t-2.5e-3 "]),
+        (["parse-rational", "1/3"], ["parse-rational", " 1/3\t"]),
+        (["print", "bits:3f800000"], ["print", " bits:3f800000"]),
+        (["print-interval", "0.25", "0.5"], ["print-interval", " 0.25", "0.5 "]),
+        (["parse", "x"], ["parse", " x"]),
+    ],
+    ids=["numeral", "checked", "ratio", "bits", "pair", "syntax-error"],
+)
+def test_single_shot_value_is_stripped_as_a_line(argv, padded):
+    # a value reads as the filter line holding it would: blanks around it go
+    status, out, err = run_cli(argv)
+    assert run_cli(padded) == (status, out, err)
+    assert status in (0, 1) and (out == "") == (status == 1)
+
+
+# records that convert texts or integers past 640 digits, CPython's least
+# int/str digit limit: the exact decimals of subnormal bounds, a long
+# numeral with and without --check, a long ratio, and outward rounding of
+# the least subnormal to 700 digits
+LONG_RECORDS = {
+    "subnormal-bounds": (["parse", "--format", "binary64"], ["4e-320"]),
+    "subnormal-bounds-checked": (["parse", "--format", "binary64", "--check"], ["4e-320"]),
+    "least-subnormal": (["print", "--format", "binary64", "--check"], ["bits:0000000000000001"]),
+    "long-numeral": (["parse", "--format", "binary64", "--check"], ["0." + "123456789" * 111]),
+    "long-mantissa": (["parse", "--check"], ["1" * 1000 + "e-1000"]),
+    "long-ratio": (["parse-rational", "--format", "binary64", "--check"], ["1/" + "7" * 1000]),
+    "outward-700-digits": (
+        ["print-interval", "--format", "binary64", "--digits", "700", "--check"],
+        ["bits:0000000000000001", "bits:0000000000000003"],
+    ),
+}
+
+
+@pytest.mark.parametrize("options, values", LONG_RECORDS.values(), ids=list(LONG_RECORDS))
+def test_records_under_the_least_int_digit_limit(options, values):
+    # the same output, single-shot and filtered, as at the default limit
+    runs = [([*options, "--", *values], ""), (options, " ".join(values) + "\n")]
+    expected = [run_cli(*run) for run in runs]
+    assert [status for status, _, _ in expected] == [0, 0]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert [run_cli(*run) for run in runs] == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def seeded_lines(command: str, count: int) -> list[str]:
     """Numerals of 1 to 17 digits across and past the binary64 range, or
     ratios of terms up to 64 bits, of both signs, zero among them."""
@@ -659,6 +710,14 @@ class TestTable:
         assert status == 0
         assert out == GOLDEN_TABLE.read_text()
 
+    def test_check_failure_still_writes_the_table(self, monkeypatch):
+        # every row is written before the disagreements are reported
+        monkeypatch.setattr(oracle, "rational_reference", lambda *fields: (tuple(ZERO),) * 2)
+        status, out, err = run_cli(["table", "--check"])
+        assert (status, out) == (3, GOLDEN_TABLE.read_text())
+        rows = ", ".join(f"1/{i}" for i in range(2, 12))
+        assert err == f"check failed: computed intervals disagree for {rows}\n"
+
     def test_layout_shape(self):
         _, out, _ = run_cli(["table"])
         lines = out.splitlines()
@@ -836,6 +895,42 @@ class TestArgumentHandling:
         status, out, err = run_cli(["print-interval", "0.25", "--digits", "3", "0.5"])
         assert (status, err) == (0, "")
         assert (status, out, err) == run_cli(["print-interval", "--digits", "3", "0.25", "0.5"])
+
+    # two help texts in full: every option's help starts in column 24, and
+    # a line it wraps onto starts there too
+    HELP_TEXTS = {
+        "print-interval": """\
+usage: radival print-interval [-h] [--digits DIGITS] [--format {binary32,binary64}] [--check] [low] [high]
+
+outward-rounded decimal interval of a float pair
+
+positional arguments:
+  low                   lower bound (literal or bits:HEX)
+  high                  upper bound (literal or bits:HEX)
+
+options:
+  -h, --help            show this help message and exit
+  --digits DIGITS       digit budget per bound (default 6)
+  --format {binary32,binary64}
+                        target format (default binary32)
+  --check               revalidate results against the independent reference;
+                        exit 3 on disagreement
+""",
+        "table": """\
+usage: radival table [-h] [--check]
+
+print the unit-fraction demonstration table
+
+options:
+  -h, --help            show this help message and exit
+  --check               revalidate results against the independent reference;
+                        exit 3 on disagreement
+""",
+    }
+
+    @pytest.mark.parametrize("command", HELP_TEXTS)
+    def test_help_text(self, command):
+        assert run_cli([command, "--help"]) == (0, self.HELP_TEXTS[command], "")
 
     def test_help_goes_to_the_given_stdout(self):
         status, out, err = run_cli(["print-interval", "--help"])

@@ -4,8 +4,10 @@ the same text agree.
 For a stripped, tab-free line, when the filter writes `line ERR <msg>` the
 single-shot run exits 1, 2 or 3 with empty stdout and `error: <msg>` on
 stderr, or `check failed: <msg>` with exit 3. Otherwise it exits 0 and
-prints the same fields in its labelled layout. Exponents run to 10^9, so
---check must settle them without building the power of ten.
+prints the same fields in its labelled layout. A single-shot value padded
+with blanks reads as the value itself, as the line holding it would.
+Exponents run to 10^9, so --check must settle them without building the
+power of ten.
 """
 
 from hypothesis import given, settings
@@ -56,15 +58,19 @@ bit_tokens = st.builds(
 junk = st.text("0123456789.eE+-/:xabits٣é", min_size=1, max_size=14)
 tokens = numerals | dyadics | ratios | bit_tokens | junk
 formats = st.sampled_from(["binary32", "binary64"])
+blanks = st.text(" \t", max_size=2)
+pads = st.tuples(blanks, blanks)
 
 
-def assert_modes_agree(command, options, values):
+def assert_modes_agree(command, options, values, pad):
     line = " ".join(values)
     argv = [command, *options]
     status, out, err = run_cli(argv, line + "\n")
     fields = out[:-1].split("\t")
     assert (err, out[-1:], fields[0]) == ("", "\n", line)
     single = run_cli([*argv, "--", *values])
+    left, right = pad
+    assert run_cli([*argv, "--", *(left + value + right for value in values)]) == single
     if fields[1] == "ERR":
         assert len(fields) == 3
         if single[0] == 3:
@@ -87,19 +93,20 @@ def assert_modes_agree(command, options, values):
     numerals | ratios | junk,
     formats,
     st.booleans(),
+    pads,
 )
-def test_parse_modes_agree(command, text, fmt, check):
+def test_parse_modes_agree(command, text, fmt, check, pad):
     text = text.strip()
     if text:
-        assert_modes_agree(command, ["--format", fmt] + ["--check"] * check, [text])
+        assert_modes_agree(command, ["--format", fmt] + ["--check"] * check, [text], pad)
 
 
 @settings(max_examples=150, deadline=None)
-@given(dyadics | bit_tokens | numerals | junk, formats, st.booleans())
-def test_print_modes_agree(text, fmt, check):
+@given(dyadics | bit_tokens | numerals | junk, formats, st.booleans(), pads)
+def test_print_modes_agree(text, fmt, check, pad):
     text = text.strip()
     if text:
-        assert_modes_agree("print", ["--format", fmt] + ["--check"] * check, [text])
+        assert_modes_agree("print", ["--format", fmt] + ["--check"] * check, [text], pad)
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,8 +116,9 @@ def test_print_modes_agree(text, fmt, check):
     formats,
     st.booleans(),
     st.sampled_from([1, 6, 17]),
+    pads,
 )
-def test_print_interval_modes_agree(low, high, fmt, check, digits):
+def test_print_interval_modes_agree(low, high, fmt, check, digits, pad):
     options = ["--format", fmt, "--digits", str(digits)] + ["--check"] * check
-    assert_modes_agree("print-interval", options, [low, high])
+    assert_modes_agree("print-interval", options, [low, high], pad)
 

@@ -1,6 +1,7 @@
 """Digit-string arithmetic against hand-worked cases and value identities."""
 
 import random
+import sys
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radival import kernels
 from radival.digitstring import (
     FRACTION,
     INTEGER,
@@ -84,9 +86,10 @@ class TestConstruction:
             frac("1٠2")  # arabic-indic digit is not ascii
 
     def test_text_round_trip(self):
-        assert frac("405").as_text() == "405"
-        assert frac("").as_text() == ""
+        assert frac("405").text == "405"
+        assert frac("").text == ""
         assert len(frac("405")) == 3
+        assert (str(frac("405")), str(frac(""))) == ("405", "(empty)")
 
     @given(st.lists(st.integers(0, 9), max_size=30), st.sampled_from([FRACTION, INTEGER]))
     def test_text_and_int_forms_agree(self, digits, role):
@@ -104,7 +107,7 @@ class TestConstruction:
             assert from_ints == from_text
             assert hash(from_ints) == hash(from_text)
             assert from_text.digits == tuple(digits)
-            assert from_ints.as_text() == text
+            assert from_ints.text == text
 
 
 class TestMul2:
@@ -216,3 +219,45 @@ class TestTextFromInt:
         for width in widths + [rng.randint(1, 30000) for _ in range(8)]:
             text = "".join(rng.choice("0123456789") for _ in range(width))
             assert _text_from_int(_int_from_digits(text), width) == text
+
+
+def counted_conversions(monkeypatch, module) -> list[int]:
+    """The digit counts of the whole int() and str() conversions the module
+    makes from now on, through spies bound to its global names."""
+    sizes = []
+
+    def spy(convert):
+        def counted(value, *args):
+            out = convert(value, *args)
+            sizes.append(len(value if isinstance(value, str) else out))
+            return out
+
+        return counted
+
+    monkeypatch.setattr(module, "int", spy(int), raising=False)
+    monkeypatch.setattr(module, "str", spy(str), raising=False)
+    return sizes
+
+
+@pytest.mark.parametrize("limit", [640, 0], ids=["least-limit", "no-limit"])
+def test_digit_texts_at_any_int_digit_limit(monkeypatch, limit):
+    """Under CPython's least int/str digit limit the kernels read and write
+    texts of any length as at the default limit, and with no limit they
+    still convert no piece past 4000 digits whole, since whole conversion
+    is quadratic in the length."""
+    rng = random.Random(640)
+    texts = ["", "0" * 700 + "1"]
+    for width in (1, 640, 641, 1000, 2500, 3913, 4001, 9001, 20000):
+        texts.append(str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=width - 1)))
+    expected = [(_int_from_digits(text), _text_from_int(_int_from_digits(text))) for text in texts]
+    sizes = counted_conversions(monkeypatch, kernels)
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for text, (value, digits) in zip(texts, expected):
+            assert _int_from_digits(text) == value
+            assert _text_from_int(value) == digits
+            assert _text_from_int(value, len(text)) == (text or "0")
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert 0 < max(sizes) <= (limit or 4000)

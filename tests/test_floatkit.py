@@ -83,6 +83,10 @@ class TestConstruction:
         assert decompose(f, BINARY32) == (12582912, -24)
         assert decompose(ZERO, BINARY32) == (0, 0)
 
+    def test_decompose_rejects_an_infinity(self):
+        with pytest.raises(ValueError, match="cannot decompose an infinity"):
+            decompose(infinity(-1), BINARY32)
+
     def test_decompose_rejects_foreign_format(self):
         f = exact_float(1, 1, -30, BINARY64)
         decompose(f, BINARY64)

@@ -103,22 +103,16 @@ def test_every_public_definition_has_a_user():
     assert unused == []
 
 
-# the oracle's own copies of converter helpers, kept so that it shares no
-# code with what it checks
-ORACLE_COPIES = {"_shifted_ge"}
-
-
 def test_one_definition_per_function_name():
     """No top-level function name is defined in two modules, so a second
-    copy of a kernel helper cannot creep in; only the oracle's deliberate
-    copies are exempt."""
+    copy of a kernel helper cannot creep in, not even in the oracle."""
     homes = {}
     for path in pathlib.Path(radival.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
                 homes.setdefault(node.name, []).append(path.name)
     shared = {name: sorted(where) for name, where in homes.items() if len(where) > 1}
-    assert shared == {name: ["floatkit.py", "oracle.py"] for name in ORACLE_COPIES}
+    assert shared == {}
 
 
 def test_values_are_filled_only_in_checked_constructors():

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import struct
+import sys
 from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from builders import BFLOAT16, BINARY16, BINARY128, exact_float, float_one
+from test_digitstring import counted_conversions
 from radival import oracle
 from radival.digitstring import DigitString
 from radival.floatkit import (
@@ -406,3 +408,22 @@ def test_decimal_ratio_on_both_sides_of_the_memo_cap(k):
         num, den = oracle._decimal_ratio(sign, digits, len(digits) - k)
         assert den > 0 and Fraction(num, den) == sign * Fraction(1234567, 10**k)
     assert max(oracle._FIVES) <= oracle._FIVES_CAP
+
+
+@pytest.mark.parametrize("limit", [640, 0], ids=["least-limit", "no-limit"])
+def test_digits_value_at_any_int_digit_limit(monkeypatch, limit):
+    """The oracle's reader of digit texts reads any length under CPython's
+    least int() digit limit, and converts no piece past 4000 digits whole
+    with no limit at all."""
+    rng = random.Random(641)
+    texts = ["", "0" * 700 + "7"]
+    texts += ["".join(rng.choices("0123456789", k=k)) for k in (640, 641, 4000, 4001, 20000)]
+    expected = [Fraction(Decimal(text or "0")) for text in texts]
+    sizes = counted_conversions(monkeypatch, oracle)
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert [oracle._digits_value(text) for text in texts] == expected
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert 0 < max(sizes) <= (limit or 4000)

@@ -244,7 +244,7 @@ class TestBinarize:
 
 
 def _value(m: DigitString, bin_exp: int, dec_exp: int) -> Fraction:
-    text = m.as_text()
+    text = m.text
     base = Fraction(int(text or "0"), 10 ** len(text))
     return base * Fraction(2) ** bin_exp * Fraction(10) ** dec_exp
 

@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from radival.digitstring import DigitString
+from radival.digitstring import INTEGER, DigitString
 from radival.floatkit import (
     BINARY32,
     BINARY64,
@@ -48,6 +48,9 @@ VALUES = [
     ),
 ]
 IDS = [type(value).__name__ for value, _ in VALUES]
+# a second value of a class goes under a name of its own
+VALUES.append((FloatValue(KIND_INFINITE, -1, 0, 0), "FloatValue(-inf)"))
+IDS.append("FloatValue-infinite")
 PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 
 
@@ -105,6 +108,30 @@ def test_pickle_rebuilds_through_the_checks(value, field, forged, protocol):
 def test_float_value_checks_its_fields(fields):
     with pytest.raises(ValueError):
         FloatValue(*fields)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (DecimalScientific, (0, DigitString("5"), 0), "sign must be"),
+        (DecimalScientific, (1, DigitString("5", INTEGER), 0), "must be a fraction"),
+        (DecimalScientific, (1, DigitString("05"), 0), "open with a nonzero"),
+        (DecimalScientific, (-1, DigitString(""), 0), "zero is stored"),
+        (Rational, (-2, 1, 3), "sign must be"),
+        (Rational, (1, 1, 0), "zero denominator"),
+        (Rational, (1, -1, 3), "nonnegative"),
+        (DecimalInfinity, (0,), "sign must be"),
+        (DigitString, ("12", "decimal"), "unknown role"),
+    ],
+    ids=[
+        "decimal-sign", "decimal-integer-mantissa", "decimal-leading-zero", "decimal-signed-zero",
+        "rational-sign", "rational-zero-denominator", "rational-negative-term",
+        "infinity-sign", "digits-role",
+    ],
+)
+def test_constructors_check_their_arguments(build, args, message):
+    with pytest.raises(ValueError, match=message):
+        build(*args)
 
 
 def test_zero_fields_give_the_one_zero():
