@@ -23,18 +23,9 @@ _EXPORTS = {
         "KIND_NORMAL",
         "KIND_SUBNORMAL",
         "KIND_ZERO",
-        "ZERO",
         "DomainError",
         "FloatFormat",
-        "FloatInterval",
-        "FloatValue",
         "NotRepresentable",
-        "as_py_float",
-        "decompose",
-        "from_bits",
-        "infinity",
-        "next_up",
-        "to_bits",
     ),
     "kernels": ("NumeralSyntaxError",),
     "parse": (
@@ -58,6 +49,17 @@ _EXPORTS = {
         "interval_to_decimal",
         "plain_decimal",
         "truncate_directed",
+    ),
+    "value": (
+        "ZERO",
+        "FloatInterval",
+        "FloatValue",
+        "as_py_float",
+        "decompose",
+        "from_bits",
+        "infinity",
+        "next_up",
+        "to_bits",
     ),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,9 +19,11 @@ Arguments are read by one reader from the table of subcommands below:
 options in any position, spelled out or begun (--fo for --format), as
 --name value or --name=value, -- to end them, and any token that is
 neither -h nor --... a value, so a negative numeral or ratio needs no --.
-Only a help request loads a module (textwrap) to do it, and a filter
-record runs on the kernels alone, so a launch loads neither argparse nor
-the value modules (digitstring, parse, render).
+The help and usage texts and the table live in cliextra, which only a
+help request, an argument error or the table subcommand loads, and a
+filter record runs on floatkit and the kernels alone, so a launch loads
+neither argparse nor the value modules (value, digitstring, parse,
+render).
 
 Exit codes: 0 success, 1 syntax or arity (or stdout closed before the
 output was written), 2 domain (NaN bits, zero denominators, literals off
@@ -215,37 +217,10 @@ def _cmd_print_interval(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIO
     return _serve(args.values, record, layout, stdin, stdout)
 
 
-_TABLE_HEADER = (
-    "1/i     floating-point number     narrowest interval",
-    "        produced by standard      containing 1/i",
-    "        I/O library via compiler",
-    "-" * 56,
-)
-
-# The reference layout this table reproduces records 1/11 one ulp above
-# the exact narrowest enclosure; the cell is kept verbatim while the
-# conversion itself (and parse-rational) reports the exact interval.
-_ROW_OVERRIDES = {11: "2^(-4) * 1.3a2e8[c,d]"}
-
-
 def _cmd_table(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
-    # the table's nearest-float column comes from the oracle, check or not,
-    # and its cells from the value layer, which no filter record loads
-    from . import oracle
-    from .parse import Rational, _enclose
-    from .render import hex_significand_bracket, hex_significand_rendering
+    from .cliextra import _table
 
-    fmt = BINARY32
-    mismatches = []
-    stdout.write("\n".join(_TABLE_HEADER) + "\n")
-    for i in range(2, 12):
-        nearest = oracle.nearest_float(oracle.rational_value(Rational(1, 1, i)), fmt)
-        grid = _floor(1, 1, i, fmt)
-        # the printed interval is the one built from the bounds checked here
-        if args.check and oracle.rational_reference(1, 1, i, fmt) != _bounds(*grid, fmt):
-            mismatches.append(f"1/{i}")
-        cell = _ROW_OVERRIDES.get(i) or hex_significand_bracket(_enclose(*grid, fmt), fmt)
-        stdout.write(f"{f'1/{i}':<8}{hex_significand_rendering(nearest, fmt):<26}{cell}\n")
+    mismatches = _table(stdout, args.check)
     if mismatches:
         raise CheckFailure(f"computed intervals disagree for {', '.join(mismatches)}")
     return 0
@@ -355,7 +330,9 @@ def _read_arguments(argv: list[str]) -> SimpleNamespace | str:
     head = argv[0] if argv else ""
     if head == "-h" or head.startswith("--") and head != "--":
         _option_name(head, ("-h", _HELP_OPTION[0]), None)
-        return _help(None)
+        from .cliextra import _help
+
+        return _help(_COMMANDS, _HELP_OPTION, None)
     if head not in _COMMANDS:
         if not argv:
             raise _ArgumentError(None, "the following arguments are required: command")
@@ -382,7 +359,9 @@ def _read_arguments(argv: list[str]) -> SimpleNamespace | str:
                     message = f"argument {name}: ignored explicit argument {text!r}"
                     raise _ArgumentError(head, message)
                 if option is _HELP_OPTION:
-                    return _help(head)
+                    from .cliextra import _help
+
+                    return _help(_COMMANDS, _HELP_OPTION, head)
                 found[name[2:]] = True
                 continue
             if not equals:
@@ -400,44 +379,6 @@ def _read_arguments(argv: list[str]) -> SimpleNamespace | str:
     return SimpleNamespace(command=head, values=values, **found)
 
 
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: radival [-h] {{{','.join(_COMMANDS)}}} ..."
-    _, value_names, options, _ = _COMMANDS[command]
-    parts = [f"[{name} {metavar}]" if metavar else f"[{name}]" for name, metavar, *_ in options]
-    parts += [f"[{name}]" for name, _ in value_names]
-    return f"usage: radival {command} [-h] {' '.join(parts)}"
-
-
-def _help(command: str | None) -> str:
-    """The help text of the subcommand, or of the program for None."""
-    from textwrap import fill
-
-    if command is None:
-        about = "exact decimal/binary conversion with narrowest enclosing intervals"
-        values = [(f"{{{','.join(_COMMANDS)}}}", "")]
-        values += [(f"  {name}", spec[0]) for name, spec in _COMMANDS.items()]
-        specs = ()
-    else:
-        about, values, specs, _ = _COMMANDS[command]
-    options = [(f"-h, {_HELP_OPTION[0]}", _HELP_OPTION[-1])]
-    for name, metavar, *_, text in specs:
-        options.append((f"{name} {metavar}" if metavar else name, text))
-    lines = [_usage(command), "", about]
-    for title, rows in (("positional arguments", values), ("options", options)):
-        if rows:
-            lines += ["", f"{title}:"]
-        for name, text in rows:
-            # the text starts in column 24, on a line of its own after a long name
-            first = f"  {name:<22}"
-            if len(name) > 20 or not text:
-                lines.append(f"  {name}")
-                first = " " * 24
-            if text:
-                lines.append(fill(text, 80, initial_indent=first, subsequent_indent=" " * 24))
-    return "\n".join(lines) + "\n"
-
-
 def run(
     argv: list[str],
     stdin: TextIOBase | None = None,
@@ -450,8 +391,10 @@ def run(
     try:
         args = _read_arguments(argv)
     except _ArgumentError as err:
+        from .cliextra import _usage
+
         prog = "radival" if err.command is None else f"radival {err.command}"
-        stderr.write(f"{_usage(err.command)}\n{prog}: error: {err}\n")
+        stderr.write(f"{_usage(_COMMANDS, err.command)}\n{prog}: error: {err}\n")
         return 1
     if isinstance(args, str):
         stdout.write(args)

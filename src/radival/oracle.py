@@ -9,13 +9,14 @@ is wrong. decimal_reference and rational_reference, the entries --check
 calls per line, answer in the fields (kind, sign, m, e) of the two bounds
 and build no value. The DecimalScientific and Rational that exact_value and
 rational_value take are read by their fields alone, so parse, whose
-classes they are, is never imported here: a checked line loads no module
-but this one. positional_order, which reads a printed bound back, reads
-its significant digits and a scale, the zeros after the point of a text
-under 1 counting in the scale alone. Every power of ten a checked line
-needs, but those that join the pieces of a long text, is 5^k << k, 5^k
-from the oracle's own memo of powers of five (_five_power), kept apart
-from the converter's.
+classes they are, is never imported here, and the value classes that
+narrowest_interval_reference and nearest_float build are imported inside
+them: a checked line loads no module but this one. positional_order,
+which reads a printed bound back, reads its significant digits and a
+scale, the zeros after the point of a text under 1 counting in the scale
+alone. Every power of ten a checked line needs, but those that join the
+pieces of a long text, is 5^k << k, 5^k from the oracle's own memo of
+powers of five (_five_power), kept apart from the converter's.
 """
 
 from __future__ import annotations
@@ -23,16 +24,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .floatkit import (
-    KIND_INFINITE,
-    KIND_NORMAL,
-    KIND_SUBNORMAL,
-    KIND_ZERO,
-    FloatFormat,
-    FloatInterval,
-    FloatValue,
-    infinity,
-)
+from .floatkit import KIND_INFINITE, KIND_NORMAL, KIND_SUBNORMAL, KIND_ZERO, FloatFormat
 
 
 def _digits_value(digits: str) -> int:
@@ -198,6 +190,9 @@ def _reference(num: int, den: int, fmt: FloatFormat) -> tuple[tuple, tuple]:
 def narrowest_interval_reference(x: Fraction, fmt: FloatFormat) -> FloatInterval:
     """Tightest enclosing interval of the rational x."""
     from fractions import Fraction
+
+    from .value import FloatInterval, FloatValue
+
     x = Fraction(x)
     lower, upper = _reference(x.numerator, x.denominator, fmt)
     return FloatInterval(FloatValue(*lower), FloatValue(*upper))
@@ -234,6 +229,9 @@ def decimal_reference(
 def nearest_float(x: Fraction, fmt: FloatFormat) -> FloatValue:
     """Round to nearest with ties to the even significand."""
     from fractions import Fraction
+
+    from .value import infinity
+
     x = Fraction(x)
     if x < 0:
         return -nearest_float(-x, fmt)

@@ -22,9 +22,9 @@ forms on random inputs.
 from __future__ import annotations
 
 from .digitstring import FRACTION, DigitString, _fraction_digits, _fraction_int, _require
-from .floatkit import DomainError, FloatFormat, FloatInterval, FloatValue
+from .floatkit import DomainError, FloatFormat
 from .kernels import _bounds, _decimal_floor, _floor, _log2_floor, _numeral, _ratio
-from .value import Value
+from .value import FloatInterval, FloatValue, Value
 
 
 class DecimalScientific(Value):

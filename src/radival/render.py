@@ -16,7 +16,7 @@ apply them to values.
 from __future__ import annotations
 
 from .digitstring import DigitString
-from .floatkit import KIND_INFINITE, FloatFormat, FloatInterval, FloatValue, decompose
+from .floatkit import KIND_INFINITE, FloatFormat
 from .kernels import (
     _BRACKET,
     _cut,
@@ -27,7 +27,7 @@ from .kernels import (
     _step_outward,
 )
 from .parse import DECIMAL_ZERO, DecimalScientific
-from .value import Value
+from .value import FloatInterval, FloatValue, Value, decompose
 
 
 class DecimalInfinity(Value):

@@ -11,15 +11,14 @@ BINARY128 are IEEE formats the package does not name.
 from radival.floatkit import (
     KIND_NORMAL,
     KIND_SUBNORMAL,
-    ZERO,
     DomainError,
     FloatFormat,
-    FloatValue,
     NotRepresentable,
 )
 from radival.kernels import _log2_floor
 from radival.oracle import _shifted_ge
 from radival.parse import Rational
+from radival.value import ZERO, FloatValue
 
 BINARY16 = FloatFormat(11, -14, 15)
 BFLOAT16 = FloatFormat(8, -126, 127)

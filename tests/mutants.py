@@ -48,6 +48,10 @@ STEP_WALK = ("tests/test_small_formats.py::test_next_up_steps_every_pattern",)
 ORACLE_HYGIENE = ("tests/test_hygiene.py::test_oracle_imports_no_converter_function",)
 ORDER = ("tests/test_render.py::TestBracketNotation::test_order_against_exact_values",)
 CONTAINMENT = ("tests/test_cli.py::TestPrintInterval::test_check_failure_on_containment",)
+# the oracle's one import line, after which a mutant adds a forbidden import
+ORACLE_FLOATKIT_IMPORT = (
+    "from .floatkit import KIND_INFINITE, KIND_NORMAL, KIND_SUBNORMAL, KIND_ZERO, FloatFormat\n"
+)
 
 MUTANTS = [
     # outward n-digit rounding and the bracket prefix
@@ -131,7 +135,7 @@ MUTANTS = [
         ("tests/test_parse.py::TestDecimalToInterval::test_tenth_binary32",),
     ),
     Mutant(
-        "reversed-negation", "floatkit.py",
+        "reversed-negation", "value.py",
         "        return FloatInterval(-self.ub, -self.lb)\n",
         "        return FloatInterval(-self.lb, -self.ub)\n",
         ("tests/test_floatkit.py::TestInterval::test_negation_swaps",),
@@ -154,20 +158,20 @@ MUTANTS = [
         ("tests/test_oracle.py::test_binade_tops_against_the_converter",),
     ),
     Mutant(
-        "borrow-at-least-exponent", "floatkit.py",
+        "borrow-at-least-exponent", "value.py",
         "    if m == 1 << (fmt.significand_bits - 1) and e > fmt.least_exponent:\n",
         "    if m == 1 << (fmt.significand_bits - 1):\n",
         STEP_WALK,
     ),
     Mutant(
-        "float-value-without-significand-check", "floatkit.py",
+        "float-value-without-significand-check", "value.py",
         "            if significand <= 0:\n"
         '                raise ValueError("finite nonzero value needs a positive significand")\n',
         "            pass\n",
         ("tests/test_values.py::test_float_value_checks_its_fields",),
     ),
     Mutant(
-        "unreduced-hash", "floatkit.py",
+        "unreduced-hash", "value.py",
         "            m, e = m >> shift, e + shift\n", "",
         ("tests/test_floatkit.py::TestOrderingAndEquality",),
     ),
@@ -250,13 +254,13 @@ MUTANTS = [
     *(
         Mutant(
             f"oracle-imports-{label}", "oracle.py",
-            "    infinity,\n)\n",
-            f"    infinity,\n)\n{statement}\n",
+            ORACLE_FLOATKIT_IMPORT,
+            f"{ORACLE_FLOATKIT_IMPORT}{statement}\n",
             ORACLE_HYGIENE,
         )
         for label, statement in (
-            ("next-up", "from .floatkit import next_up"),
-            ("next-up-absolute", "from radival.floatkit import next_up"),
+            ("next-up", "from .value import next_up"),
+            ("next-up-absolute", "from radival.value import next_up"),
             ("render", "from . import render"),
             ("parse-module", "import radival.parse"),
         )
@@ -286,6 +290,18 @@ MUTANTS = [
         "from types import SimpleNamespace\n",
         "from types import SimpleNamespace\n\nfrom . import render\n",
         ("tests/test_hygiene.py::test_launch_leaves_the_value_layer_unloaded",),
+    ),
+    Mutant(
+        "launch-loads-the-help", "cli.py",
+        "from types import SimpleNamespace\n",
+        "from types import SimpleNamespace\n\nfrom . import cliextra\n",
+        ("tests/test_hygiene.py::test_filter_launch_loads_only_the_record_path",),
+    ),
+    Mutant(
+        "launch-loads-the-float-values", "floatkit.py",
+        "max(field, 1) - fmt.emax - t\n",
+        "max(field, 1) - fmt.emax - t\n\n\nfrom . import value\n",
+        ("tests/test_hygiene.py::test_filter_launch_loads_only_the_record_path",),
     ),
     Mutant(
         "exit-without-freeze", "cli.py", "    gc.freeze()\n", "",

@@ -25,11 +25,6 @@ from radival.floatkit import (
     KIND_NORMAL,
     KIND_SUBNORMAL,
     KIND_ZERO,
-    ZERO,
-    FloatInterval,
-    from_bits,
-    next_up,
-    to_bits,
 )
 from radival.parse import (
     DecimalScientific,
@@ -47,6 +42,7 @@ from radival.render import (
     float_to_exact_decimal,
     interval_to_decimal,
 )
+from radival.value import ZERO, FloatInterval, from_bits, next_up, to_bits
 
 GOLDEN_TABLE = pathlib.Path(__file__).parent / "data" / "reference_table.txt"
 

@@ -15,9 +15,9 @@ import pytest
 import radival
 from builders import float_one
 from radival import cli, kernels, oracle, render
-from radival.floatkit import BINARY32, ZERO, infinity
+from radival.floatkit import BINARY32
 from radival.parse import parse_numeral
-from radival.value import Value
+from radival.value import ZERO, Value, infinity
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN_TABLE = DATA / "reference_table.txt"
@@ -307,17 +307,17 @@ def test_parse_record_builds_no_float_values(monkeypatch, argv, lines):
     """A parse record goes from the grid floor to its text on integer pairs:
     no value is built, and no bound is decomposed, for finite, zero,
     subnormal and infinite bounds alike."""
-    from radival import floatkit
+    from radival import value
 
     calls = []
-    real = floatkit.decompose
+    real = value.decompose
 
     def counted(*args):
         calls.append("decompose")
         return real(*args)
 
     # every module that binds the function by name calls the counter
-    for module in (floatkit, cli, render, radival.parse):
+    for module in (value, cli, render, radival.parse):
         if getattr(module, "decompose", None) is real:
             monkeypatch.setattr(module, "decompose", counted)
     built = count_values(monkeypatch)

@@ -21,14 +21,17 @@ from radival.floatkit import (
     KIND_INFINITE,
     KIND_NORMAL,
     KIND_SUBNORMAL,
-    ZERO,
     DomainError,
     FloatFormat,
-    FloatInterval,
-    FloatValue,
     NotRepresentable,
     _below,
     _bits_fields,
+)
+from radival.parse import Rational, decimal_to_interval, parse_numeral, rational_to_interval
+from radival.value import (
+    ZERO,
+    FloatInterval,
+    FloatValue,
     as_py_float,
     decompose,
     from_bits,
@@ -36,7 +39,6 @@ from radival.floatkit import (
     next_up,
     to_bits,
 )
-from radival.parse import Rational, decimal_to_interval, parse_numeral, rational_to_interval
 
 b32_patterns = st.integers(0, 2**32 - 1)
 b64_patterns = st.integers(0, 2**64 - 1)

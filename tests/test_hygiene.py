@@ -9,11 +9,12 @@ five (kernels._pow5), the oracle none outside its own memo
 by its one idempotent store. Launch hygiene:
 importing the command line loads nothing that only --check needs, a
 --check run that checks no line never loads the oracle, a filter launch
-loads neither argparse nor the value modules (digitstring, parse,
-render), importing the package loads none of its modules until a name is
-asked for, a checked line adds the oracle and nothing else, and a launch
-ends with its heap frozen (gc.freeze) whether it succeeds or fails while
-the in-process cli.run freezes nothing."""
+loads neither argparse nor the value modules (value, digitstring, parse,
+render) and of the package only floatkit and the kernels, importing the
+package loads none of its modules until a name is asked for, a checked
+line adds the oracle and nothing else, and a launch ends with its heap
+frozen (gc.freeze) whether it succeeds or fails while the in-process
+cli.run freezes nothing."""
 
 import ast
 import gc
@@ -118,7 +119,7 @@ def test_one_definition_per_function_name():
 def test_values_are_filled_only_in_checked_constructors():
     """Every use of Value._of, the one fill of an instance, sits in a
     __new__, after that class's checks, and only value.py makes a bare
-    instance with object.__new__ or tuple.__new__ or takes more than Value
+    instance with object.__new__ or tuple.__new__ or takes a private name
     from value.py: no second way to build a value skips the checks.
     FloatFormat, slotted outside the tuple base, makes its instance with
     super().__new__, and no super().__new__ sits outside a __new__."""
@@ -133,7 +134,7 @@ def test_values_are_filled_only_in_checked_constructors():
         }
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "value":
-                outside += [f"{path.name}:{a.name}" for a in node.names if a.name != "Value"]
+                outside += [f"{path.name}:{a.name}" for a in node.names if a.name[0] == "_"]
             if not isinstance(node, ast.Attribute):
                 continue
             fill = node.attr == "_of" and id(node) not in checked
@@ -147,17 +148,8 @@ def test_values_are_filled_only_in_checked_constructors():
 # what the oracle may take from the package: the format descriptions and
 # the value types, never a function that computes a result it checks
 ORACLE_IMPORTS = {
-    "floatkit": {
-        "FloatFormat",
-        "FloatValue",
-        "FloatInterval",
-        "KIND_ZERO",
-        "KIND_SUBNORMAL",
-        "KIND_NORMAL",
-        "KIND_INFINITE",
-        "ZERO",
-        "infinity",
-    },
+    "floatkit": {"FloatFormat", "KIND_ZERO", "KIND_SUBNORMAL", "KIND_NORMAL", "KIND_INFINITE"},
+    "value": {"FloatValue", "FloatInterval", "infinity"},
     "parse": {"DecimalScientific", "Rational"},
 }
 
@@ -378,7 +370,9 @@ def test_check_with_no_line_leaves_the_oracle_unloaded(argv):
 
 
 # the value layer and argparse, which no filter record needs
-VALUE_LAYER = ("argparse", "radival.digitstring", "radival.parse", "radival.render")
+VALUE_LAYER = (
+    "argparse", "radival.value", "radival.digitstring", "radival.parse", "radival.render"
+)
 
 
 @pytest.mark.parametrize("command", ["parse", "parse-rational", "print", "print-interval"])
@@ -393,6 +387,25 @@ def test_launch_leaves_the_value_layer_unloaded(command):
     )
     result = _python("-c", code, command)
     assert (result.returncode, result.stdout, result.stderr) == (0, "", "[]")
+
+
+@pytest.mark.parametrize("command", ["parse", "parse-rational", "print", "print-interval"])
+def test_filter_launch_loads_only_the_record_path(command):
+    """A fresh filter on one line loads the package, floatkit and the
+    kernels, and no other module of the package: cli runs as __main__, and
+    the value classes, the help and usage texts and the table stay
+    unloaded."""
+    line = {"parse-rational": "-2/7", "print": "bits:3f800000", "print-interval": "0.25 0.5"}
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(repr(sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'radival'))))\n"
+        "runpy.run_module('radival.cli', run_name='__main__')\n"
+    )
+    result = _python("-c", code, command, stdin=line.get(command, "0.1") + "\n")
+    assert (result.returncode, result.stdout.count("\n")) == (0, 1)
+    assert "ERR" not in result.stdout
+    assert result.stderr == "['radival', 'radival.floatkit', 'radival.kernels']"
 
 
 def test_package_import_loads_no_module():

@@ -24,13 +24,6 @@ from radival.floatkit import (
     KIND_NORMAL,
     KIND_SUBNORMAL,
     KIND_ZERO,
-    ZERO,
-    FloatInterval,
-    FloatValue,
-    from_bits,
-    infinity,
-    next_up,
-    to_bits,
 )
 from radival.kernels import exact_field, outward_fields
 from radival.parse import (
@@ -41,6 +34,7 @@ from radival.parse import (
     parse_numeral,
     rational_to_interval,
 )
+from radival.value import ZERO, FloatInterval, FloatValue, from_bits, infinity, next_up, to_bits
 
 
 def decimal(sign: int, digits: str, exponent: int) -> DecimalScientific:

@@ -30,12 +30,7 @@ from radival.floatkit import (
     KIND_NORMAL,
     KIND_SUBNORMAL,
     KIND_ZERO,
-    ZERO,
     DomainError,
-    FloatValue,
-    as_py_float,
-    infinity,
-    next_up,
 )
 from radival.kernels import NumeralSyntaxError, _text_from_int
 from radival.parse import (
@@ -50,6 +45,7 @@ from radival.parse import (
     parse_numeral,
     rational_to_interval,
 )
+from radival.value import ZERO, FloatValue, as_py_float, infinity, next_up
 
 
 # a digit count past CPython's default 4300-digit int/str conversion limit

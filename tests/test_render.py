@@ -21,16 +21,9 @@ from radival.floatkit import (
     BINARY32,
     BINARY64,
     KIND_INFINITE,
-    ZERO,
     DomainError,
     FloatFormat,
-    FloatInterval,
-    FloatValue,
     _bits_fields,
-    from_bits,
-    infinity,
-    next_up,
-    to_bits,
 )
 from radival.kernels import (
     _POW5,
@@ -67,6 +60,7 @@ from radival.render import (
     plain_decimal,
     truncate_directed,
 )
+from radival.value import ZERO, FloatInterval, FloatValue, from_bits, infinity, next_up, to_bits
 
 
 def frac(text: str) -> DigitString:

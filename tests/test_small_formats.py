@@ -16,18 +16,10 @@ import pytest
 
 from builders import BFLOAT16, BINARY16
 from radival import oracle
-from radival.floatkit import (
-    KIND_INFINITE,
-    ZERO,
-    DomainError,
-    FloatInterval,
-    as_py_float,
-    from_bits,
-    next_up,
-    to_bits,
-)
+from radival.floatkit import KIND_INFINITE, DomainError
 from radival.parse import DecimalScientific, decimal_to_interval, parse_numeral
 from radival.render import DecimalInfinity, float_to_exact_decimal, interval_to_decimal
+from radival.value import ZERO, FloatInterval, as_py_float, from_bits, next_up, to_bits
 
 # format, struct code of the host type that holds it, and the number of
 # low host bits below it

@@ -1,11 +1,13 @@
 """The value classes: immutable tuples of their fields, equal and hashed by
 them, with the same repr the former dataclasses printed, rebuilt through
 their checks by copy and pickle, and never equal to their bare fields;
-formats, slotted, with derived constants computed once."""
+formats, slotted, with derived constants computed once: the integer ones
+with the format, the two values on their first access."""
 
 import copy
 import operator
 import pickle
+import struct
 
 import pytest
 
@@ -17,13 +19,11 @@ from radival.floatkit import (
     KIND_NORMAL,
     KIND_SUBNORMAL,
     KIND_ZERO,
-    ZERO,
     FloatFormat,
-    FloatInterval,
-    FloatValue,
 )
 from radival.parse import DecimalScientific, Rational
 from radival.render import BracketRendering, DecimalInfinity
+from radival.value import ZERO, FloatInterval, FloatValue, as_py_float, to_bits
 
 HALF = FloatValue(KIND_NORMAL, 1, 1 << 23, -24)
 VALUES = [
@@ -195,7 +195,7 @@ class TestFormatConstants:
         top, bottom = fmt.max_finite, fmt.smallest_subnormal
         assert tuple(top) == (KIND_NORMAL, 1, (1 << p) - 1, emax - p + 1)
         assert tuple(bottom) == (KIND_SUBNORMAL, 1, 1, fmt.least_exponent)
-        # built with the format, not on each access
+        # built on the first access, then kept: not built again on each access
         assert fmt.max_finite is top and fmt.smallest_subnormal is bottom
 
     def test_identity_is_the_three_parameters(self):
@@ -203,3 +203,51 @@ class TestFormatConstants:
         assert twin == BINARY32 and hash(twin) == hash(BINARY32)
         assert twin != BINARY64
         assert FloatFormat(24, -126, 128) != BINARY32
+
+    @staticmethod
+    def fresh_binary32() -> FloatFormat:
+        fmt = FloatFormat(24, -126, 127)
+        assert fmt._extremes is None  # no value constant built yet
+        return fmt
+
+    def test_identity_holds_across_the_first_access(self):
+        fmt = self.fresh_binary32()
+        before = [copy.copy(fmt), copy.deepcopy(fmt)]
+        before += [pickle.loads(pickle.dumps(fmt, protocol)) for protocol in PROTOCOLS]
+        assert fmt.max_finite == BINARY32.max_finite
+        after = [copy.copy(fmt), copy.deepcopy(fmt)]
+        after += [pickle.loads(pickle.dumps(fmt, protocol)) for protocol in PROTOCOLS]
+        for twin in before + after:
+            assert type(twin) is FloatFormat
+            assert twin == fmt == BINARY32 and hash(twin) == hash(fmt) == hash(BINARY32)
+            assert repr(twin) == repr(BINARY32)
+            assert twin.max_finite == fmt.max_finite
+            assert twin.smallest_subnormal == fmt.smallest_subnormal
+
+    def test_user_format_constants(self):
+        binary16 = FloatFormat(11, -14, 15)
+        top, bottom = binary16.max_finite, binary16.smallest_subnormal
+        assert tuple(top) == (KIND_NORMAL, 1, 2047, 5)
+        assert tuple(bottom) == (KIND_SUBNORMAL, 1, 1, -24)
+        assert binary16.max_finite is top and binary16.smallest_subnormal is bottom
+        # the host's half precision agrees: 65504 and 2^-24, patterns 7bff and 0001
+        for value, pattern in ((top, 0x7BFF), (bottom, 0x0001)):
+            assert to_bits(value, binary16) == pattern
+            assert as_py_float(value) == struct.unpack("<e", pattern.to_bytes(2, "little"))[0]
+
+    @pytest.mark.parametrize("accessed", [False, True], ids=["fresh", "accessed"])
+    def test_writes_are_refused(self, accessed):
+        fmt = self.fresh_binary32()
+        if accessed:
+            assert fmt.max_finite == BINARY32.max_finite
+        for name in ("max_finite", "smallest_subnormal", "emax", "least_exponent", "extra"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(fmt, name, BINARY64.max_finite)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(fmt, name)
+        assert fmt == BINARY32 and fmt.max_finite == BINARY32.max_finite
+
+    def test_slot_reads_keep_the_generic_lookup(self):
+        # a __getattr__ or __getattribute__ on the class would take every
+        # slot read of the records off the interpreter's specialized path
+        assert not {"__getattr__", "__getattribute__"} & set(vars(FloatFormat))
