@@ -32,10 +32,7 @@ _EXPORTS = {
         "DECIMAL_ZERO",
         "DecimalScientific",
         "Rational",
-        "binarize_exponent",
         "decimal_to_interval",
-        "mantissa_bits",
-        "normalize_mantissa",
         "parse_numeral",
         "rational_to_interval",
     ),
@@ -50,6 +47,7 @@ _EXPORTS = {
         "plain_decimal",
         "truncate_directed",
     ),
+    "staged": ("binarize_exponent", "fraction_bits", "mantissa_bits", "normalize_mantissa"),
     "value": (
         "ZERO",
         "FloatInterval",

@@ -42,8 +42,6 @@ the flush of the standard streams and profilers run as before. run()
 freezes nothing.
 """
 
-from __future__ import annotations
-
 import gc
 import io
 import os

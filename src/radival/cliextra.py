@@ -6,8 +6,6 @@ read off the command table that cli passes in, the one home of every
 subcommand's values and options.
 """
 
-from __future__ import annotations
-
 from io import TextIOBase
 
 from .floatkit import BINARY32

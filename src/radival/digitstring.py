@@ -1,20 +1,19 @@
 """Exact arithmetic on strings of decimal digits.
 
-Radix conversion needs decimal arithmetic that never rounds: doubling and
-halving numerals digit by digit, carries and borrows done by hand. A
-DigitString holds the digits of either a pure fraction 0.d1d2...dn or an
-unsigned integer d1d2...dn. Zero is the empty string in both roles.
+Radix conversion needs decimal arithmetic that never rounds: mul2, div2
+and double_integer double and halve numerals digit by digit, carries and
+borrows done by hand. They are the paper's reference, which the tests
+replay against staged, and share no code with the converter. A DigitString
+holds the digits of either a pure fraction 0.d1d2...dn or an unsigned
+integer d1d2...dn. Zero is the empty string in both roles.
 
 Canonical form keeps the value/representation map one to one: a fraction
 never ends in 0, an integer never starts with 0. A fraction may still
 begin with zeros (0.05 is the two digits 0 and 5); those carry value.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 
-from .kernels import _int_from_digits, _text_from_int
 from .value import Value
 
 FRACTION = "fraction"
@@ -33,7 +32,7 @@ class DigitString(Value):
     __slots__ = ()
     _fields = ("text", "role")
 
-    def __new__(cls, text: str | Iterable[int], role: str = FRACTION) -> DigitString:
+    def __new__(cls, text: str | Iterable[int], role: str = FRACTION) -> "DigitString":
         text = _digit_text(text)
         if role not in _ROLES:
             raise ValueError(f"unknown role {role!r}")
@@ -138,19 +137,3 @@ def double_integer(m: DigitString) -> DigitString:
     """Double an unsigned integer, growing by one digit on a final carry."""
     out, carry = _doubled(m, INTEGER)
     return DigitString([carry, *out] if carry else out, INTEGER)
-
-
-# Integer view of a fraction string: d1..dn maps to (d1..dn read as an
-# integer, n), value N / 10^n. The conversion modules do their bulk steps
-# on this view; the digit-at-a-time operations above stay the reference
-# behaviour and the tests replay one against the other.
-
-
-def _fraction_int(m: DigitString) -> tuple[int, int]:
-    _require(m, FRACTION)
-    return _int_from_digits(m.text), len(m)
-
-
-def _fraction_digits(N: int, n: int) -> DigitString:
-    """The fraction N / 10^n with N < 10^n; trailing zeros drop."""
-    return DigitString.fraction(_text_from_int(N, n))

@@ -12,8 +12,6 @@ not that one. Every operation here is exact integer arithmetic and
 nothing depends on the host float type.
 """
 
-from __future__ import annotations
-
 KIND_ZERO = "zero"
 KIND_SUBNORMAL = "subnormal"
 KIND_NORMAL = "normal"
@@ -43,7 +41,7 @@ class FloatFormat:
         "least_exponent", "exponent_field_bits", "bit_width", "_params", "_extremes",
     )
 
-    def __new__(cls, significand_bits: int, emin: int, emax: int) -> FloatFormat:
+    def __new__(cls, significand_bits: int, emin: int, emax: int) -> "FloatFormat":
         if significand_bits < 2:
             raise ValueError("need at least two significand bits")
         if emin >= 0 or emax <= 0:
@@ -61,14 +59,14 @@ class FloatFormat:
     # properties, not __getattr__: a class with __getattr__ loses the
     # interpreter's fast path for reading its slots
     @property
-    def max_finite(self) -> FloatValue:
+    def max_finite(self) -> "FloatValue":
         return (self._extremes or self._build_extremes())[0]
 
     @property
-    def smallest_subnormal(self) -> FloatValue:
+    def smallest_subnormal(self) -> "FloatValue":
         return (self._extremes or self._build_extremes())[1]
 
-    def _build_extremes(self) -> tuple[FloatValue, FloatValue]:
+    def _build_extremes(self) -> "tuple[FloatValue, FloatValue]":
         from .value import FloatValue
 
         p, _, emax = self._params

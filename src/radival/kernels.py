@@ -16,13 +16,11 @@ in a window of leading bytes that grows only while the bounds agree
 across it. Every power these steps need is 5^k or 10^k = 5^k * 2^k, taken
 from one memo of powers of five (_pow5) that fills as records ask, so a
 record raises no power an earlier one has raised. The value classes, the
-staged API and the public renderers in digitstring, parse and render build
+staged API and the public renderers in staged, parse and render build
 on these functions, so each text rule has one home; this module imports
 only floatkit, so the command line loads none of those modules to run a
 record.
 """
-
-from __future__ import annotations
 
 import math
 import re

@@ -19,8 +19,6 @@ pieces of a long text, is 5^k << k, 5^k from the oracle's own memo of
 powers of five (_five_power), kept apart from the converter's.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 
@@ -36,7 +34,8 @@ def _digits_value(digits: str) -> int:
             return int(digits or "0")
         except ValueError:
             pass
-    width = min(sys.get_int_max_str_digits() or 4000, 4000)
+    # CPython before 3.10.7 has neither limit nor query: int() gives 0, no limit
+    width = min(getattr(sys, "get_int_max_str_digits", int)() or 4000, 4000)
     pieces = [int(digits[max(i - width, 0) : i]) for i in range(len(digits), 0, -width)]
     while len(pieces) > 1:
         scale = 10**width
@@ -80,18 +79,18 @@ def _decimal_ratio(sign: int, digits: str, exponent: int) -> tuple[int, int]:
     return N, _five_power(-scale) << -scale
 
 
-def exact_value(d: DecimalScientific) -> Fraction:
+def exact_value(d: "DecimalScientific") -> "Fraction":
     """Value of a normalized decimal as an exact rational."""
     from fractions import Fraction
     return Fraction(*_decimal_ratio(d.sign, d.mantissa.text, d.exponent))
 
 
-def rational_value(r: Rational) -> Fraction:
+def rational_value(r: "Rational") -> "Fraction":
     from fractions import Fraction
     return Fraction(r.sign * r.p, r.q)
 
 
-def float_exact_value(f: FloatValue) -> Fraction:
+def float_exact_value(f: "FloatValue") -> "Fraction":
     """A finite float is the rational sign * m * 2^e, exactly."""
     from fractions import Fraction
     kind, sign, m, e = f
@@ -187,7 +186,7 @@ def _reference(num: int, den: int, fmt: FloatFormat) -> tuple[tuple, tuple]:
     return (low, high) if sign > 0 else (high, low)
 
 
-def narrowest_interval_reference(x: Fraction, fmt: FloatFormat) -> FloatInterval:
+def narrowest_interval_reference(x: "Fraction", fmt: FloatFormat) -> "FloatInterval":
     """Tightest enclosing interval of the rational x."""
     from fractions import Fraction
 
@@ -226,7 +225,7 @@ def decimal_reference(
     return _reference(*_decimal_ratio(sign, digits, exponent), fmt)
 
 
-def nearest_float(x: Fraction, fmt: FloatFormat) -> FloatValue:
+def nearest_float(x: "Fraction", fmt: FloatFormat) -> "FloatValue":
     """Round to nearest with ties to the even significand."""
     from fractions import Fraction
 

@@ -13,8 +13,6 @@ record writers that apply them to a bound's fields; the renderers here
 apply them to values.
 """
 
-from __future__ import annotations
-
 from .digitstring import DigitString
 from .floatkit import KIND_INFINITE, FloatFormat
 from .kernels import (
@@ -36,7 +34,7 @@ class DecimalInfinity(Value):
     __slots__ = ()
     _fields = ("sign",)
 
-    def __new__(cls, sign: int) -> DecimalInfinity:
+    def __new__(cls, sign: int) -> "DecimalInfinity":
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         return cls._of((sign,))
@@ -52,7 +50,7 @@ class BracketRendering(Value):
     __slots__ = ()
     _fields = ("prefix", "low_tail", "high_tail")
 
-    def __new__(cls, prefix: str, low_tail: str, high_tail: str) -> BracketRendering:
+    def __new__(cls, prefix: str, low_tail: str, high_tail: str) -> "BracketRendering":
         return cls._of((prefix, low_tail, high_tail))
 
     def text(self) -> str:

@@ -15,8 +15,6 @@ bit decoder (_bits_fields), which the filter records use without this
 module: no filter record builds a value, so a launch never loads it.
 """
 
-from __future__ import annotations
-
 import math
 from collections import _tuplegetter
 
@@ -33,7 +31,7 @@ from .floatkit import (
 )
 
 
-def _unordered(self: Value, other: object) -> bool:
+def _unordered(self: "Value", other: object) -> bool:
     raise TypeError(f"no order between {type(self).__name__} and {type(other).__name__}")
 
 
@@ -84,7 +82,7 @@ class FloatValue(Value):
     __slots__ = ()
     _fields = ("kind", "sign", "significand", "exponent")
 
-    def __new__(cls, kind: str, sign: int, significand: int, exponent: int) -> FloatValue:
+    def __new__(cls, kind: str, sign: int, significand: int, exponent: int) -> "FloatValue":
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         if kind == KIND_NORMAL or kind == KIND_SUBNORMAL:
@@ -118,19 +116,19 @@ class FloatValue(Value):
             m, e = m >> shift, e + shift
         return hash((sign, (m, e)))
 
-    def __lt__(self, other: FloatValue) -> bool:
+    def __lt__(self, other: "FloatValue") -> bool:
         return _below(self, other) if isinstance(other, FloatValue) else Value.__lt__(self, other)
 
-    def __le__(self, other: FloatValue) -> bool:
+    def __le__(self, other: "FloatValue") -> bool:
         return not self > other
 
-    def __gt__(self, other: FloatValue) -> bool:
+    def __gt__(self, other: "FloatValue") -> bool:
         return _below(other, self) if isinstance(other, FloatValue) else Value.__gt__(self, other)
 
-    def __ge__(self, other: FloatValue) -> bool:
+    def __ge__(self, other: "FloatValue") -> bool:
         return not self < other
 
-    def __neg__(self) -> FloatValue:
+    def __neg__(self) -> "FloatValue":
         kind, sign, m, e = self
         return self if kind == KIND_ZERO else FloatValue(kind, -sign, m, e)
 
@@ -227,7 +225,7 @@ class FloatInterval(Value):
     __slots__ = ()
     _fields = ("lb", "ub")
 
-    def __new__(cls, lb: FloatValue, ub: FloatValue) -> FloatInterval:
+    def __new__(cls, lb: FloatValue, ub: FloatValue) -> "FloatInterval":
         if ub < lb:
             raise ValueError(f"bounds out of order: {lb!r} > {ub!r}")
         return cls._of((lb, ub))

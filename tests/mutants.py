@@ -48,6 +48,13 @@ STEP_WALK = ("tests/test_small_formats.py::test_next_up_steps_every_pattern",)
 ORACLE_HYGIENE = ("tests/test_hygiene.py::test_oracle_imports_no_converter_function",)
 ORDER = ("tests/test_render.py::TestBracketNotation::test_order_against_exact_values",)
 CONTAINMENT = ("tests/test_cli.py::TestPrintInterval::test_check_failure_on_containment",)
+STAGED = (
+    "tests/test_parse.py::TestBinarize",
+    "tests/test_parse.py::TestNormalize",
+    "tests/test_parse.py::TestBitStreams",
+    "tests/test_acceptance.py::test_criterion_04_staged_binarization",
+    "tests/test_acceptance.py::test_criterion_05_three_sevenths_bits",
+)
 # the oracle's one import line, after which a mutant adds a forbidden import
 ORACLE_FLOATKIT_IMPORT = (
     "from .floatkit import KIND_INFINITE, KIND_NORMAL, KIND_SUBNORMAL, KIND_ZERO, FloatFormat\n"
@@ -401,6 +408,25 @@ MUTANTS = [
         "    return DigitString([carry, *out] if carry else out, INTEGER)\n",
         "    return DigitString(out, INTEGER)\n",
         ("tests/test_digitstring.py::TestDoubleInteger::test_carry_grows",),
+    ),
+    # the paper's staged route, off the record path
+    Mutant(
+        "binarize-halves-once-too-often", "staged.py",
+        "    K = _log2_floor(N * 10**dec_exp, 10**n) + 1\n",
+        "    K = _log2_floor(N * 10**dec_exp, 10**n) + 2\n",
+        STAGED,
+    ),
+    Mutant(
+        "binarize-doubles-to-one-digit-more", "staged.py",
+        "10 ** (n - dec_exp - 1))", "10 ** (n - dec_exp))", STAGED,
+    ),
+    Mutant(
+        "normalize-doubles-once-too-few", "staged.py",
+        "    K = -1 - _log2_floor(N, 10**n)\n", "    K = -_log2_floor(N, 10**n)\n", STAGED,
+    ),
+    Mutant(
+        "leading-bits-one-short", "staged.py",
+        "    acc = (num << count) // den\n", "    acc = (num << (count - 1)) // den\n", STAGED,
     ),
     Mutant(
         "order-ranks-infinity-by-kind-alone", "floatkit.py",

@@ -1,9 +1,10 @@
 """Digit-at-a-time reference loops.
 
-The library runs its exponent exchanges in bulk on an integer view of the
-digit string. These replay the same transformations one doubling or
-halving at a time, built only on mul2/div2, and the tests use them as
-differential references for the bulk forms on bounded random inputs.
+radival.staged runs the paper's exponent exchanges in bulk on an integer
+view of the digit string. These replay the same transformations one
+doubling or halving at a time, built only on mul2/div2 from digitstring,
+which imports no kernel, and the tests use them as differential
+references for the bulk forms on bounded random inputs.
 """
 
 from radival.digitstring import FRACTION, DigitString, div2, mul2

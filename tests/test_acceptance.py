@@ -28,11 +28,7 @@ from radival.floatkit import (
 )
 from radival.parse import (
     DecimalScientific,
-    binarize_exponent,
     decimal_to_interval,
-    fraction_bits,
-    mantissa_bits,
-    normalize_mantissa,
     parse_numeral,
     rational_to_interval,
     Rational,
@@ -42,6 +38,7 @@ from radival.render import (
     float_to_exact_decimal,
     interval_to_decimal,
 )
+from radival.staged import binarize_exponent, fraction_bits, mantissa_bits, normalize_mantissa
 from radival.value import ZERO, FloatInterval, from_bits, next_up, to_bits
 
 GOLDEN_TABLE = pathlib.Path(__file__).parent / "data" / "reference_table.txt"

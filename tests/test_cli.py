@@ -262,6 +262,17 @@ def test_records_under_the_least_int_digit_limit(options, values):
         sys.set_int_max_str_digits(limit)
 
 
+def test_check_without_the_int_digit_limit_query(monkeypatch):
+    """CPython before 3.10.7 has no int/str digit limit and no
+    sys.get_int_max_str_digits: the check reads a 5000-digit line as it
+    does with the query, and the record is the same."""
+    argv, line = ["parse", "--format", "binary64", "--check"], "0." + "3" * 5000 + "\n"
+    expected = run_cli(argv, line)
+    assert expected[0] == 0 and "ERR" not in expected[1]
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run_cli(argv, line) == expected
+
+
 def seeded_lines(command: str, count: int) -> list[str]:
     """Numerals of 1 to 17 digits across and past the binary64 range, or
     ratios of terms up to 64 bits, of both signs, zero among them."""

@@ -1,20 +1,21 @@
 """Source hygiene that a linter would check: no module imports a name it
 never uses, no function defaults its format, every name the package
-exports resolves, every public definition has a user, no function
-name is defined in two modules, the oracle imports no converter
-function, every value is filled only at the end of its class's checked
-constructor, no kernel raises a power outside the memo of powers of
-five (kernels._pow5), the oracle none outside its own memo
-(oracle._five_power) and its long-text reader, and each memo changes only
-by its one idempotent store. Launch hygiene:
-importing the command line loads nothing that only --check needs, a
---check run that checks no line never loads the oracle, a filter launch
-loads neither argparse nor the value modules (value, digitstring, parse,
-render) and of the package only floatkit and the kernels, importing the
-package loads none of its modules until a name is asked for, a checked
-line adds the oracle and nothing else, and a launch ends with its heap
-frozen (gc.freeze) whether it succeeds or fails while the in-process
-cli.run freezes nothing."""
+exports resolves, as does every name the acceptance tests import, every
+public definition has a user, no function name is defined in two modules,
+the oracle imports no converter function, digitstring imports nothing
+from the package but the value base, every value is filled only at the
+end of its class's checked constructor, no kernel raises a power outside
+the memo of powers of five (kernels._pow5), the oracle none outside its
+own memo (oracle._five_power) and its long-text reader, and each memo
+changes only by its one idempotent store. Launch hygiene: importing the
+command line loads nothing that only --check needs, a --check run that
+checks no line never loads the oracle, a filter launch loads neither
+argparse, __future__ nor the value modules (value, digitstring, parse,
+render, staged) and of the package only floatkit and the kernels,
+importing the package loads none of its modules until a name is asked
+for, a checked line adds the oracle and nothing else, and a launch ends
+with its heap frozen (gc.freeze) whether it succeeds or fails while the
+in-process cli.run freezes nothing."""
 
 import ast
 import gc
@@ -43,7 +44,7 @@ def test_every_import_is_used(path):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
@@ -70,6 +71,20 @@ def test_exports_resolve():
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_acceptance_names_resolve_from_the_package():
+    """Every name the acceptance tests import from a module of the package
+    also resolves as radival.<name>, so the package offers all it pins."""
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    missing = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("radival.")
+        for alias in node.names
+        if not hasattr(radival, alias.name)
+    ]
+    assert missing == []
 
 
 def test_every_public_definition_has_a_user():
@@ -154,20 +169,43 @@ ORACLE_IMPORTS = {
 }
 
 
-def test_oracle_imports_no_converter_function():
-    tree = ast.parse((pathlib.Path(radival.__file__).parent / "oracle.py").read_text())
-    foreign = []
+def _package_imports(module: str) -> list[tuple[str, str]]:
+    """(module, name) for each name the module imports from the package,
+    relative or absolute; an import statement gives its module and ""."""
+    tree = ast.parse((pathlib.Path(radival.__file__).parent / module).read_text())
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            foreign += [alias.name for alias in node.names if alias.name.startswith("radival")]
+            found += [
+                (a.name.partition(".")[2], "") for a in node.names if a.name.startswith("radival")
+            ]
         elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
+            source = node.module or ""
             if not node.level:
-                if module.split(".")[0] != "radival":
+                if source.split(".")[0] != "radival":
                     continue
-                module = module.partition(".")[2]
-            allowed = ORACLE_IMPORTS.get(module, set())
-            foreign += [f"{module}.{a.name}" for a in node.names if a.name not in allowed]
+                source = source.partition(".")[2]
+            found += [(source, a.name) for a in node.names]
+    return found
+
+
+def test_oracle_imports_no_converter_function():
+    foreign = [
+        f"{module}.{name}"
+        for module, name in _package_imports("oracle.py")
+        if name not in ORACLE_IMPORTS.get(module, set())
+    ]
+    assert foreign == []
+
+
+def test_digitstring_imports_only_the_value_base():
+    """The digit-at-a-time reference that tests/stepwise.py replays against
+    the staged route shares no code with the converter: digitstring takes
+    from the package only the value base."""
+    foreign = [
+        f"{module}.{name}" for module, name in _package_imports("digitstring.py")
+        if module != "value"
+    ]
     assert foreign == []
 
 
@@ -369,16 +407,18 @@ def test_check_with_no_line_leaves_the_oracle_unloaded(argv):
     assert (result.returncode, result.stdout, result.stderr) == (0, "", "False")
 
 
-# the value layer and argparse, which no filter record needs
+# the value layer, argparse and __future__, which no filter record needs
 VALUE_LAYER = (
-    "argparse", "radival.value", "radival.digitstring", "radival.parse", "radival.render"
+    "__future__", "argparse", "radival.value", "radival.digitstring", "radival.parse",
+    "radival.render", "radival.staged",
 )
 
 
 @pytest.mark.parametrize("command", ["parse", "parse-rational", "print", "print-interval"])
 def test_launch_leaves_the_value_layer_unloaded(command):
-    """A fresh filter on empty stdin loads neither argparse nor a module of
-    value classes: the records run on the kernels alone."""
+    """A fresh filter on empty stdin loads neither argparse, __future__ nor
+    a module of value classes or the staged route: the records run on the
+    kernels alone."""
     code = (
         "import atexit, runpy, sys\n"
         "names = " + repr(VALUE_LAYER) + "\n"

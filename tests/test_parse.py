@@ -37,14 +37,11 @@ from radival.parse import (
     DECIMAL_ZERO,
     DecimalScientific,
     Rational,
-    binarize_exponent,
     decimal_to_interval,
-    fraction_bits,
-    mantissa_bits,
-    normalize_mantissa,
     parse_numeral,
     rational_to_interval,
 )
+from radival.staged import binarize_exponent, fraction_bits, mantissa_bits, normalize_mantissa
 from radival.value import ZERO, FloatValue, as_py_float, infinity, next_up
 
 
