@@ -319,30 +319,27 @@ def _read_arguments(argv: list[str]) -> SimpleNamespace | str:
     """The subcommand that argv names, with its values (None for each left
     out) and its options by name, or the help text that argv asks for.
 
-    After the subcommand, a token that is -h or opens with -- is an option,
-    in any position, as --name value or --name=value, its name spelled out
-    or begun; -- alone ends the options. Any other token is a value, so a
-    negative numeral or ratio needs no --. Tokens are read in order: the
-    first argument error raises _ArgumentError, and a help request returns
-    its text, whatever follows it."""
+    A token that is -h or opens with -- is an option, in any position, as
+    --name value or --name=value, its name spelled out or begun; -- alone
+    ends the options. Any other token is a value, so a negative numeral or
+    ratio needs no --. One loop reads them all: an option in first place,
+    before any subcommand, is read against -h and --help alone. Tokens are
+    read in order: the first argument error raises _ArgumentError, and a
+    help request returns its text, whatever follows it."""
     head = argv[0] if argv else ""
-    if head == "-h" or head.startswith("--") and head != "--":
-        _option_name(head, ("-h", _HELP_OPTION[0]), None)
-        from .cliextra import _help
-
-        return _help(_COMMANDS, _HELP_OPTION, None)
-    if head not in _COMMANDS:
+    command = None if head == "-h" or head.startswith("--") and head != "--" else head
+    if command is not None and command not in _COMMANDS:
         if not argv:
             raise _ArgumentError(None, "the following arguments are required: command")
         choices = ", ".join(map(repr, _COMMANDS))
         message = f"argument command: invalid choice: {head!r} (choose from {choices})"
         raise _ArgumentError(None, message)
-    _, value_names, options, _ = _COMMANDS[head]
+    _, value_names, options, _ = _COMMANDS.get(command, ("", (), (), None))
     specs = {option[0]: option for option in (*options, _HELP_OPTION)}
     specs["-h"] = _HELP_OPTION
     found = {name[2:]: default for name, _, default, _, _ in options}
     values = []
-    tokens = iter(argv[1:])
+    tokens = iter(argv[1:] if command else argv)
     for token in tokens:
         if token == "--":
             values += tokens
@@ -350,31 +347,31 @@ def _read_arguments(argv: list[str]) -> SimpleNamespace | str:
             values.append(token)
         else:
             name, equals, text = token.partition("=")
-            option = specs[_option_name(name, specs, head)]
+            option = specs[_option_name(name, specs, command)]
             name, metavar, _, read, _ = option
             if metavar is None:
                 if equals:
                     message = f"argument {name}: ignored explicit argument {text!r}"
-                    raise _ArgumentError(head, message)
+                    raise _ArgumentError(command, message)
                 if option is _HELP_OPTION:
                     from .cliextra import _help
 
-                    return _help(_COMMANDS, _HELP_OPTION, head)
+                    return _help(_COMMANDS, _HELP_OPTION, command)
                 found[name[2:]] = True
                 continue
             if not equals:
                 text = next(tokens, None)
                 if text is None:
-                    raise _ArgumentError(head, f"argument {name}: expected one argument")
+                    raise _ArgumentError(command, f"argument {name}: expected one argument")
             try:
                 found[name[2:]] = read(text)
             except ValueError as err:
-                raise _ArgumentError(head, f"argument {name}: {err}") from None
+                raise _ArgumentError(command, f"argument {name}: {err}") from None
     if len(values) > len(value_names):
         extra = " ".join(values[len(value_names) :])
-        raise _ArgumentError(head, f"unrecognized arguments: {extra}")
+        raise _ArgumentError(command, f"unrecognized arguments: {extra}")
     values += [None] * (len(value_names) - len(values))
-    return SimpleNamespace(command=head, values=values, **found)
+    return SimpleNamespace(command=command, values=values, **found)
 
 
 def run(

@@ -95,17 +95,16 @@ class NumeralSyntaxError(ValueError):
 
 
 def _ratio(text: str) -> tuple[int, int, int]:
-    """Rational.from_text as the fields (sign, p, q), with no value built."""
-    body = text.strip()
-    sign = -1 if body[:1] == "-" else 1
-    if body[:1] in ("+", "-"):
-        body = body[1:]
+    """Rational.from_text as the fields (sign, p, q), with no value built,
+    read from the text as given: the command line strips it beforehand."""
+    sign = -1 if text[:1] == "-" else 1
+    body = text[1:] if text[:1] in ("+", "-") else text
     num, slash, den = body.partition("/")
     if not num.isascii() or not num.isdigit():
-        # body, and so den, is a tail of text.rstrip()
-        raise NumeralSyntaxError(text, len(text.rstrip()) - len(body), "expected digits")
+        # body, and so den, is a tail of text
+        raise NumeralSyntaxError(text, len(text) - len(body), "expected digits")
     if slash and (not den.isascii() or not den.isdigit()):
-        raise NumeralSyntaxError(text, len(text.rstrip()) - len(den), "expected digits")
+        raise NumeralSyntaxError(text, len(text) - len(den), "expected digits")
     q = _int_from_digits(den) if slash else 1
     if q == 0:
         raise DomainError("zero denominator")

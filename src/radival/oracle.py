@@ -9,9 +9,10 @@ is wrong. decimal_reference and rational_reference, the entries --check
 calls per line, answer in the fields (kind, sign, m, e) of the two bounds
 and build no value. The DecimalScientific and Rational that exact_value and
 rational_value take are read by their fields alone, so parse, whose
-classes they are, is never imported here, and the value classes that
-narrowest_interval_reference and nearest_float build are imported inside
-them: a checked line loads no module but this one. positional_order,
+classes they are, is never imported here. narrowest_interval_reference and
+nearest_float take an int or a Fraction as given, build no Fraction and
+import the value classes they build inside them: a checked line loads no
+module but this one. positional_order,
 which reads a printed bound back, reads its significant digits and a
 scale, the zeros after the point of a text under 1 counting in the scale
 alone. Every power of ten a checked line needs, but those that join the
@@ -136,13 +137,6 @@ def positional_order(text: str, bound: tuple) -> int | None:
     return (x > y) - (x < y)
 
 
-def _shifted_ge(x: int, k: int, y: int) -> bool:
-    # x * 2^k >= y with k of either sign
-    if k >= 0:
-        return (x << k) >= y
-    return x >= (y << -k)
-
-
 _ZERO_FIELDS = (KIND_ZERO, 1, 0, 0)
 
 
@@ -163,7 +157,7 @@ def _reference(num: int, den: int, fmt: FloatFormat) -> tuple[tuple, tuple]:
     sign = 1 if num > 0 else -1
     a = num * sign
     E = a.bit_length() - den.bit_length()
-    if not _shifted_ge(a, -E, den):
+    if (a < den << E) if E >= 0 else (a << -E < den):
         E -= 1
     # now 2^E <= a/den < 2^(E+1)
     p = fmt.significand_bits
@@ -186,13 +180,10 @@ def _reference(num: int, den: int, fmt: FloatFormat) -> tuple[tuple, tuple]:
     return (low, high) if sign > 0 else (high, low)
 
 
-def narrowest_interval_reference(x: "Fraction", fmt: FloatFormat) -> "FloatInterval":
-    """Tightest enclosing interval of the rational x."""
-    from fractions import Fraction
-
+def narrowest_interval_reference(x: "int | Fraction", fmt: FloatFormat) -> "FloatInterval":
+    """Tightest enclosing interval of x, an int or a Fraction, as given."""
     from .value import FloatInterval, FloatValue
 
-    x = Fraction(x)
     lower, upper = _reference(x.numerator, x.denominator, fmt)
     return FloatInterval(FloatValue(*lower), FloatValue(*upper))
 
@@ -225,13 +216,10 @@ def decimal_reference(
     return _reference(*_decimal_ratio(sign, digits, exponent), fmt)
 
 
-def nearest_float(x: "Fraction", fmt: FloatFormat) -> "FloatValue":
-    """Round to nearest with ties to the even significand."""
-    from fractions import Fraction
-
+def nearest_float(x: "int | Fraction", fmt: FloatFormat) -> "FloatValue":
+    """Round x, an int or a Fraction, to nearest, ties to the even significand."""
     from .value import infinity
 
-    x = Fraction(x)
     if x < 0:
         return -nearest_float(-x, fmt)
     interval = narrowest_interval_reference(x, fmt)

@@ -67,8 +67,8 @@ class Rational(Value):
 
     @classmethod
     def from_text(cls, text: str) -> "Rational":
-        """Parse p/q or a bare integer, with an optional leading sign.
-
+        """Parse p/q or a bare integer, with an optional leading sign, from
+        the text as given: a blank is refused, as parse_numeral refuses it.
         An error gives the index in text where the rejected digit run starts."""
         return cls(*_ratio(text))
 

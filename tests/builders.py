@@ -8,6 +8,8 @@ path the library or the command line reaches. BINARY16, BFLOAT16 and
 BINARY128 are IEEE formats the package does not name.
 """
 
+from fractions import Fraction
+
 from radival.floatkit import (
     KIND_NORMAL,
     KIND_SUBNORMAL,
@@ -16,7 +18,6 @@ from radival.floatkit import (
     NotRepresentable,
 )
 from radival.kernels import _log2_floor
-from radival.oracle import _shifted_ge
 from radival.parse import Rational
 from radival.value import ZERO, FloatValue
 
@@ -74,7 +75,7 @@ def scale_to_unit_interval(r: Rational) -> tuple[Rational, int]:
         raise DomainError("cannot scale zero onto [1/2, 1)")
     p, q = r.p, r.q
     k = _log2_floor(p, q) + 1
-    assert _shifted_ge(p, 1 - k, q) and not _shifted_ge(p, -k, q)
+    assert Fraction(1, 2) <= Fraction(p, q) / Fraction(2) ** k < 1
     if k <= 0:
         scaled = Rational(r.sign, p << -k, q)
     else:

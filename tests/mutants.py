@@ -74,6 +74,12 @@ MUTANTS = [
         OUTWARD,
     ),
     Mutant(
+        "step-outward-ignores-exactness", "kernels.py",
+        '    if inexact and (direction == "up") == (sign > 0):\n',
+        '    if (direction == "up") == (sign > 0):\n',
+        ("tests/test_acceptance.py::test_criterion_08_outward_truncation",),
+    ),
+    Mutant(
         "floored-exponent-estimate", "kernels.py",
         "    exponent = math.ceil((m.bit_length() + e) * _LOG10_2)\n",
         "    exponent = math.floor((m.bit_length() + e) * _LOG10_2)\n",
@@ -338,6 +344,11 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "oracle-log2-floor-boundary", "oracle.py",
+        "(a << -E < den)", "(a << -E <= den)",
+        ("tests/test_oracle.py::TestNarrowestReference::test_exact_point",),
+    ),
+    Mutant(
         "oracle-carry-stays-in-binade", "oracle.py",
         "    if m >> p:\n", "    if False:\n",
         (
@@ -361,6 +372,13 @@ MUTANTS = [
         "numeral-missing-digit-at-match-end", "kernels.py",
         'match.end(3), "expected a digit"', 'match.end(), "expected a digit"',
         ("tests/test_parse.py::TestParseNumeral::test_errors_carry_position",),
+    ),
+    # the ratio reader takes its text as given: the command line strips it
+    Mutant(
+        "ratio-strips-blanks", "kernels.py",
+        '    sign = -1 if text[:1] == "-" else 1\n',
+        '    text = text.strip()\n    sign = -1 if text[:1] == "-" else 1\n',
+        ("tests/test_parse.py::test_readers_take_the_text_as_given",),
     ),
     # the numeral's own digits as an exact bound's decimal
     Mutant(

@@ -849,6 +849,19 @@ class TestArgumentHandling:
         assert err.startswith("usage: radival")
         assert "error: " in err
 
+    @pytest.mark.parametrize("command", [[], ["parse"]], ids=["top", "parse"])
+    def test_help_refuses_a_value(self, command):
+        # the program's help option is read by the rules of a subcommand's
+        status, out, err = run_cli([*command, "--help=x"])
+        assert (status, out) == (1, "")
+        assert err.endswith("error: argument --help: ignored explicit argument 'x'\n")
+
+    @pytest.mark.parametrize("command", [[], ["parse"]], ids=["top", "parse"])
+    def test_unknown_option_is_named_without_its_value(self, command):
+        status, out, err = run_cli([*command, "--bogus=x"])
+        assert (status, out) == (1, "")
+        assert err.endswith("error: unrecognized arguments: --bogus\n")
+
     def test_digits_error_names_the_value(self):
         _, _, err = run_cli(["print-interval", "--digits", "x", "0.25", "0.5"])
         assert "'x'" in err

@@ -330,7 +330,7 @@ class TestRationalParsing:
             ("-x/3", 1),
             ("+/3", 1),
             ("1/x ", 2),
-            (" 1/x", 3),
+            (" 1/x", 0),
         ],
     )
     def test_errors_carry_position(self, text, position):
@@ -338,6 +338,17 @@ class TestRationalParsing:
         with pytest.raises(NumeralSyntaxError) as info:
             Rational.from_text(text)
         assert info.value.position == position
+
+
+@pytest.mark.parametrize("read", [parse_numeral, Rational.from_text], ids=["numeral", "ratio"])
+def test_readers_take_the_text_as_given(read):
+    # the command line strips each value and line before it reads it; a
+    # library reader refuses a blank at either end, the leading one at 0
+    with pytest.raises(NumeralSyntaxError) as info:
+        read(" 1")
+    assert info.value.position == 0
+    with pytest.raises(NumeralSyntaxError):
+        read("1 ")
 
 
 class TestBitStreams:
