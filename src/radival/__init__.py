@@ -8,8 +8,9 @@ budget, and renders intervals in a shared-prefix bracket notation. All
 arithmetic is exact; an independent integer-ratio oracle cross-checks
 every conversion in the tests and behind the --check flag of the CLI.
 
-Each name below loads its module on first use (PEP 562), so importing the
-package, or running its command line, loads only what is asked for.
+Each name below, and each module by its own name, loads its module on
+first use (PEP 562), so importing the package, or running its command
+line, loads only what is asked for.
 """
 
 __version__ = "0.1.0"
@@ -62,15 +63,21 @@ _EXPORTS = {
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
+# every module of the package, each of which the hook also resolves by name
+_MODULES = {*_EXPORTS, "cli", "cliextra", "oracle"}
+
 __all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str) -> object:
-    module = _HOMES.get(name)
+    module = name if name in _MODULES else _HOMES.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value  # later lookups find it without this hook
+    # the import binds a module here, and an exported name is bound below,
+    # so later lookups of either find it without this hook
+    value = import_module(f".{module}", __name__)
+    if module != name:
+        value = globals()[name] = getattr(value, name)
     return value

@@ -19,11 +19,12 @@ Arguments are read by one reader from the table of subcommands below:
 options in any position, spelled out or begun (--fo for --format), as
 --name value or --name=value, -- to end them, and any token that is
 neither -h nor --... a value, so a negative numeral or ratio needs no --.
-The help and usage texts and the table live in cliextra, which only a
-help request, an argument error or the table subcommand loads, and a
-filter record runs on floatkit and the kernels alone, so a launch loads
-neither argparse nor the value modules (value, digitstring, parse,
-render).
+The help and usage texts and the table live in cliextra, the --check
+references in the oracle, and cli reads both through the package, whose
+hook loads each on first use: on a help request, an argument error or
+table, and on the first checked line. A filter record runs on floatkit
+and the kernels alone, so a launch loads neither argparse nor the value
+modules (value, digitstring, parse, render).
 
 Exit codes: 0 success, 1 syntax or arity (or stdout closed before the
 output was written), 2 domain (NaN bits, zero denominators, literals off
@@ -50,6 +51,8 @@ import sys
 from collections.abc import Callable
 from io import TextIOBase
 from types import SimpleNamespace
+
+import radival
 
 from .floatkit import (
     BINARY32,
@@ -130,10 +133,8 @@ def _cmd_parse(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> 
     fmt = args.format
     numeral = args.command == "parse"
     read, floor = (_numeral, _decimal_floor) if numeral else (_ratio, _floor)
-    reference = None
 
     def record(text: str) -> tuple[str, ...]:
-        nonlocal reference
         # the fields unpacked into locals: a *-splatted call costs about
         # three times a plain one
         fields = read(text)
@@ -142,11 +143,8 @@ def _cmd_parse(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> 
         _, m, e, rem = floor(sign, a, b, fmt)
         lower, upper = _bounds(sign, m, e, rem, fmt)
         if args.check:
-            if reference is None:
-                # bound on the first checked line: a run with none never loads the oracle
-                from . import oracle
-
-                reference = oracle.decimal_reference if numeral else oracle.rational_reference
+            oracle = radival.oracle  # loaded on the first checked line
+            reference = oracle.decimal_reference if numeral else oracle.rational_reference
             # the message names the input text: str() of an exact value past
             # 4300 digits would raise instead
             if reference(sign, a, b, fmt) != (lower, upper):
@@ -161,19 +159,13 @@ def _cmd_parse(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> 
 
 def _cmd_print(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     fmt = args.format
-    order = None
 
     def record(text: str) -> tuple[str]:
-        nonlocal order
         bound = _float_fields(text, fmt)
         field = exact_field(bound)
         if args.check:
-            if order is None:
-                from . import oracle
-
-                order = oracle.positional_order
             # the oracle reads the printed text back: it must be the float's value
-            if order(field, bound) != 0:
+            if radival.oracle.positional_order(field, bound) != 0:
                 raise CheckFailure(f"exact decimal differs from the value of {text!r}")
         return (field,)
 
@@ -182,10 +174,8 @@ def _cmd_print(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> 
 
 def _cmd_print_interval(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
     fmt = args.format
-    order = None
 
     def record(low: str, high: str | None = None) -> tuple[str, str, str]:
-        nonlocal order
         if high is None:
             # a filter line: both values on it, separated by blanks
             parts = low.split()
@@ -197,10 +187,7 @@ def _cmd_print_interval(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIO
             raise DomainError(f"bounds out of order: {low!r} > {high!r}")
         fields = outward_fields(lb, ub, args.digits)
         if args.check:
-            if order is None:
-                from . import oracle
-
-                order = oracle.positional_order
+            order = radival.oracle.positional_order
             # the oracle reads each printed bound back (None if it cannot): lo <= lb, hi >= ub
             if order(fields[0], lb) not in (-1, 0):
                 raise CheckFailure("lower bound fails containment")
@@ -216,9 +203,7 @@ def _cmd_print_interval(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIO
 
 
 def _cmd_table(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> int:
-    from .cliextra import _table
-
-    mismatches = _table(stdout, args.check)
+    mismatches = radival.cliextra._table(stdout, args.check)
     if mismatches:
         raise CheckFailure(f"computed intervals disagree for {', '.join(mismatches)}")
     return 0
@@ -354,9 +339,7 @@ def _read_arguments(argv: list[str]) -> SimpleNamespace | str:
                     message = f"argument {name}: ignored explicit argument {text!r}"
                     raise _ArgumentError(command, message)
                 if option is _HELP_OPTION:
-                    from .cliextra import _help
-
-                    return _help(_COMMANDS, _HELP_OPTION, command)
+                    return radival.cliextra._help(_COMMANDS, _HELP_OPTION, command)
                 found[name[2:]] = True
                 continue
             if not equals:
@@ -386,10 +369,8 @@ def run(
     try:
         args = _read_arguments(argv)
     except _ArgumentError as err:
-        from .cliextra import _usage
-
         prog = "radival" if err.command is None else f"radival {err.command}"
-        stderr.write(f"{_usage(_COMMANDS, err.command)}\n{prog}: error: {err}\n")
+        stderr.write(f"{radival.cliextra._usage(_COMMANDS, err.command)}\n{prog}: error: {err}\n")
         return 1
     if isinstance(args, str):
         stdout.write(args)

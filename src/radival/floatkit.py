@@ -4,12 +4,12 @@ A format is the triple (significand bits, minimum exponent, maximum
 exponent); a datum is sign * m * 2^e with m and e plain Python integers,
 carried as the fields (kind, sign, m, e). This module holds the kinds,
 the domain errors, FloatFormat with binary32 and binary64, and the rules
-on bare fields: the float order (_below), the grid packer (_grid_fields)
-and the bit decoder (_bits_fields). The value classes built on those
-fields, FloatValue and FloatInterval, live in value with the operations
-on them, so a filter launch, which builds no value, loads this module and
-not that one. Every operation here is exact integer arithmetic and
-nothing depends on the host float type.
+on bare fields: the float order (_below) and the bit decoder
+(_bits_fields). The value classes built on those fields, FloatValue and
+FloatInterval, live in value with the operations on them, so a filter
+launch, which builds no value, loads this module and not that one. Every
+operation here is exact integer arithmetic and nothing depends on the
+host float type.
 """
 
 KIND_ZERO = "zero"
@@ -114,21 +114,6 @@ BINARY32 = FloatFormat(24, -126, 127)
 BINARY64 = FloatFormat(53, -1022, 1023)
 
 _ZERO_FIELDS = (KIND_ZERO, 1, 0, 0)
-
-
-def _grid_fields(sign: int, m: int, e: int, fmt: FloatFormat) -> tuple[str, int, int, int]:
-    """The fields (kind, sign, m, e) of the format value sign * m * 2^e, the
-    tuple a FloatValue is, for m * 2^e on the format's grid or one unit past
-    the top of its binade: that unit carries into the next binade, and past
-    the top finite value into an infinity. m == 0 is zero."""
-    p = fmt.significand_bits
-    if m == 1 << p:
-        m, e = m >> 1, e + 1
-        if e > fmt.emax - p + 1:
-            return KIND_INFINITE, sign, 0, 0
-    if m == 0:
-        return _ZERO_FIELDS
-    return KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e
 
 
 def _bits_fields(pattern: int, fmt: FloatFormat) -> tuple[str, int, int, int]:

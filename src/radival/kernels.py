@@ -1,8 +1,8 @@
 """The integer kernels a filter record runs, from its text to its fields.
 
 A record reads its text to fields (a numeral's sign, digits and exponent,
-a ratio's sign, p and q; a numeral by one match of _NUMERAL, the one home
-of the numeral grammar), floors the value onto the format's grid with one
+a ratio's sign, p and q; each by one match of its grammar's pattern,
+_NUMERAL or _RATIO), floors the value onto the format's grid with one
 division, packs the two bounds as the fields (kind, sign, m, e) that
 a FloatValue is, and writes each bound's text from those fields: its hex
 significand, its exact decimal or its n-digit outward rounding, and the
@@ -32,7 +32,6 @@ from .floatkit import (
     KIND_SUBNORMAL,
     DomainError,
     FloatFormat,
-    _grid_fields,
 )
 
 # binary64's least exponent, the largest k for which a binary32 or binary64
@@ -94,21 +93,27 @@ class NumeralSyntaxError(ValueError):
         self.position = position
 
 
+# The ratio grammar, [sign] digits [/ digits]. Its groups are the sign and
+# the numerator and denominator digits, None with no slash.
+_RATIO = re.compile(r"([+-]?)([0-9]*)(?:/([0-9]*))?")
+
+
 def _ratio(text: str) -> tuple[int, int, int]:
     """Rational.from_text as the fields (sign, p, q), with no value built,
-    read from the text as given: the command line strips it beforehand."""
-    sign = -1 if text[:1] == "-" else 1
-    body = text[1:] if text[:1] in ("+", "-") else text
-    num, slash, den = body.partition("/")
-    if not num.isascii() or not num.isdigit():
-        # body, and so den, is a tail of text
-        raise NumeralSyntaxError(text, len(text) - len(body), "expected digits")
-    if slash and (not den.isascii() or not den.isdigit()):
-        raise NumeralSyntaxError(text, len(text) - len(den), "expected digits")
-    q = _int_from_digits(den) if slash else 1
+    read from the text as given by one match of _RATIO (the command line
+    strips it beforehand). A refusal sits at a group's end, as in _numeral."""
+    match = _RATIO.match(text)
+    sign, num, den = match.groups()
+    if not num:
+        raise NumeralSyntaxError(text, match.end(2), "expected digits")
+    if den == "":
+        raise NumeralSyntaxError(text, match.end(3), "expected digits")
+    if match.end() != len(text):
+        raise NumeralSyntaxError(text, match.end(), "unexpected character")
+    q = 1 if den is None else _int_from_digits(den)
     if q == 0:
         raise DomainError("zero denominator")
-    return sign, _int_from_digits(num), q
+    return -1 if sign == "-" else 1, _int_from_digits(num), q
 
 
 # The numeral grammar, [sign] digits [. digits] [e [sign] digits] with a
@@ -175,15 +180,22 @@ def _floor(sign: int, num: int, den: int, fmt: FloatFormat) -> tuple[int, int, i
 
 def _bounds(sign: int, m: int, e: int, rem: int, fmt: FloatFormat) -> tuple[tuple, tuple]:
     """The fields (kind, sign, m, e) of the lower and upper bound of the
-    narrowest enclosing interval of the value with this grid floor."""
-    # a grid floor's m is below 2^p, so unlike the step up it never carries
-    if m:
-        low = KIND_NORMAL if m >> (fmt.significand_bits - 1) else KIND_SUBNORMAL, sign, m, e
-    else:
-        low = _ZERO_FIELDS
+    narrowest enclosing interval of the value with this grid floor. A
+    nonzero rem steps the floor one unit away from zero, the one home of
+    that step: past the top of a binade it carries into the next, past
+    the top finite value into an infinity."""
+    p = fmt.significand_bits
+    # a grid floor's m is below 2^p, so unlike the step it never carries
+    low = (KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e) if m else _ZERO_FIELDS
     if not rem:
         return low, low
-    high = _grid_fields(sign, m + 1, e, fmt)
+    m += 1
+    if not m >> p:
+        high = KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e
+    elif e < fmt.emax - p + 1:
+        high = KIND_NORMAL, sign, m >> 1, e + 1
+    else:
+        high = KIND_INFINITE, sign, 0, 0
     return (high, low) if sign < 0 else (low, high)
 
 

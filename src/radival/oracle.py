@@ -2,7 +2,7 @@
 
 Everything here is exact arithmetic on integer ratios, with Fraction only
 at the public value maps, and deliberately shares none of the converter's
-code, its grid packer and successor function included; the only common
+code, its unit step and successor function included; the only common
 ground is the format descriptions and the value types. That keeps
 disagreement meaningful: when a differential test trips, exactly one side
 is wrong. decimal_reference and rational_reference, the entries --check

@@ -69,7 +69,7 @@ class Rational(Value):
     def from_text(cls, text: str) -> "Rational":
         """Parse p/q or a bare integer, with an optional leading sign, from
         the text as given: a blank is refused, as parse_numeral refuses it.
-        An error gives the index in text where the rejected digit run starts."""
+        An error gives the index in text where reading stopped, as parse_numeral's does."""
         return cls(*_ratio(text))
 
 

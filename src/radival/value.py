@@ -10,9 +10,9 @@ FloatValue is the tuple of fields (kind, sign, m, e) for sign * m * 2^e
 that the kernels carry for a bound, FloatInterval a pair of them. With
 them live the operations on built values: decompose, next_up, the bit
 codec (to_bits, from_bits) and the host float adapter. They rest on
-floatkit's formats, float order (_below), grid packer (_grid_fields) and
-bit decoder (_bits_fields), which the filter records use without this
-module: no filter record builds a value, so a launch never loads it.
+floatkit's formats, float order (_below) and bit decoder (_bits_fields),
+and next_up on kernels._bounds, which the filter records use without
+this module: no filter record builds a value, so a launch never loads it.
 """
 
 import math
@@ -27,8 +27,8 @@ from .floatkit import (
     FloatFormat,
     _below,
     _bits_fields,
-    _grid_fields,
 )
+from .kernels import _bounds
 
 
 def _unordered(self: "Value", other: object) -> bool:
@@ -174,7 +174,8 @@ def next_up(x: FloatValue, fmt: FloatFormat) -> FloatValue:
     """Least format value greater than x.
 
     The top finite value steps to +infinity and zero to the smallest
-    subnormal; x itself must be finite.
+    subnormal; x itself must be finite. kernels._bounds takes the step, up
+    from a positive x and, as an exact floor, toward zero from a negative one.
     """
     kind, sign, _, _ = x
     if kind == KIND_INFINITE:
@@ -183,12 +184,12 @@ def next_up(x: FloatValue, fmt: FloatFormat) -> FloatValue:
         return fmt.smallest_subnormal
     m, e = decompose(x, fmt)
     if sign > 0:
-        return FloatValue(*_grid_fields(1, m + 1, e, fmt))
+        return FloatValue(*_bounds(1, m, e, 1, fmt)[1])
     # negative: one step toward zero; at the bottom of a binade the step
     # lands in the binade below, which has twice the resolution
     if m == 1 << (fmt.significand_bits - 1) and e > fmt.least_exponent:
         m, e = m << 1, e - 1
-    return FloatValue(*_grid_fields(-1, m - 1, e, fmt))
+    return FloatValue(*_bounds(-1, m - 1, e, 0, fmt)[0])
 
 
 def to_bits(x: FloatValue, fmt: FloatFormat) -> int:

@@ -154,21 +154,36 @@ MUTANTS = [
         ("tests/test_floatkit.py::TestInterval::test_negation_swaps",),
     ),
     Mutant(
-        "wrong-kind-on-grid", "floatkit.py",
-        "KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL", "KIND_NORMAL", CANONICAL,
+        "wrong-kind-on-grid", "kernels.py",
+        "        high = KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e\n",
+        "        high = KIND_NORMAL, sign, m, e\n",
+        CANONICAL,
     ),
     Mutant(
         "normal-pattern-without-leading-bit", "floatkit.py",
         "(field > 0) << t | trailing", "trailing", CANONICAL,
     ),
-    # the grid packer, the step and the float order
+    # the unit step of _bounds, which next_up takes too, and the float order
     Mutant(
-        "on-grid-no-carry", "floatkit.py", "    if m == 1 << p:\n", "    if False:\n", STEP_WALK,
+        "bounds-step-keeps-the-binade", "kernels.py", "    if not m >> p:\n", "    if True:\n",
+        ("tests/test_oracle.py::test_binade_tops_against_the_converter",),
     ),
     Mutant(
-        "on-grid-no-renormalising-shift", "floatkit.py",
-        "        m, e = m >> 1, e + 1\n", "",
+        "step-past-the-top-stays-finite", "kernels.py",
+        "    elif e < fmt.emax - p + 1:\n", "    elif e <= fmt.emax - p + 1:\n", STEP_WALK,
+    ),
+    Mutant(
+        "on-grid-no-renormalising-shift", "kernels.py",
+        "        high = KIND_NORMAL, sign, m >> 1, e + 1\n",
+        "        high = KIND_NORMAL, sign, m, e + 1\n",
         ("tests/test_oracle.py::test_binade_tops_against_the_converter",),
+    ),
+    Mutant(
+        "next-up-negative-without-borrow", "value.py",
+        "    if m == 1 << (fmt.significand_bits - 1) and e > fmt.least_exponent:\n"
+        "        m, e = m << 1, e - 1\n",
+        "",
+        ("tests/test_floatkit.py::TestNextUp::test_negative_binade_boundary", *STEP_WALK),
     ),
     Mutant(
         "borrow-at-least-exponent", "value.py",
@@ -189,8 +204,9 @@ MUTANTS = [
         ("tests/test_floatkit.py::TestOrderingAndEquality",),
     ),
     Mutant(
-        "second-grid-packer-in-render", "kernels.py",
-        "def _hex(", "def _grid_fields(sign, m, e, fmt):\n    return None\n\n\ndef _hex(",
+        "second-bounds-in-render", "render.py",
+        "def _to_decimal(",
+        "def _bounds(sign, m, e, rem, fmt):\n    return None\n\n\ndef _to_decimal(",
         ("tests/test_hygiene.py::test_one_definition_per_function_name",),
     ),
     # the text of enclosures
@@ -276,6 +292,7 @@ MUTANTS = [
             ("next-up-absolute", "from radival.value import next_up"),
             ("render", "from . import render"),
             ("parse-module", "import radival.parse"),
+            ("the-package", "import radival"),
         )
     ),
     # the command line against the host's float and decimal
@@ -334,10 +351,11 @@ MUTANTS = [
         "        lower, upper = _bounds(sign, m, e, 0, fmt)\n",
         ("tests/test_host_witness.py::test_parse_encloses_the_host_float",),
     ),
-    # the grid packer's carry under the parse records' writer, and the digit cut
+    # the carry of _bounds under the parse records' writer, and the digit cut
     Mutant(
-        "shared-carry-stays-in-binade", "floatkit.py",
-        "        m, e = m >> 1, e + 1\n", "        m, e = m >> 1, e\n",
+        "shared-carry-stays-in-binade", "kernels.py",
+        "        high = KIND_NORMAL, sign, m >> 1, e + 1\n",
+        "        high = KIND_NORMAL, sign, m >> 1, e\n",
         (
             "tests/test_render.py::TestFloorFields::test_carry_into_the_next_binade",
             "tests/test_cli.py::test_check_covers_the_carry",
@@ -365,7 +383,8 @@ MUTANTS = [
     ),
     Mutant(
         "numeral-stray-character-at-fraction-end", "kernels.py",
-        'match.end(), "unexpected character"', 'match.end(3), "unexpected character"',
+        'match.end(), "unexpected character")\n    # the value',
+        'match.end(3), "unexpected character")\n    # the value',
         ("tests/test_parse.py::TestParseNumeral::test_errors_carry_position",),
     ),
     Mutant(
@@ -373,12 +392,19 @@ MUTANTS = [
         'match.end(3), "expected a digit"', 'match.end(), "expected a digit"',
         ("tests/test_parse.py::TestParseNumeral::test_errors_carry_position",),
     ),
-    # the ratio reader takes its text as given: the command line strips it
+    # the ratio reader takes its text as given, the command line strips it,
+    # and its refusals sit where the numeral reader's do
     Mutant(
         "ratio-strips-blanks", "kernels.py",
-        '    sign = -1 if text[:1] == "-" else 1\n',
-        '    text = text.strip()\n    sign = -1 if text[:1] == "-" else 1\n',
+        "    match = _RATIO.match(text)\n",
+        "    text = text.strip()\n    match = _RATIO.match(text)\n",
         ("tests/test_parse.py::test_readers_take_the_text_as_given",),
+    ),
+    Mutant(
+        "ratio-refuses-at-the-run-start", "kernels.py",
+        '        raise NumeralSyntaxError(text, match.end(), "unexpected character")\n    q = ',
+        '        raise NumeralSyntaxError(text, match.start(2), "unexpected character")\n    q = ',
+        ("tests/test_parse.py::TestRationalParsing::test_errors_carry_position",),
     ),
     # the numeral's own digits as an exact bound's decimal
     Mutant(

@@ -13,7 +13,9 @@ checks no line never loads the oracle, a filter launch loads neither
 argparse, __future__ nor the value modules (value, digitstring, parse,
 render, staged) and of the package only floatkit and the kernels,
 importing the package loads none of its modules until a name is asked
-for, a checked line adds the oracle and nothing else, and a launch ends
+for, the package resolves each module by name on first use, no function
+of the command line imports a module or caches one in a nonlocal, a
+checked line adds the oracle and nothing else, and a launch ends
 with its heap frozen (gc.freeze) whether it succeeds or fails while the
 in-process cli.run freezes nothing."""
 
@@ -460,6 +462,40 @@ def test_package_import_loads_no_module():
     )
     result = _python("-c", code)
     assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n[]\n")
+
+
+def test_package_resolves_a_module_on_first_use():
+    """radival.oracle loads the oracle and binds it in the package, so the
+    hook runs once per module; a name that is neither a module nor an
+    export still raises AttributeError, and __all__ gains no module."""
+    code = (
+        "import sys, radival\n"
+        "names = sorted(radival.__all__)\n"
+        "print('radival.oracle' in sys.modules)\n"
+        "print(radival.oracle is sys.modules['radival.oracle'] is vars(radival)['oracle'])\n"
+        "try:\n"
+        "    radival.nosuch\n"
+        "except AttributeError as err:\n"
+        "    print(err)\n"
+        "print(sorted(radival.__all__) == names, 'oracle' in names)\n"
+    )
+    result = _python("-c", code)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "False\nTrue\nmodule 'radival' has no attribute 'nosuch'\nTrue False\n"
+
+
+def test_cli_functions_hold_no_import_or_nonlocal():
+    """cli reaches the modules it loads on demand through the package's
+    hook, so none of its functions imports or caches a module itself."""
+    tree = ast.parse((pathlib.Path(radival.__file__).parent / "cli.py").read_text())
+    found = [
+        f"{function.name}:{node.lineno}"
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom, ast.Nonlocal))
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize(

@@ -323,10 +323,10 @@ class TestRationalParsing:
         [
             ("/3", 0),
             ("abc", 0),
-            ("3 /7", 0),
-            ("1\t/3", 0),
+            ("3 /7", 1),
+            ("1\t/3", 1),
             ("1/", 2),
-            ("1/3/4", 2),
+            ("1/3/4", 3),
             ("-x/3", 1),
             ("+/3", 1),
             ("1/x ", 2),
@@ -334,7 +334,7 @@ class TestRationalParsing:
         ],
     )
     def test_errors_carry_position(self, text, position):
-        # the index in the text as given where the rejected digit run starts
+        # the index in the text as given where reading stopped
         with pytest.raises(NumeralSyntaxError) as info:
             Rational.from_text(text)
         assert info.value.position == position
