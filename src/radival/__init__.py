@@ -27,8 +27,8 @@ _EXPORTS = {
         "DomainError",
         "FloatFormat",
         "NotRepresentable",
+        "NumeralSyntaxError",
     ),
-    "kernels": ("NumeralSyntaxError",),
     "parse": (
         "DECIMAL_ZERO",
         "DecimalScientific",

@@ -22,9 +22,9 @@ neither -h nor --... a value, so a negative numeral or ratio needs no --.
 The help and usage texts and the table live in cliextra, the --check
 references in the oracle, and cli reads both through the package, whose
 hook loads each on first use: on a help request, an argument error or
-table, and on the first checked line. A filter record runs on floatkit
-and the kernels alone, so a launch loads neither argparse nor the value
-modules (value, digitstring, parse, render).
+table, and on the first checked line. A filter record, whatever its
+text reader, runs on floatkit alone, so a launch loads neither argparse
+nor the value modules (value, digitstring, parse, render).
 
 Exit codes: 0 success, 1 syntax or arity (or stdout closed before the
 output was written), 2 domain (NaN bits, zero denominators, literals off
@@ -46,7 +46,6 @@ freezes nothing.
 import gc
 import io
 import os
-import re
 import sys
 from collections.abc import Callable
 from io import TextIOBase
@@ -59,14 +58,11 @@ from .floatkit import (
     BINARY64,
     DomainError,
     FloatFormat,
-    NotRepresentable,
-    _below,
-    _bits_fields,
-)
-from .kernels import (
     NumeralSyntaxError,
+    _below,
     _bounds,
     _decimal_floor,
+    _float_fields,
     _floor,
     _numeral,
     _ratio,
@@ -77,9 +73,6 @@ from .kernels import (
 )
 
 _FORMATS = {"binary32": BINARY32, "binary64": BINARY64}
-
-# int(body, 16) alone would also take "0x" and "_"
-_HEX_DIGITS = re.compile("[0-9a-fA-F]*")
 
 
 class CheckFailure(Exception):
@@ -108,21 +101,6 @@ def _serve(
             fields = ["ERR", str(err)]
         stdout.write("\t".join([line.replace("\t", " "), *fields]) + "\n")
     return status
-
-
-def _float_fields(text: str, fmt: FloatFormat) -> tuple[str, int, int, int]:
-    """The fields (kind, sign, m, e) of a float written as bits:HEX or as a
-    literal exactly on the format grid, whose enclosure has equal bounds."""
-    if text.startswith("bits:"):
-        body = text[5:]
-        width = fmt.bit_width // 4
-        if len(body) != width or not _HEX_DIGITS.fullmatch(body):
-            raise NumeralSyntaxError(text, 5, f"need exactly {width} hex digits")
-        return _bits_fields(int(body, 16), fmt)
-    lower, upper = _bounds(*_decimal_floor(*_numeral(text), fmt), fmt)
-    if lower != upper:
-        raise NotRepresentable(f"{text!r} does not land exactly on the format grid")
-    return lower
 
 
 def _cmd_parse(args: SimpleNamespace, stdin: TextIOBase, stdout: TextIOBase) -> int:

@@ -8,8 +8,7 @@ subcommand's values and options.
 
 from io import TextIOBase
 
-from .floatkit import BINARY32
-from .kernels import _bounds, _floor
+from .floatkit import BINARY32, _bounds, _floor
 
 _TABLE_HEADER = (
     "1/i     floating-point number     narrowest interval",

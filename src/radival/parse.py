@@ -6,13 +6,12 @@ divided onto the format's grid gives the lower bound; a nonzero remainder
 means the value lies strictly inside the next ulp, so the upper bound is
 one step up. Exponents that force overflow or underflow are settled before
 any power of ten is built. Those steps, from the text to the two bounds'
-fields, live in kernels; this module builds the values and intervals
+fields, live in floatkit; this module builds the values and intervals
 on them; the paper's staged route lives apart, in staged.
 """
 
 from .digitstring import FRACTION, DigitString
-from .floatkit import DomainError, FloatFormat
-from .kernels import _bounds, _decimal_floor, _floor, _numeral, _ratio
+from .floatkit import DomainError, FloatFormat, _bounds, _decimal_floor, _floor, _numeral, _ratio
 from .value import FloatInterval, FloatValue, Value
 
 
@@ -75,7 +74,7 @@ class Rational(Value):
 
 def parse_numeral(text: str) -> DecimalScientific:
     """Parse [sign] digits [. digits] [e [sign] digits] into normalized form,
-    by that grammar's one pattern, kernels._NUMERAL.
+    by that grammar's one pattern, floatkit._NUMERAL.
 
     "12.5e3" becomes (+, 125, 5): the exponent counts digits that sit left
     of the point once the marker is applied. Leading zeros shift the

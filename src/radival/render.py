@@ -8,15 +8,16 @@ up one unit when that remainder is nonzero, so containment is never lost.
 Interval text factors the digits both bounds share:
 0.3333333[13465118408203125,432674407958984375] is an interval whose
 bounds agree to seven digits, and [0.9,1] is one whose bounds share no
-usable prefix. Each of those text rules lives in kernels, beside the
+usable prefix. Each of those text rules lives in floatkit, beside the
 record writers that apply them to a bound's fields; the renderers here
 apply them to values.
 """
 
 from .digitstring import DigitString
-from .floatkit import KIND_INFINITE, FloatFormat
-from .kernels import (
+from .floatkit import (
     _BRACKET,
+    KIND_INFINITE,
+    FloatFormat,
     _cut,
     _hex,
     _infinity_text,
@@ -90,7 +91,7 @@ def truncate_directed(
 def _to_decimal(
     f: FloatValue, n: int | None, direction: str, fmt: FloatFormat
 ) -> DecimalScientific | DecimalInfinity:
-    """The float as kernels._decimal_text writes it, as a value or infinity marker."""
+    """The float as floatkit._decimal_text writes it, as a value or infinity marker."""
     kind, sign, _, _ = f
     if kind == KIND_INFINITE:
         return DecimalInfinity(sign)

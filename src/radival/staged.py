@@ -8,8 +8,7 @@ the digit-at-a-time loops against these bulk forms on random inputs.
 """
 
 from .digitstring import FRACTION, DigitString, _require
-from .floatkit import DomainError
-from .kernels import _int_from_digits, _log2_floor, _text_from_int
+from .floatkit import DomainError, _int_from_digits, _log2_floor, _text_from_int
 
 # Integer view of a fraction string: d1..dn maps to (d1..dn read as an
 # integer, n), value N / 10^n; mul2 and div2 in digitstring stay the reference.

@@ -7,11 +7,11 @@ copy and pickle rebuild through it. A value equals only a value of its
 class with equal fields, never the bare tuple of them, and has no order.
 
 FloatValue is the tuple of fields (kind, sign, m, e) for sign * m * 2^e
-that the kernels carry for a bound, FloatInterval a pair of them. With
+that a record carries for a bound, FloatInterval a pair of them. With
 them live the operations on built values: decompose, next_up, the bit
 codec (to_bits, from_bits) and the host float adapter. They rest on
 floatkit's formats, float order (_below) and bit decoder (_bits_fields),
-and next_up on kernels._bounds, which the filter records use without
+and next_up on floatkit._bounds, which the filter records use without
 this module: no filter record builds a value, so a launch never loads it.
 """
 
@@ -27,8 +27,8 @@ from .floatkit import (
     FloatFormat,
     _below,
     _bits_fields,
+    _bounds,
 )
-from .kernels import _bounds
 
 
 def _unordered(self: "Value", other: object) -> bool:
@@ -174,7 +174,7 @@ def next_up(x: FloatValue, fmt: FloatFormat) -> FloatValue:
     """Least format value greater than x.
 
     The top finite value steps to +infinity and zero to the smallest
-    subnormal; x itself must be finite. kernels._bounds takes the step, up
+    subnormal; x itself must be finite. floatkit._bounds takes the step, up
     from a positive x and, as an exact floor, toward zero from a negative one.
     """
     kind, sign, _, _ = x

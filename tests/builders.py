@@ -16,8 +16,8 @@ from radival.floatkit import (
     DomainError,
     FloatFormat,
     NotRepresentable,
+    _log2_floor,
 )
-from radival.kernels import _log2_floor
 from radival.parse import Rational
 from radival.value import ZERO, FloatValue
 

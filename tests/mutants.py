@@ -63,57 +63,57 @@ ORACLE_FLOATKIT_IMPORT = (
 MUTANTS = [
     # outward n-digit rounding and the bracket prefix
     Mutant(
-        "no-one-digit-correction", "kernels.py",
+        "no-one-digit-correction", "floatkit.py",
         "    if q < _pow5(n - 1) << (n - 1):\n", "    if False:\n", OUTWARD,
     ),
-    Mutant("no-carry", "kernels.py", "        if not digits:\n", "        if False:\n", OUTWARD),
+    Mutant("no-carry", "floatkit.py", "        if not digits:\n", "        if False:\n", OUTWARD),
     Mutant(
-        "away-from-zero-ignores-sign", "kernels.py",
+        "away-from-zero-ignores-sign", "floatkit.py",
         '    if inexact and (direction == "up") == (sign > 0):\n',
         '    if inexact and direction == "up":\n',
         OUTWARD,
     ),
     Mutant(
-        "step-outward-ignores-exactness", "kernels.py",
+        "step-outward-ignores-exactness", "floatkit.py",
         '    if inexact and (direction == "up") == (sign > 0):\n',
         '    if (direction == "up") == (sign > 0):\n',
         ("tests/test_acceptance.py::test_criterion_08_outward_truncation",),
     ),
     Mutant(
-        "floored-exponent-estimate", "kernels.py",
+        "floored-exponent-estimate", "floatkit.py",
         "    exponent = math.ceil((m.bit_length() + e) * _LOG10_2)\n",
         "    exponent = math.floor((m.bit_length() + e) * _LOG10_2)\n",
         OUTWARD,
     ),
     Mutant(
-        "shortened-prefix", "kernels.py",
+        "shortened-prefix", "floatkit.py",
         "else _shared_prefix_length(lo_text, hi_text)\n",
         "else max(_shared_prefix_length(lo_text, hi_text) - 1, 0)\n",
         PREFIX,
     ),
     Mutant(
-        "carry-keeps-exponent", "kernels.py",
+        "carry-keeps-exponent", "floatkit.py",
         '            return "1", exponent + 1\n', '            return "1", exponent\n', LIBMPDEC,
     ),
     Mutant(
-        "prefix-bytes-off-by-one", "kernels.py",
+        "prefix-bytes-off-by-one", "floatkit.py",
         "    return w - (x.bit_length() + 7) // 8\n",
         "    return w - (x.bit_length() + 8) // 8\n",
         ("tests/test_render.py::test_shared_prefix_length_against_commonprefix",),
     ),
     Mutant(
-        "prefix-window-never-widens", "kernels.py",
+        "prefix-window-never-widens", "floatkit.py",
         "        w *= 4\n", "        break\n",
         ("tests/test_render.py::test_shared_prefix_length_against_commonprefix",),
     ),
     # the memo of powers of five under every kernel
     Mutant(
-        "pow5-memo-off-by-one", "kernels.py",
+        "pow5-memo-off-by-one", "floatkit.py",
         "        power = _POW5[k] = 5**k\n", "        power = _POW5[k] = 5 ** (k + 1)\n",
         ("tests/test_render.py::test_pow5_against_direct_powers",),
     ),
     Mutant(
-        "pow5-memo-grows-a-list", "kernels.py",
+        "pow5-memo-grows-a-list", "floatkit.py",
         "_POW5: dict[int, int] = {}\n\n\ndef _pow5(k: int) -> int:\n",
         "_POW5: list[int] = []\n\n\ndef _pow5(k: int) -> int:\n"
         "    if k <= _POW5_CAP:\n"
@@ -125,24 +125,24 @@ MUTANTS = [
     # kernel fields the checked constructors refuse, or a value canonical
     # in no format that only decompose refuses
     Mutant(
-        "trailing-zero-outward", "kernels.py",
+        "trailing-zero-outward", "floatkit.py",
         '    return digits.rstrip("0"), exponent\n', "    return digits, exponent\n",
         ("tests/test_render.py::TestTruncateDirected::test_trailing_zeros_restrip",),
     ),
     Mutant(
-        "trailing-zero-exact-decimal", "kernels.py",
+        "trailing-zero-exact-decimal", "floatkit.py",
         '    return text.rstrip("0"), (len(text) + e if e < 0 else len(text))\n',
         "    return text, (len(text) + e if e < 0 else len(text))\n",
         ("tests/test_render.py::test_carries_and_trailing_zeros_occur",),
     ),
     Mutant(
-        "trailing-zero-parse-numeral", "kernels.py",
+        "trailing-zero-parse-numeral", "floatkit.py",
         '    return -1 if sign == "-" else 1, digits.rstrip("0"), exponent\n',
         '    return -1 if sign == "-" else 1, digits, exponent\n',
         ("tests/test_parse.py::TestParseNumeral::test_trailing_zeros_drop",),
     ),
     Mutant(
-        "reversed-enclosure", "kernels.py",
+        "reversed-enclosure", "floatkit.py",
         "    return (high, low) if sign < 0 else (low, high)\n",
         "    return (low, high) if sign < 0 else (high, low)\n",
         ("tests/test_parse.py::TestDecimalToInterval::test_tenth_binary32",),
@@ -154,7 +154,7 @@ MUTANTS = [
         ("tests/test_floatkit.py::TestInterval::test_negation_swaps",),
     ),
     Mutant(
-        "wrong-kind-on-grid", "kernels.py",
+        "wrong-kind-on-grid", "floatkit.py",
         "        high = KIND_NORMAL if m >> (p - 1) else KIND_SUBNORMAL, sign, m, e\n",
         "        high = KIND_NORMAL, sign, m, e\n",
         CANONICAL,
@@ -165,15 +165,15 @@ MUTANTS = [
     ),
     # the unit step of _bounds, which next_up takes too, and the float order
     Mutant(
-        "bounds-step-keeps-the-binade", "kernels.py", "    if not m >> p:\n", "    if True:\n",
+        "bounds-step-keeps-the-binade", "floatkit.py", "    if not m >> p:\n", "    if True:\n",
         ("tests/test_oracle.py::test_binade_tops_against_the_converter",),
     ),
     Mutant(
-        "step-past-the-top-stays-finite", "kernels.py",
+        "step-past-the-top-stays-finite", "floatkit.py",
         "    elif e < fmt.emax - p + 1:\n", "    elif e <= fmt.emax - p + 1:\n", STEP_WALK,
     ),
     Mutant(
-        "on-grid-no-renormalising-shift", "kernels.py",
+        "on-grid-no-renormalising-shift", "floatkit.py",
         "        high = KIND_NORMAL, sign, m >> 1, e + 1\n",
         "        high = KIND_NORMAL, sign, m, e + 1\n",
         ("tests/test_oracle.py::test_binade_tops_against_the_converter",),
@@ -211,12 +211,12 @@ MUTANTS = [
     ),
     # the text of enclosures
     Mutant(
-        "cut-without-infinity-guard", "kernels.py",
+        "cut-without-infinity-guard", "floatkit.py",
         "    if lo_lead is None or lo_lead != hi_lead:\n", "    if lo_lead != hi_lead:\n",
         ("tests/test_render.py::TestEnclosureFields",),
     ),
     Mutant(
-        "lead-without-exponent", "kernels.py",
+        "lead-without-exponent", "floatkit.py",
         "    lead = sign, e, digits[:1]\n", "    lead = sign, digits[:1]\n",
         ("tests/test_render.py::TestBracketNotation::test_fallback_on_exponent_mismatch",),
     ),
@@ -275,7 +275,7 @@ MUTANTS = [
         ("tests/test_cli.py::TestParse::test_check_compares_both_bounds",),
     ),
     Mutant(
-        "exact-digits-last-digit-and-exponent", "kernels.py",
+        "exact-digits-last-digit-and-exponent", "floatkit.py",
         '    return text.rstrip("0"), (len(text) + e if e < 0 else len(text))\n',
         '    return text.rstrip("0")[:-1] + "7", (len(text) + e if e < 0 else len(text)) - 2\n',
         ("tests/test_cli.py::TestPrint::test_check_reads_the_printed_text",),
@@ -329,8 +329,9 @@ MUTANTS = [
     ),
     Mutant(
         "launch-loads-the-float-values", "floatkit.py",
-        "max(field, 1) - fmt.emax - t\n",
-        "max(field, 1) - fmt.emax - t\n\n\nfrom . import value\n",
+        "    return bound_hex, text, bound_hex, text, _BRACKET % _cut(text, text, lead, lead)\n",
+        "    return bound_hex, text, bound_hex, text, _BRACKET % _cut(text, text, lead, lead)\n"
+        "\n\nfrom . import value\n",
         ("tests/test_hygiene.py::test_filter_launch_loads_only_the_record_path",),
     ),
     Mutant(
@@ -353,7 +354,7 @@ MUTANTS = [
     ),
     # the carry of _bounds under the parse records' writer, and the digit cut
     Mutant(
-        "shared-carry-stays-in-binade", "kernels.py",
+        "shared-carry-stays-in-binade", "floatkit.py",
         "        high = KIND_NORMAL, sign, m >> 1, e + 1\n",
         "        high = KIND_NORMAL, sign, m >> 1, e\n",
         (
@@ -377,50 +378,56 @@ MUTANTS = [
     # the numeral reader: one match of the grammar's pattern, whose group
     # ends place each refusal
     Mutant(
-        "numeral-exponent-sign-dropped", "kernels.py",
+        "numeral-exponent-sign-dropped", "floatkit.py",
         '    if exp_sign == "-":\n', "    if False:\n",
         ("tests/test_parse.py::TestParseNumeral::test_contract_on_a_seeded_draw",),
     ),
     Mutant(
-        "numeral-stray-character-at-fraction-end", "kernels.py",
+        "numeral-stray-character-at-fraction-end", "floatkit.py",
         'match.end(), "unexpected character")\n    # the value',
         'match.end(3), "unexpected character")\n    # the value',
         ("tests/test_parse.py::TestParseNumeral::test_errors_carry_position",),
     ),
     Mutant(
-        "numeral-missing-digit-at-match-end", "kernels.py",
+        "numeral-missing-digit-at-match-end", "floatkit.py",
         'match.end(3), "expected a digit"', 'match.end(), "expected a digit"',
         ("tests/test_parse.py::TestParseNumeral::test_errors_carry_position",),
     ),
     # the ratio reader takes its text as given, the command line strips it,
     # and its refusals sit where the numeral reader's do
     Mutant(
-        "ratio-strips-blanks", "kernels.py",
+        "ratio-strips-blanks", "floatkit.py",
         "    match = _RATIO.match(text)\n",
         "    text = text.strip()\n    match = _RATIO.match(text)\n",
         ("tests/test_parse.py::test_readers_take_the_text_as_given",),
     ),
     Mutant(
-        "ratio-refuses-at-the-run-start", "kernels.py",
+        "ratio-refuses-at-the-run-start", "floatkit.py",
         '        raise NumeralSyntaxError(text, match.end(), "unexpected character")\n    q = ',
         '        raise NumeralSyntaxError(text, match.start(2), "unexpected character")\n    q = ',
         ("tests/test_parse.py::TestRationalParsing::test_errors_carry_position",),
     ),
+    # the float reader's bits:HEX takes hex digits alone
+    Mutant(
+        "bits-reader-takes-a-prefix", "floatkit.py",
+        '_HEX_DIGITS = re.compile("[0-9a-fA-F]*")\n', '_HEX_DIGITS = re.compile("[0-9a-fA-Fx]*")\n',
+        ("tests/test_cli.py::TestPrint::test_non_hex_digits",),
+    ),
     # the numeral's own digits as an exact bound's decimal
     Mutant(
-        "numeral-digits-on-inexact-floor", "kernels.py",
+        "numeral-digits-on-inexact-floor", "floatkit.py",
         "    if lower != upper:\n        return enclosure_fields(lower, upper, fmt)\n",
         "    if False:\n        return enclosure_fields(lower, upper, fmt)\n",
         ("tests/test_render.py::TestFloorFields::test_matches_the_public_route",),
     ),
     Mutant(
-        "numeral-digits-exponent-off-by-one", "kernels.py",
+        "numeral-digits-exponent-off-by-one", "floatkit.py",
         "    text, lead = _positional(sign, digits, exponent)\n",
         "    text, lead = _positional(sign, digits, exponent + 1)\n",
         ("tests/test_render.py::TestFloorFields::test_matches_the_public_route",),
     ),
     Mutant(
-        "decimal-cut-one-digit-early", "kernels.py",
+        "decimal-cut-one-digit-early", "floatkit.py",
         '        text = text[:keep] + "5"\n', '        text = text[:keep - 1] + "5"\n',
         ("tests/test_parse.py::TestDecimalCut::test_against_the_oracle",),
     ),
@@ -439,7 +446,7 @@ MUTANTS = [
     # the binade of a ratio, and the doubling loop of a digit string
     *(
         Mutant(
-            f"log2-floor-{label}", "kernels.py", old, old.replace(" < ", " <= "),
+            f"log2-floor-{label}", "floatkit.py", old, old.replace(" < ", " <= "),
             ("tests/test_parse.py::TestScale::test_worked_examples",),
         )
         for label, old in (

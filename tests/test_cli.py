@@ -14,7 +14,7 @@ import pytest
 
 import radival
 from builders import float_one
-from radival import cli, kernels, oracle, render
+from radival import cli, floatkit, oracle, render
 from radival.floatkit import BINARY32
 from radival.parse import parse_numeral
 from radival.value import ZERO, Value, infinity
@@ -520,7 +520,7 @@ class TestPrint:
     def test_check_reads_the_printed_text(self, monkeypatch):
         # a fault in the exact digits, last digit changed and exponent
         # shifted, prints a wrong numeral that --check reads back
-        real = kernels._exact_digits
+        real = floatkit._exact_digits
 
         def faulty(m, e):
             digits, exponent = real(m, e)
@@ -530,7 +530,7 @@ class TestPrint:
         tokens = ["bits:3dcccccd", "bits:bf400000", "0.5", "bits:00000001"]
         for token in tokens:
             assert run_cli([*argv, token])[0] == 0
-        monkeypatch.setattr(kernels, "_exact_digits", faulty)
+        monkeypatch.setattr(floatkit, "_exact_digits", faulty)
         for token in tokens:
             status, out, err = run_cli([*argv, token])
             assert (status, out) == (3, "")

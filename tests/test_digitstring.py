@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radival import kernels
+from radival import floatkit
 from radival.digitstring import (
     FRACTION,
     INTEGER,
@@ -18,7 +18,7 @@ from radival.digitstring import (
     double_integer,
     mul2,
 )
-from radival.kernels import _int_from_digits, _text_from_int
+from radival.floatkit import _int_from_digits, _text_from_int
 
 fraction_digits = st.lists(st.integers(0, 9), max_size=30).map(DigitString.fraction)
 integer_digits = st.lists(st.integers(0, 9), max_size=30).map(DigitString.integer)
@@ -241,16 +241,16 @@ def counted_conversions(monkeypatch, module) -> list[int]:
 
 @pytest.mark.parametrize("limit", [640, 0], ids=["least-limit", "no-limit"])
 def test_digit_texts_at_any_int_digit_limit(monkeypatch, limit):
-    """Under CPython's least int/str digit limit the kernels read and write
-    texts of any length as at the default limit, and with no limit they
-    still convert no piece past 4000 digits whole, since whole conversion
+    """Under CPython's least int/str digit limit floatkit reads and writes
+    texts of any length as at the default limit, and with no limit it
+    still converts no piece past 4000 digits whole, since whole conversion
     is quadratic in the length."""
     rng = random.Random(640)
     texts = ["", "0" * 700 + "1"]
     for width in (1, 640, 641, 1000, 2500, 3913, 4001, 9001, 20000):
         texts.append(str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=width - 1)))
     expected = [(_int_from_digits(text), _text_from_int(_int_from_digits(text))) for text in texts]
-    sizes = counted_conversions(monkeypatch, kernels)
+    sizes = counted_conversions(monkeypatch, floatkit)
     default = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:

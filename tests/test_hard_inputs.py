@@ -16,8 +16,7 @@ import pytest
 from test_cli import run_cli
 
 from radival import oracle
-from radival.floatkit import BINARY32
-from radival.kernels import exact_field
+from radival.floatkit import BINARY32, exact_field
 
 HISTORICAL = {
     "binary64": [

@@ -3,17 +3,19 @@ never uses, no function defaults its format, every name the package
 exports resolves, as does every name the acceptance tests import, every
 public definition has a user, no function name is defined in two modules,
 the oracle imports no converter function, digitstring imports nothing
-from the package but the value base, every value is filled only at the
-end of its class's checked constructor, no kernel raises a power outside
-the memo of powers of five (kernels._pow5), the oracle none outside its
-own memo (oracle._five_power) and its long-text reader, and each memo
-changes only by its one idempotent store. Launch hygiene: importing the
-command line loads nothing that only --check needs, a --check run that
-checks no line never loads the oracle, a filter launch loads neither
-argparse, __future__ nor the value modules (value, digitstring, parse,
-render, staged) and of the package only floatkit and the kernels,
+from the package but the value base, floatkit nothing at module level,
+only floatkit and the oracle hold a regular expression, every value is
+filled only at the end of its class's checked constructor, no record rule
+raises a power outside the memo of powers of five (floatkit._pow5), the
+oracle none outside its own memo (oracle._five_power) and its long-text
+reader, and each memo changes only by its one idempotent store. Launch
+hygiene: importing the command line loads nothing that only --check
+needs, a --check run that checks no line never loads the oracle, a filter
+launch loads neither argparse, __future__ nor the value modules (value,
+digitstring, parse, render, staged) and of the package only floatkit,
 importing the package loads none of its modules until a name is asked
-for, the package resolves each module by name on first use, no function
+for, the package hook names every module of the package and resolves
+each by name on first use, no function
 of the command line imports a module or caches one in a nonlocal, a
 checked line adds the oracle and nothing else, and a launch ends
 with its heap frozen (gc.freeze) whether it succeeds or fails while the
@@ -211,6 +213,39 @@ def test_digitstring_imports_only_the_value_base():
     assert foreign == []
 
 
+def test_floatkit_imports_from_the_package_only_in_a_function():
+    """floatkit, which a filter launch loads alone, takes nothing from the
+    package at module level; its one import from the package, value inside
+    FloatFormat._build_extremes, runs on the first read of a format's
+    value constants."""
+    tree = ast.parse((pathlib.Path(radival.__file__).parent / "floatkit.py").read_text())
+    [build] = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_build_extremes"
+    ]
+    inside = [ast.unparse(node) for node in ast.walk(build) if isinstance(node, ast.ImportFrom)]
+    assert inside == ["from .value import FloatValue"]
+    assert _package_imports("floatkit.py") == [("value", "FloatValue")]
+
+
+def test_only_floatkit_and_the_oracle_import_re():
+    """Every grammar the converter reads text by lives in floatkit, and the
+    oracle keeps its own; no other module imports re."""
+    importers = [
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "re" for a in node.names)
+    ]
+    assert importers == ["floatkit.py", "oracle.py"]
+
+
+def test_package_hook_names_every_module():
+    """The package hook's module set is the package's modules, so a module
+    added or deleted cannot leave the hook stale."""
+    assert radival._MODULES == {path.stem for path in MODULES}
+
+
 def _powers_outside(module: str, homes: set[str]) -> list[int]:
     """The lines of the ** in the module that sit outside the named
     top-level functions, each of which must exist."""
@@ -230,9 +265,10 @@ def _powers_outside(module: str, homes: set[str]) -> list[int]:
 
 
 def test_kernels_raise_powers_only_in_the_memo():
-    """Every ** in kernels.py sits in _pow5, so no record raises a power of
-    five or ten that the memo already holds."""
-    assert _powers_outside("kernels.py", {"_pow5"}) == []
+    """Every ** in floatkit.py, the module of the record rules, sits in
+    _pow5, so no record raises a power of five or ten that the memo
+    already holds."""
+    assert _powers_outside("floatkit.py", {"_pow5"}) == []
 
 
 def test_oracle_raises_powers_only_in_its_memo_and_reader():
@@ -288,9 +324,9 @@ def _assert_written_only_by_idempotent_store(module: str, function: str, memo: s
 
 
 def test_pow5_memo_is_written_only_by_its_idempotent_store():
-    """The converter's memo of powers of five, kernels._POW5, changes only
+    """The converter's memo of powers of five, floatkit._POW5, changes only
     by _pow5's idempotent store."""
-    _assert_written_only_by_idempotent_store("kernels.py", "_pow5", "_POW5")
+    _assert_written_only_by_idempotent_store("floatkit.py", "_pow5", "_POW5")
 
 
 def test_oracle_memo_is_written_only_by_its_idempotent_store():
@@ -419,8 +455,8 @@ VALUE_LAYER = (
 @pytest.mark.parametrize("command", ["parse", "parse-rational", "print", "print-interval"])
 def test_launch_leaves_the_value_layer_unloaded(command):
     """A fresh filter on empty stdin loads neither argparse, __future__ nor
-    a module of value classes or the staged route: the records run on the
-    kernels alone."""
+    a module of value classes or the staged route: the records run on
+    floatkit alone."""
     code = (
         "import atexit, runpy, sys\n"
         "names = " + repr(VALUE_LAYER) + "\n"
@@ -433,10 +469,9 @@ def test_launch_leaves_the_value_layer_unloaded(command):
 
 @pytest.mark.parametrize("command", ["parse", "parse-rational", "print", "print-interval"])
 def test_filter_launch_loads_only_the_record_path(command):
-    """A fresh filter on one line loads the package, floatkit and the
-    kernels, and no other module of the package: cli runs as __main__, and
-    the value classes, the help and usage texts and the table stay
-    unloaded."""
+    """A fresh filter on one line loads the package and floatkit, and no
+    other module of the package: cli runs as __main__, and the value
+    classes, the help and usage texts and the table stay unloaded."""
     line = {"parse-rational": "-2/7", "print": "bits:3f800000", "print-interval": "0.25 0.5"}
     code = (
         "import atexit, runpy, sys\n"
@@ -447,7 +482,7 @@ def test_filter_launch_loads_only_the_record_path(command):
     result = _python("-c", code, command, stdin=line.get(command, "0.1") + "\n")
     assert (result.returncode, result.stdout.count("\n")) == (0, 1)
     assert "ERR" not in result.stdout
-    assert result.stderr == "['radival', 'radival.floatkit', 'radival.kernels']"
+    assert result.stderr == "['radival', 'radival.floatkit']"
 
 
 def test_package_import_loads_no_module():

@@ -24,8 +24,9 @@ from radival.floatkit import (
     KIND_NORMAL,
     KIND_SUBNORMAL,
     KIND_ZERO,
+    exact_field,
+    outward_fields,
 )
-from radival.kernels import exact_field, outward_fields
 from radival.parse import (
     DECIMAL_ZERO,
     DecimalScientific,

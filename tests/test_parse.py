@@ -31,8 +31,9 @@ from radival.floatkit import (
     KIND_SUBNORMAL,
     KIND_ZERO,
     DomainError,
+    NumeralSyntaxError,
+    _text_from_int,
 )
-from radival.kernels import NumeralSyntaxError, _text_from_int
 from radival.parse import (
     DECIMAL_ZERO,
     DecimalScientific,

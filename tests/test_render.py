@@ -18,17 +18,15 @@ from builders import BFLOAT16, BINARY16, BINARY128, exact_float, float_one
 from radival import oracle
 from radival.digitstring import DigitString
 from radival.floatkit import (
+    _POW5,
+    _POW5_CAP,
+    _PREFIX_WINDOW,
     BINARY32,
     BINARY64,
     KIND_INFINITE,
     DomainError,
     FloatFormat,
     _bits_fields,
-)
-from radival.kernels import (
-    _POW5,
-    _POW5_CAP,
-    _PREFIX_WINDOW,
     _bounds,
     _decimal_floor,
     _floor,
@@ -1105,15 +1103,15 @@ class TestFloorFields:
         assert enclosure_fields(*bounds, BINARY32) == fields
 
     def test_exact_bound_written_once(self, monkeypatch):
-        from radival import kernels
+        from radival import floatkit
 
-        real, calls = kernels._exact_digits, []
+        real, calls = floatkit._exact_digits, []
 
         def counted(m, e):
             calls.append((m, e))
             return real(m, e)
 
-        monkeypatch.setattr(kernels, "_exact_digits", counted)
+        monkeypatch.setattr(floatkit, "_exact_digits", counted)
         bounds = _bounds(*_decimal_floor(*_numeral("0.375"), BINARY64), BINARY64)
         fields = enclosure_fields(*bounds, BINARY64)
         assert fields == ("2^(-2) * 1.8000000000000", "0.375") * 2 + ("0.375[,]",)
